@@ -13,6 +13,7 @@
 #   scripts/ci.sh symval     # symbolic-vs-trace differential + BENCH_symval.json
 #   scripts/ci.sh bench      # reproduction benches only
 #   scripts/ci.sh perf       # perf-regression gate vs bench/baselines + self-test
+#   scripts/ci.sh baselines  # every bench_compare comparator has a tracked baseline
 #   scripts/ci.sh service    # service soak (plain + TSan), schema + compare gate, CLI e2e
 #   scripts/ci.sh coverage   # gcov line coverage of src/symbolic + src/descriptors
 set -euo pipefail
@@ -282,6 +283,7 @@ perf() {
   # (see scripts/bench_compare.py). The stage also self-tests: a doctored
   # artifact with a synthetic regression must make the comparator fail.
   echo "=== perf: regression gate vs bench/baselines ==="
+  baselines
   cmake -B build -S .
   cmake --build build -j "$jobs" --target \
     analysis_scaling contention_profile symbolic_validation kernel_family \
@@ -422,6 +424,28 @@ EOF
   echo "ok (self-test): doctored kernel-family artifact rejected"
 }
 
+baselines() {
+  # Every comparator in scripts/bench_compare.py needs a baseline that a fresh
+  # clone actually has: one that is git-ignored or never committed makes its
+  # compare stage die at the copy, not at the comparison.
+  echo "=== baselines: every comparator has a tracked baseline ==="
+  python3 - <<'EOF'
+import subprocess
+import sys
+
+sys.path.insert(0, "scripts")
+import bench_compare
+
+tracked = set(subprocess.run(["git", "ls-files", "bench/baselines"], capture_output=True,
+                             text=True, check=True).stdout.split())
+missing = [name for name in sorted(bench_compare.COMPARATORS)
+           if f"bench/baselines/{name}" not in tracked]
+if missing:
+    sys.exit(f"FAIL: comparators without a tracked baseline in bench/baselines: {missing}")
+print(f"ok: all {len(bench_compare.COMPARATORS)} comparators have a tracked baseline")
+EOF
+}
+
 service() {
   # The analysis-service gate (docs/SERVICE.md), four legs:
   #   1. the full overload soak at its default 2000-request flood, emitting
@@ -435,6 +459,7 @@ service() {
   #   4. an end-to-end --serve/--client session over a real socket asserting
   #      the documented exit codes (0 ok, 5 degraded, 6 unavailable).
   echo "=== service: overload soak + TSan soak + compare gate + CLI e2e ==="
+  baselines
   cmake -B build -S .
   cmake --build build -j "$jobs" --target service_soak service_test tfft2_pipeline
   ./build/tests/service_test
@@ -589,8 +614,9 @@ case "$stage" in
   bench) bench ;;
   perf) perf ;;
   service) service ;;
+  baselines) baselines ;;
   coverage) coverage ;;
   all) tier1; tsan; asan; obs; fault; symval; bench; perf; service; coverage ;;
-  *) echo "unknown stage: $stage (tier1|tsan|asan|obs|fault|symval|bench|perf|service|coverage|all)" >&2; exit 2 ;;
+  *) echo "unknown stage: $stage (tier1|tsan|asan|obs|fault|symval|bench|perf|baselines|service|coverage|all)" >&2; exit 2 ;;
 esac
 echo "CI gate passed."

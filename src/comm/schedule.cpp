@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 
+#include "dsm/access_count.hpp"
+#include "support/budget.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::comm {
@@ -51,22 +54,27 @@ std::string CommSchedule::str() const {
 
 namespace {
 
-/// Groups (src, dst, addr) triples into aggregated messages with coalesced
-/// contiguous ranges. `moves` must be sorted by (src, dst, addr).
-std::vector<Message> aggregate(
-    std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves) {
-  std::sort(moves.begin(), moves.end());
+/// Each (src, dst) pair's ranges, in address order.
+using RangesByPair = std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Range>>;
+
+/// Appends [begin, end) to the (src, dst) message, coalescing it with the
+/// message's last range when they touch. Ranges arrive in address order.
+void appendRange(RangesByPair& byPair, std::int64_t src, std::int64_t dst, std::int64_t begin,
+                 std::int64_t end) {
+  auto& ranges = byPair[{src, dst}];
+  if (!ranges.empty() && ranges.back().end == begin) {
+    ranges.back().end = end;
+  } else {
+    ranges.push_back(Range{begin, end});
+  }
+}
+
+/// One message per (src, dst) pair, in pair order.
+std::vector<Message> aggregate(RangesByPair byPair) {
   std::vector<Message> out;
-  for (const auto& [src, dst, addr] : moves) {
-    if (out.empty() || out.back().src != src || out.back().dst != dst) {
-      out.push_back(Message{src, dst, {}});
-    }
-    auto& ranges = out.back().ranges;
-    if (!ranges.empty() && ranges.back().end == addr) {
-      ++ranges.back().end;  // extend the current run
-    } else {
-      ranges.push_back(Range{addr, addr + 1});
-    }
+  out.reserve(byPair.size());
+  for (auto& [pair, ranges] : byPair) {
+    out.push_back(Message{pair.first, pair.second, std::move(ranges)});
   }
   return out;
 }
@@ -78,13 +86,14 @@ CommSchedule generateGlobal(const std::string& array, std::int64_t size,
                             std::int64_t processors) {
   AD_REQUIRE(from.hasOwner() && to.hasOwner(),
              "global redistribution requires owner-bearing endpoints");
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
-  for (std::int64_t a = 0; a < size; ++a) {
-    const std::int64_t src = from.owner(a, processors);
-    const std::int64_t dst = to.owner(a, processors);
-    if (src != dst) moves.emplace_back(src, dst, a);
-  }
-  return CommSchedule(array, Pattern::kGlobal, aggregate(std::move(moves)));
+  // One range per constant-owner run whose owner changes.
+  RangesByPair byPair;
+  dsm::forEachOwnerRun(from, to, processors, 0, size,
+                       [&](std::int64_t begin, std::int64_t end, std::int64_t src,
+                           std::int64_t dst) {
+                         if (src != dst) appendRange(byPair, src, dst, begin, end);
+                       });
+  return CommSchedule(array, Pattern::kGlobal, aggregate(std::move(byPair)));
 }
 
 CommSchedule generateFrontier(const std::string& array, std::int64_t size,
@@ -93,41 +102,60 @@ CommSchedule generateFrontier(const std::string& array, std::int64_t size,
   AD_REQUIRE(dist.kind == dsm::DataDistribution::Kind::kBlockCyclic,
              "frontier update requires a BLOCK-CYCLIC distribution");
   AD_REQUIRE(overlap >= 1, "overlap width must be positive");
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
   // The owner of each block refreshes its replicated copy of the first
   // `overlap` elements of the following block, which the next owner holds.
+  RangesByPair byPair;
+  support::ExpiryPoll poll;
   for (std::int64_t blockStart = 0; blockStart < size; blockStart += dist.block) {
+    poll.tick();
     const std::int64_t nextStart = blockStart + dist.block;
     if (nextStart >= size) break;
     const std::int64_t dst = dist.owner(blockStart, processors);
     const std::int64_t src = dist.owner(nextStart, processors);
     if (src == dst) continue;
-    const std::int64_t end = std::min(size, nextStart + overlap);
-    for (std::int64_t a = nextStart; a < end; ++a) moves.emplace_back(src, dst, a);
+    appendRange(byPair, src, dst, nextStart, std::min(size, nextStart + overlap));
   }
-  return CommSchedule(array, Pattern::kFrontier, aggregate(std::move(moves)));
+  return CommSchedule(array, Pattern::kFrontier, aggregate(std::move(byPair)));
 }
 
 bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,
                             const dsm::DataDistribution& from, const dsm::DataDistribution& to,
                             std::int64_t processors) {
-  std::vector<int> covered(static_cast<std::size_t>(size), 0);
+  // Every (non-empty) range must lie in bounds, between distinct processors,
+  // on owner runs whose owners are exactly its endpoints; no element may be
+  // sent twice; and together the ranges must cover as many words as change
+  // owner. Then they cover exactly the moving elements, each once. Ranges of
+  // different (src, dst) pairs hold different elements, so overlaps are only
+  // checked within a pair, in address order — already the order of a
+  // generated schedule, so the sort is usually skipped.
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>> sent;
+  std::int64_t words = 0;
+  support::ExpiryPoll poll;
   for (const auto& m : schedule.messages()) {
     for (const auto& r : m.ranges) {
-      for (std::int64_t a = r.begin; a < r.end; ++a) {
-        if (a < 0 || a >= size) return false;
-        if (from.owner(a, processors) != m.src) return false;
-        if (to.owner(a, processors) != m.dst) return false;
-        if (m.src == m.dst) return false;
-        ++covered[static_cast<std::size_t>(a)];
-      }
+      poll.tick();
+      if (r.end <= r.begin) continue;  // moves nothing
+      if (r.begin < 0 || r.end > size || m.src == m.dst) return false;
+      bool endpoints = true;
+      dsm::forEachOwnerRun(from, to, processors, r.begin, r.end,
+                           [&](std::int64_t, std::int64_t, std::int64_t src, std::int64_t dst) {
+                             endpoints = endpoints && src == m.src && dst == m.dst;
+                           });
+      if (!endpoints) return false;
+      sent.emplace_back(m.src, m.dst, r.begin, r.end);
+      words += r.words();
     }
   }
-  for (std::int64_t a = 0; a < size; ++a) {
-    const bool moves = from.owner(a, processors) != to.owner(a, processors);
-    if (covered[static_cast<std::size_t>(a)] != (moves ? 1 : 0)) return false;
+  if (!std::is_sorted(sent.begin(), sent.end())) std::sort(sent.begin(), sent.end());
+  for (std::size_t i = 1; i < sent.size(); ++i) {
+    const auto& [src, dst, begin, end] = sent[i];
+    const auto& [prevSrc, prevDst, prevBegin, prevEnd] = sent[i - 1];
+    if (src == prevSrc && dst == prevDst && begin < prevEnd) return false;
   }
-  return true;
+  std::int64_t moving = 0;
+  std::int64_t messages = 0;
+  dsm::countRedistribution(from, to, size, processors, moving, messages);
+  return words == moving;
 }
 
 }  // namespace ad::comm

@@ -16,11 +16,7 @@ namespace ad::driver {
 
 namespace {
 
-std::int64_t evalInt(const sym::Expr& e, const ir::Bindings& params, const char* what) {
-  const Rational r = e.evaluate(params);
-  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
-  return r.asInteger();
-}
+using ir::evalInt;
 
 /// Chunk size for phase k: ILP solution if available, greedy BLOCK otherwise.
 std::int64_t chunkFor(const ir::Program& program, const ilp::Model& model,
@@ -226,6 +222,7 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
   obs::metrics().counter("ad.symval.regions_enumerated");
   obs::metrics().counter("ad.symval.redistributed_words");
   obs::metrics().counter("ad.symval.frontier_words");
+  obs::metrics().counter("ad.dsm.regions_enumerated");
 
   // The run's budget (when one is configured) and degradation ledger. The
   // scopes are thread-local here; ThreadPool::submit forwards them to every

@@ -1,0 +1,597 @@
+#include "dsm/access_count.hpp"
+
+#include <algorithm>
+#include <functional>
+#include <optional>
+#include <set>
+#include <utility>
+
+#include "support/budget.hpp"
+#include "support/checked_int.hpp"
+#include "support/diagnostics.hpp"
+
+namespace ad::dsm {
+
+namespace {
+
+using sym::ArithmeticProgression;
+using sym::PeriodicIntervalSet;
+using ir::evalInt;
+
+/// Numeric-expansion caps: a loop the merge rules cannot collapse is unrolled
+/// only up to this trip count, and a region's progression list is bounded, so
+/// adversarial nests fall back to enumeration instead of exploding.
+constexpr std::int64_t kEnumLoopCap = 1 << 14;
+constexpr std::size_t kApListCap = 1 << 13;
+
+// ---------------------------------------------------------------------------
+// Region collapse: loop-nest tail -> arithmetic progressions
+// ---------------------------------------------------------------------------
+
+struct ApList {
+  std::vector<ArithmeticProgression> aps;
+
+  [[nodiscard]] std::int64_t total() const {
+    std::int64_t t = 0;
+    for (const auto& ap : aps) t = checkedAdd(t, ap.total());
+    return t;
+  }
+};
+
+/// Folds one more loop around an already-collapsed inner region: every
+/// iteration shifts the inner addresses by `step`. Exact merge rules only —
+/// anything else replicates numerically (capped) or gives up.
+std::optional<ApList> mergeLoop(const ApList& inner, std::int64_t step, std::int64_t n) {
+  if (inner.aps.empty() || n == 1) return inner;
+  if (step == 0) {
+    ApList out = inner;
+    for (auto& ap : out.aps) ap.repeat = checkedMul(ap.repeat, n);
+    return out;
+  }
+  const std::int64_t astep = step < 0 ? -step : step;
+  if (inner.aps.size() == 1) {
+    const ArithmeticProgression& ap = inner.aps[0];
+    // The lowest-address copy of the inner region across the n iterations.
+    const std::int64_t loBase =
+        step < 0 ? checkedAdd(ap.base, checkedMul(step, n - 1)) : ap.base;
+    if (ap.count == 1) {
+      return ApList{{ArithmeticProgression::make(loBase, astep, n, ap.repeat)}};
+    }
+    if (astep == checkedMul(ap.stride, ap.count)) {
+      // Copies tile end to end: one longer progression.
+      return ApList{{ArithmeticProgression::make(loBase, ap.stride,
+                                                 checkedMul(ap.count, n), ap.repeat)}};
+    }
+    if (ap.stride == checkedMul(astep, n)) {
+      // Copies interleave perfectly into a denser progression.
+      return ApList{{ArithmeticProgression::make(loBase, astep,
+                                                 checkedMul(ap.count, n), ap.repeat)}};
+    }
+  }
+  if (n > kEnumLoopCap || inner.aps.size() * static_cast<std::size_t>(n) > kApListCap) {
+    return std::nullopt;
+  }
+  ApList out;
+  out.aps.reserve(inner.aps.size() * static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t shift = checkedMul(step, i);
+    for (ArithmeticProgression ap : inner.aps) {
+      ap.base = checkedAdd(ap.base, shift);
+      out.aps.push_back(ap);
+    }
+  }
+  return out;
+}
+
+/// Collapses loops[depth..] for one subscript under the given (params +
+/// outer indices) bindings. nullopt = Unknown; the caller falls back.
+/// `step` is charged once per collapse step and per expanded iteration.
+template <typename Step>
+std::optional<ApList> collapseTail(const std::vector<ir::Loop>& loops, std::size_t depth,
+                                   const sym::Expr& subscript, ir::Bindings& bindings,
+                                   const Step& step) {
+  if (!step()) return std::nullopt;
+  if (depth == loops.size()) {
+    const std::int64_t addr = evalInt(subscript, bindings, "subscript");
+    return ApList{{ArithmeticProgression::make(addr, 0, 1, 1)}};
+  }
+  const ir::Loop& loop = loops[depth];
+  const std::int64_t lo = evalInt(loop.lower, bindings, "loop lower bound");
+  const std::int64_t hi = evalInt(loop.upper, bindings, "loop upper bound");
+  const std::int64_t n = hi - lo + 1;
+  if (n <= 0) return ApList{};
+
+  // Merge path: the subscript is linear in this index with a coefficient
+  // that is constant over the remaining tail, and no deeper bound depends on
+  // this index — then every iteration is a pure shift of the inner region.
+  bool mergeable = true;
+  for (std::size_t d = depth + 1; d < loops.size() && mergeable; ++d) {
+    mergeable = !loops[d].lower.contains(loop.index) && !loops[d].upper.contains(loop.index);
+  }
+  std::int64_t stride = 0;
+  if (mergeable) {
+    const auto dec = subscript.linearDecompose(loop.index);
+    if (!dec) {
+      mergeable = false;
+    } else {
+      for (std::size_t d = depth + 1; d < loops.size() && mergeable; ++d) {
+        mergeable = !dec->first.contains(loops[d].index);
+      }
+      if (mergeable) {
+        const Rational coeff = dec->first.evaluate(bindings);
+        if (coeff.isInteger()) {
+          stride = coeff.asInteger();
+        } else {
+          mergeable = false;
+        }
+      }
+    }
+  }
+  if (mergeable) {
+    bindings[loop.index] = lo;
+    auto inner = collapseTail(loops, depth + 1, subscript, bindings, step);
+    bindings.erase(loop.index);
+    if (!inner) return std::nullopt;
+    return mergeLoop(*inner, stride, n);
+  }
+
+  // Numeric expansion (bounded): bounds or coefficients genuinely depend on
+  // this index (triangular nests, pow2 strides under an exponent loop).
+  if (n > kEnumLoopCap) return std::nullopt;
+  ApList out;
+  for (std::int64_t v = lo; v <= hi; ++v) {
+    if (!step()) {
+      bindings.erase(loop.index);
+      return std::nullopt;
+    }
+    bindings[loop.index] = v;
+    auto inner = collapseTail(loops, depth + 1, subscript, bindings, step);
+    if (!inner) {
+      bindings.erase(loop.index);
+      return std::nullopt;
+    }
+    if (out.aps.size() + inner->aps.size() > kApListCap) {
+      bindings.erase(loop.index);
+      return std::nullopt;
+    }
+    out.aps.insert(out.aps.end(), inner->aps.begin(), inner->aps.end());
+  }
+  bindings.erase(loop.index);
+  return out;
+}
+
+/// Accesses of `aps`, shifted by `shift`, that fall in `set` (all of them
+/// when `set` is null: an always-local reference).
+std::int64_t countApsIn(const ApList& aps, const PeriodicIntervalSet* set, std::int64_t shift) {
+  std::int64_t local = 0;
+  for (ArithmeticProgression ap : aps.aps) {
+    ap.base = checkedAdd(ap.base, shift);
+    local = checkedAdd(local, set == nullptr ? ap.total() : set->countAP(ap));
+  }
+  return local;
+}
+
+/// Iterations of [lo, lo + trip) that CYCLIC(chunk) assigns to `pe` (lo >= 0).
+std::int64_t iterationsOn(const IterationDistribution& sched, std::int64_t processors,
+                          std::int64_t pe, std::int64_t lo, std::int64_t trip) {
+  const std::int64_t cycle = checkedMul(sched.chunk, processors);
+  const auto below = [&](std::int64_t x) {
+    const std::int64_t inCycle = std::clamp<std::int64_t>(x % cycle - pe * sched.chunk, 0,
+                                                          sched.chunk);
+    return checkedAdd(checkedMul(x / cycle, sched.chunk), inCycle);
+  };
+  return below(checkedAdd(lo, trip)) - below(lo);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Per-phase access counting
+// ---------------------------------------------------------------------------
+
+/// Classification recipe of one reference.
+struct AccessCounter::RefInfo {
+  std::size_t slot = 0;
+  bool privatized = false;
+  const DataDistribution* dist = nullptr;  ///< null: privatized
+  std::int64_t halo = 0;                   ///< reads only (Theorem 1c)
+
+  [[nodiscard]] bool alwaysLocal() const {
+    return privatized || dist == nullptr || !dist->hasOwner();
+  }
+};
+
+std::int64_t PhaseTally::enumeratedRefs() const {
+  std::int64_t n = 0;
+  for (const auto& a : arrays) {
+    if (!a.fallbackCause.empty()) n += a.refs;
+  }
+  return n;
+}
+
+AccessCounter::AccessCounter(const ir::Program& program, const ir::Bindings& params,
+                             const ExecutionPlan& plan, const CountOptions& options)
+    : program_(program), params_(params), plan_(plan), options_(options) {
+  AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
+  AD_REQUIRE(options.processors >= 1, "need at least one processor");
+}
+
+bool AccessCounter::step() {
+  if (options_.chargeBudget) return support::budgetStep();
+  poll_.tick();
+  return true;
+}
+
+/// The locality set of `pe`, cached per (distribution, halo, pe); nullptr
+/// when the folded expansion was refused (the caller falls back).
+const PeriodicIntervalSet* AccessCounter::localSet(const DataDistribution& dist,
+                                                   std::int64_t pe, std::int64_t halo) {
+  const SetKey key{static_cast<int>(dist.kind), dist.block, dist.fold, halo, pe};
+  auto it = sets_.find(key);
+  if (it == sets_.end()) {
+    std::unique_ptr<const PeriodicIntervalSet> set;
+    if (dist.kind == DataDistribution::Kind::kBlockCyclic) {
+      set = std::make_unique<const PeriodicIntervalSet>(
+          sym::localIntervals(dist.block, options_.processors, pe, halo));
+    } else {
+      auto folded =
+          sym::foldedLocalIntervals(dist.block, dist.fold, options_.processors, pe, halo);
+      if (folded) set = std::make_unique<const PeriodicIntervalSet>(std::move(*folded));
+    }
+    it = sets_.emplace(key, std::move(set)).first;
+  }
+  return it->second.get();
+}
+
+void AccessCounter::add(ArrayTally& out, std::int64_t pe, std::int64_t total,
+                        std::int64_t local) const {
+  const std::int64_t remote = total - local;
+  out.counts.local += local;
+  out.counts.remote += remote;
+  out.counts.remoteBytes += remote * options_.wordBytes;
+  out.peAccesses[static_cast<std::size_t>(pe)] += total;
+  out.peRemote[static_cast<std::size_t>(pe)] += remote;
+}
+
+/// One reference of a phase *without* a parallel loop: every access runs on
+/// processor 0.
+bool AccessCounter::countSerial(const ir::Phase& phase, const ir::ArrayRef& ref,
+                                const RefInfo& info, ArrayTally& out) {
+  ir::Bindings bindings = params_;
+  const auto aps =
+      collapseTail(phase.loops(), 0, ref.subscript, bindings, [this] { return step(); });
+  if (!aps) return false;
+  const PeriodicIntervalSet* set = nullptr;
+  if (!info.alwaysLocal()) {
+    set = localSet(*info.dist, 0, info.halo);
+    if (set == nullptr) return false;
+  }
+  add(out, 0, aps->total(), countApsIn(*aps, set, 0));
+  return true;
+}
+
+/// One reference of a DOALL phase. The parallel index both selects the
+/// executing processor (CYCLIC(chunk) schedule) and shifts the tail region;
+/// when the shift is uniform the per-iteration counts are periodic with
+/// period lambda = lcm(chunk * H, ownershipPeriod / gcd(|shift|,
+/// ownershipPeriod)), so the whole loop costs one period plus a remainder —
+/// independent of the trip count. lambda is a multiple of chunk * H, so
+/// iterations u and u + j * lambda also run on the same processor.
+bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& ref,
+                                  const RefInfo& info, const IterationDistribution& sched,
+                                  ArrayTally& out) {
+  const std::size_t parPos = phase.parallelLoopPos();
+  const std::vector<ir::Loop>& loops = phase.loops();
+  const sym::SymbolId parSym = loops[parPos].index;
+  const std::int64_t H = options_.processors;
+  const auto stepFn = [this] { return step(); };
+
+  ir::Bindings bindings = params_;
+  const std::function<bool(std::size_t)> run = [&](std::size_t depth) -> bool {
+    if (depth < parPos) {
+      const std::int64_t lo = evalInt(loops[depth].lower, bindings, "loop lower bound");
+      const std::int64_t hi = evalInt(loops[depth].upper, bindings, "loop upper bound");
+      if (hi - lo + 1 > kEnumLoopCap) return false;
+      for (std::int64_t v = lo; v <= hi; ++v) {
+        bindings[loops[depth].index] = v;
+        if (!run(depth + 1)) {
+          bindings.erase(loops[depth].index);
+          return false;
+        }
+      }
+      bindings.erase(loops[depth].index);
+      return true;
+    }
+
+    const std::int64_t lo = evalInt(loops[parPos].lower, bindings, "parallel lower bound");
+    const std::int64_t hi = evalInt(loops[parPos].upper, bindings, "parallel upper bound");
+    const std::int64_t trip = hi - lo + 1;
+    if (trip <= 0) return true;
+    if (lo < 0) return false;  // the enumerator rejects negative iterations; match it there
+
+    // Shift-uniformity: tail bounds free of the parallel index, subscript
+    // linear in it with a tail-independent integer coefficient.
+    bool uniform = true;
+    for (std::size_t d = parPos + 1; d < loops.size() && uniform; ++d) {
+      uniform = !loops[d].lower.contains(parSym) && !loops[d].upper.contains(parSym);
+    }
+    std::int64_t shift = 0;
+    if (uniform) {
+      const auto dec = ref.subscript.linearDecompose(parSym);
+      if (!dec) {
+        uniform = false;
+      } else {
+        for (std::size_t d = parPos + 1; d < loops.size() && uniform; ++d) {
+          uniform = !dec->first.contains(loops[d].index);
+        }
+        if (uniform) {
+          const Rational coeff = dec->first.evaluate(bindings);
+          if (coeff.isInteger()) {
+            shift = coeff.asInteger();
+          } else {
+            uniform = false;
+          }
+        }
+      }
+    }
+
+    if (uniform) {
+      bindings[parSym] = lo;
+      const auto aps0 = collapseTail(loops, parPos + 1, ref.subscript, bindings, stepFn);
+      bindings.erase(parSym);
+      if (!aps0) return false;
+      const std::int64_t perIter = aps0->total();
+      (void)checkedMul(perIter, trip);  // the whole loop's total must fit
+      if (info.alwaysLocal()) {
+        for (std::int64_t pe = 0; pe < H; ++pe) {
+          const std::int64_t n = checkedMul(perIter, iterationsOn(sched, H, pe, lo, trip));
+          add(out, pe, n, n);
+        }
+        return true;
+      }
+      const std::int64_t period = info.dist->ownerPeriod(H);
+      const std::int64_t chunkH = checkedMul(sched.chunk, H);
+      const std::int64_t smod = euclidMod(shift, period);
+      const std::int64_t shiftPeriod = smod == 0 ? 1 : period / gcd64(smod, period);
+      std::int64_t lambda = trip;  // fall back to full enumeration of iterations
+      if (const auto l = tryMul(chunkH / gcd64(chunkH, shiftPeriod), shiftPeriod);
+          l && *l > 0) {
+        lambda = std::min<std::int64_t>(trip, *l);
+      }
+      const bool periodic = lambda < trip;
+      const std::int64_t rem = periodic ? trip % lambda : 0;
+      const std::int64_t cycles = periodic ? trip / lambda : 1;
+      // Per processor: local accesses and iterations over one lambda, and
+      // over the remainder's first `rem` iterations.
+      const std::size_t h = static_cast<std::size_t>(H);
+      std::vector<std::int64_t> cycleLocal(h, 0), cycleIters(h, 0), remLocal(h, 0),
+          remIters(h, 0);
+      for (std::int64_t u = 0; u < lambda; ++u) {
+        if (!step()) return false;
+        const std::int64_t pe = sched.executor(lo + u, H);
+        const PeriodicIntervalSet* set = localSet(*info.dist, pe, info.halo);
+        if (set == nullptr) return false;
+        const std::int64_t l = countApsIn(*aps0, set, checkedMul(shift, u));
+        const auto p = static_cast<std::size_t>(pe);
+        cycleLocal[p] = checkedAdd(cycleLocal[p], l);
+        ++cycleIters[p];
+        if (u < rem) {
+          remLocal[p] = checkedAdd(remLocal[p], l);
+          ++remIters[p];
+        }
+      }
+      for (std::size_t p = 0; p < h; ++p) {
+        const std::int64_t iters = checkedAdd(checkedMul(cycleIters[p], cycles), remIters[p]);
+        if (iters == 0) continue;
+        add(out, static_cast<std::int64_t>(p), checkedMul(perIter, iters),
+            checkedAdd(checkedMul(cycleLocal[p], cycles), remLocal[p]));
+      }
+      return true;
+    }
+
+    // Non-uniform (triangular bounds, parallel index inside a pow2): collapse
+    // the tail afresh per iteration. Still closed-form per iteration.
+    if (trip > kEnumLoopCap) return false;
+    for (std::int64_t v = lo; v <= hi; ++v) {
+      if (!step()) return false;
+      bindings[parSym] = v;
+      const auto aps = collapseTail(loops, parPos + 1, ref.subscript, bindings, stepFn);
+      bindings.erase(parSym);
+      if (!aps) return false;
+      const std::int64_t pe = sched.executor(v, H);
+      const std::int64_t total = aps->total();
+      std::int64_t local = total;
+      if (!info.alwaysLocal()) {
+        const PeriodicIntervalSet* set = localSet(*info.dist, pe, info.halo);
+        if (set == nullptr) return false;
+        local = countApsIn(*aps, set, 0);
+      }
+      add(out, pe, total, local);
+    }
+    return true;
+  };
+  return run(0);
+}
+
+/// The fallback: counts the arrays marked with a fallback cause by walking
+/// every access of the phase. Polls cancellation and the deadline.
+void AccessCounter::enumerate(const ir::Phase& phase, const IterationDistribution& sched,
+                              const std::vector<RefInfo>& refs, PhaseTally& tally) {
+  for (auto& a : tally.arrays) {
+    if (a.fallbackCause.empty()) continue;
+    a.counts = ArrayCounts{};
+    std::fill(a.peAccesses.begin(), a.peAccesses.end(), 0);
+    std::fill(a.peRemote.begin(), a.peRemote.end(), 0);
+  }
+  const std::int64_t H = options_.processors;
+  support::ExpiryPoll poll;
+  ir::forEachAccess(program_, phase, params_,
+                    [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+                      poll.tick();
+                      const RefInfo& info =
+                          refs[static_cast<std::size_t>(acc.ref - phase.refs().data())];
+                      ArrayTally& a = tally.arrays[info.slot];
+                      if (a.fallbackCause.empty()) return;
+                      const std::int64_t pe =
+                          phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
+                      const bool local = info.alwaysLocal() ||
+                                         info.dist->isLocal(acc.address, pe, H, info.halo);
+                      add(a, pe, 1, local ? 1 : 0);
+                    });
+}
+
+PhaseTally AccessCounter::countPhase(std::size_t k) {
+  const ir::Phase& phase = program_.phase(k);
+  const IterationDistribution& sched = plan_.iteration[k];
+  const auto h = static_cast<std::size_t>(options_.processors);
+
+  PhaseTally tally;
+  std::map<std::string, std::size_t> slotOf;
+  std::vector<RefInfo> refs;
+  for (const auto& r : phase.refs()) {
+    RefInfo info;
+    const auto [it, fresh] = slotOf.emplace(r.array, tally.arrays.size());
+    info.slot = it->second;
+    if (fresh) {
+      ArrayTally a;
+      a.array = r.array;
+      a.peAccesses.assign(h, 0);
+      a.peRemote.assign(h, 0);
+      tally.arrays.push_back(std::move(a));
+    }
+    ++tally.arrays[info.slot].refs;
+    info.privatized = phase.isPrivatized(r.array);
+    if (!info.privatized) {
+      const auto dit = plan_.data.find(r.array);
+      AD_REQUIRE(dit != plan_.data.end(), "plan missing array " + r.array);
+      info.dist = &dit->second[k];
+      if (r.kind == ir::AccessKind::kRead) {
+        if (auto hit = plan_.halo.find(r.array); hit != plan_.halo.end()) {
+          info.halo = hit->second[k];
+        }
+      }
+    }
+    refs.push_back(info);
+  }
+
+  bool fallback = false;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const RefInfo& info = refs[i];
+    ArrayTally& a = tally.arrays[info.slot];
+    if (!a.fallbackCause.empty()) continue;
+    if (options_.forceFallback != nullptr && options_.forceFallback()) {
+      a.fallbackCause = "fault";
+      fallback = true;
+      continue;
+    }
+    bool ok = false;
+    try {
+      ok = phase.hasParallelLoop() ? countParallel(phase, phase.refs()[i], info, sched, a)
+                                   : countSerial(phase, phase.refs()[i], info, a);
+    } catch (const AnalysisError&) {
+      ok = false;  // non-integer form: the enumeration settles it
+    }
+    if (ok) {
+      ++tally.closedFormRefs;
+    } else {
+      a.fallbackCause = options_.chargeBudget && support::budgetCompromised()
+                            ? support::currentDegradationCause()
+                            : "unknown-region";
+      fallback = true;
+    }
+  }
+  if (fallback) enumerate(phase, sched, refs, tally);
+  return tally;
+}
+
+// ---------------------------------------------------------------------------
+// Communication
+// ---------------------------------------------------------------------------
+
+PhaseCommunication AccessCounter::communication(std::size_t k) const {
+  PhaseCommunication out;
+  const ir::Phase& phase = program_.phase(k);
+  const std::int64_t H = options_.processors;
+
+  // Global redistributions: any array whose distribution changes entering
+  // phase k.
+  if (k > 0) {
+    for (const auto& arr : program_.arrays()) {
+      const auto it = plan_.data.find(arr.name);
+      if (it == plan_.data.end()) continue;
+      const DataDistribution& prev = it->second[k - 1];
+      const DataDistribution& next = it->second[k];
+      if (prev == next) continue;
+      if (!prev.hasOwner() || !next.hasOwner()) {
+        continue;  // entering/leaving private scratch moves no shared data
+      }
+      if (!redistributionMovesData(program_, arr.name, k)) {
+        continue;  // dead values: re-allocation only, no copies
+      }
+      RedistributionStats rs;
+      rs.array = arr.name;
+      rs.beforePhase = k;
+      countRedistribution(prev, next, evalInt(arr.size, params_, "array size"), H,
+                          rs.wordsMoved, rs.messages);
+      if (rs.wordsMoved > 0) out.global.push_back(std::move(rs));
+    }
+  }
+
+  // Frontier refreshes: before a phase reading an array through a halo, the
+  // owners push the replicated overlap regions at every block boundary, in
+  // both directions.
+  for (const auto& arr : program_.arrays()) {
+    const auto hit = plan_.halo.find(arr.name);
+    if (hit == plan_.halo.end() || hit->second[k] <= 0) continue;
+    if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
+    bool writtenElsewhere = false;
+    for (const auto& other : program_.phases()) {
+      writtenElsewhere = writtenElsewhere || (&other != &phase && other.writes(arr.name) &&
+                                             !other.isPrivatized(arr.name));
+    }
+    if (!writtenElsewhere) continue;
+    const auto& dist = plan_.data.at(arr.name)[k];
+    if (!dist.hasOwner()) continue;
+    const std::int64_t size = evalInt(arr.size, params_, "array size");
+    const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
+    RedistributionStats rs;
+    rs.array = arr.name;
+    rs.beforePhase = k;
+    rs.frontier = true;
+    rs.wordsMoved = 2 * hit->second[k] * boundaries;
+    rs.messages = 2 * boundaries;
+    if (rs.wordsMoved > 0) out.frontier.push_back(std::move(rs));
+  }
+  return out;
+}
+
+void countRedistribution(const DataDistribution& from, const DataDistribution& to,
+                         std::int64_t size, std::int64_t processors, std::int64_t& words,
+                         std::int64_t& messages) {
+  std::set<std::pair<std::int64_t, std::int64_t>> pairs;
+  const auto walk = [&](std::int64_t limit) {
+    std::int64_t moved = 0;
+    forEachOwnerRun(from, to, processors, 0, limit,
+                    [&](std::int64_t begin, std::int64_t end, std::int64_t src, std::int64_t dst) {
+                      if (src == dst) return;
+                      moved += end - begin;
+                      pairs.insert({src, dst});
+                    });
+    return moved;
+  };
+  const std::int64_t p1 = from.ownerPeriod(processors);
+  const std::int64_t p2 = to.ownerPeriod(processors);
+  std::int64_t lambda = size;
+  if (const auto l = tryMul(p1 / gcd64(p1, p2), p2); l && *l > 0) {
+    lambda = std::min(size, *l);
+  }
+  if (lambda >= size) {
+    words = walk(size);
+  } else {
+    const std::int64_t perPeriod = walk(lambda);
+    words = checkedAdd(checkedMul(perPeriod, size / lambda), walk(size % lambda));
+  }
+  messages = static_cast<std::int64_t>(pairs.size());
+}
+
+}  // namespace ad::dsm

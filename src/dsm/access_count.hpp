@@ -1,0 +1,114 @@
+// Closed-form access and communication counting under an execution plan.
+//
+// The one counting core behind the DSM cost model (dsm::simulate) and the
+// closed-form trace validator (loc::symbolicTrace). Each reference's access
+// region is collapsed into arithmetic progressions (loop-nest tails fold by
+// exact stride-merge rules), and each progression is intersected with the
+// processor-locality interval sets of sym/interval_set — owner blocks,
+// Theorem-1c replicated halos and folded-storage reflections included. The
+// per-(phase, array, processor) local/remote counts then cost O(descriptor
+// regions), independent of the iteration counts. Redistribution words and
+// messages come from one owner-run walk over a single lcm pattern period.
+//
+// A region the algebra cannot collapse (a non-affine residue past the
+// numeric-expansion caps, an overflow, or — in the validator's budgeted
+// mode — an exhausted budget) is counted by enumerating that (phase, array)'s
+// accesses instead, so the counts are always exact. The caller decides
+// whether that fallback is a degradation worth recording.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "dsm/validate.hpp"
+#include "symbolic/interval_set.hpp"
+
+namespace ad::dsm {
+
+/// One array's accesses in one phase, split by executing processor.
+struct ArrayTally {
+  std::string array;
+  ArrayCounts counts;
+  std::vector<std::int64_t> peAccesses;  ///< accesses executed by each processor
+  std::vector<std::int64_t> peRemote;    ///< remote accesses by each processor
+  std::int64_t refs = 0;                 ///< references to the array in the phase
+  std::string fallbackCause;             ///< non-empty: counted by enumeration
+};
+
+struct PhaseTally {
+  std::vector<ArrayTally> arrays;   ///< in first-reference order
+  std::int64_t closedFormRefs = 0;  ///< references counted algebraically
+
+  /// References whose array fell back to enumeration.
+  [[nodiscard]] std::int64_t enumeratedRefs() const;
+};
+
+/// The communication entering one phase, in array declaration order.
+struct PhaseCommunication {
+  std::vector<RedistributionStats> global;    ///< owner changes (words > 0 only)
+  std::vector<RedistributionStats> frontier;  ///< halo refreshes (words > 0 only)
+};
+
+struct CountOptions {
+  std::int64_t processors = 1;
+  std::int64_t wordBytes = 8;  ///< bytes charged per remote access
+  /// Charge the thread's budget one step per collapse step, as the validator
+  /// does: once the budget is exhausted, regions fall back to enumeration.
+  /// Off, the counts never touch the request's budget; the same loops poll
+  /// cancellation and the deadline instead.
+  bool chargeBudget = false;
+  /// Checked once per reference before counting it; true sends the
+  /// reference's array to the fallback with cause "fault" (the validator's
+  /// fault-injection point).
+  bool (*forceFallback)() = nullptr;
+};
+
+/// Counts a program's accesses and communication under one plan. Keeps the
+/// per-(distribution, halo, processor) locality sets across phases.
+class AccessCounter {
+ public:
+  AccessCounter(const ir::Program& program, const ir::Bindings& params,
+                const ExecutionPlan& plan, const CountOptions& options);
+
+  /// Every access of phase `k`, per array.
+  [[nodiscard]] PhaseTally countPhase(std::size_t k);
+
+  /// Global redistributions (k > 0) and frontier refreshes entering phase
+  /// `k`, with words and messages; times are left 0.
+  [[nodiscard]] PhaseCommunication communication(std::size_t k) const;
+
+ private:
+  struct RefInfo;
+
+  const sym::PeriodicIntervalSet* localSet(const DataDistribution& dist, std::int64_t pe,
+                                           std::int64_t halo);
+  bool step();
+  bool countSerial(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
+                   ArrayTally& out);
+  bool countParallel(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
+                     const IterationDistribution& sched, ArrayTally& out);
+  void enumerate(const ir::Phase& phase, const IterationDistribution& sched,
+                 const std::vector<RefInfo>& refs, PhaseTally& tally);
+  void add(ArrayTally& out, std::int64_t pe, std::int64_t total, std::int64_t local) const;
+
+  const ir::Program& program_;
+  const ir::Bindings& params_;
+  const ExecutionPlan& plan_;
+  CountOptions options_;
+  support::ExpiryPoll poll_;
+  using SetKey = std::tuple<int, std::int64_t, std::int64_t, std::int64_t, std::int64_t>;
+  std::map<SetKey, std::unique_ptr<const sym::PeriodicIntervalSet>> sets_;
+};
+
+/// Words and aggregated messages (distinct (src, dst) pairs) of redistributing
+/// `size` elements from `from` to `to`: one owner-run walk over a single
+/// lcm(period(from), period(to)) period, plus the remainder.
+void countRedistribution(const DataDistribution& from, const DataDistribution& to,
+                         std::int64_t size, std::int64_t processors, std::int64_t& words,
+                         std::int64_t& messages);
+
+}  // namespace ad::dsm

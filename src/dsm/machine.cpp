@@ -1,9 +1,9 @@
 #include "dsm/machine.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
+#include "dsm/access_count.hpp"
 #include "obs/obs.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
@@ -72,6 +72,27 @@ bool DataDistribution::isLocal(std::int64_t addr, std::int64_t pe, std::int64_t 
   return false;
 }
 
+std::int64_t DataDistribution::ownerRunEnd(std::int64_t addr) const {
+  AD_REQUIRE(hasOwner(), "ownerRunEnd() requires an owner-bearing distribution");
+  AD_REQUIRE(addr >= 0, "negative address");
+  if (kind != Kind::kFoldedBlockCyclic) return (addr / block + 1) * block;
+  const std::int64_t m = addr % fold;
+  const std::int64_t base = addr - m;
+  const std::int64_t half = fold / 2;
+  if (m <= half) {
+    // Ascending piece: sigma(m) = m, owner constant per block of m.
+    return base + std::min(half + 1, (m / block + 1) * block);
+  }
+  // Descending piece: sigma(m) = fold - m decreases; owner constant while
+  // sigma stays inside one block, i.e. m <= fold - c*block for c = sigma/block.
+  const std::int64_t c = (fold - m) / block;
+  return base + std::min(fold, fold - c * block + 1);
+}
+
+std::int64_t DataDistribution::ownerPeriod(std::int64_t processors) const {
+  return kind == Kind::kFoldedBlockCyclic ? fold : checkedMul(block, processors);
+}
+
 std::int64_t IterationDistribution::executor(std::int64_t iter, std::int64_t processors) const {
   AD_REQUIRE(chunk >= 1, "chunk must be positive");
   AD_REQUIRE(iter >= 0, "negative iteration");
@@ -98,12 +119,6 @@ double SimulationResult::sequentialTime() const {
 std::int64_t SimulationResult::totalRemoteAccesses() const {
   std::int64_t n = 0;
   for (const auto& p : phases) n += p.remoteAccesses;
-  return n;
-}
-
-std::int64_t SimulationResult::totalWordsMoved() const {
-  std::int64_t n = 0;
-  for (const auto& r : redistributions) n += r.wordsMoved;
   return n;
 }
 
@@ -160,121 +175,58 @@ bool redistributionMovesData(const ir::Program& program, const std::string& arra
 SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                           const MachineParams& machine, const ExecutionPlan& plan) {
   obs::Span span("dsm.simulate");
-  AD_REQUIRE(plan.iteration.size() == program.phases().size(),
-             "plan must cover every phase");
   const std::int64_t H = machine.processors;
+  CountOptions options;
+  options.processors = H;
+  AccessCounter counter(program, params, plan, options);
   SimulationResult result;
 
+  // Aggregated puts proceed in parallel across processors: the critical path
+  // carries ~1/H of the volume and messages.
+  const auto charge = [&](RedistributionStats rs) {
+    rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
+               static_cast<double>(rs.wordsMoved) * machine.perWord) /
+              static_cast<double>(H);
+    result.redistributions.push_back(std::move(rs));
+  };
+  std::int64_t enumerated = 0;
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
     const ir::Phase& phase = program.phase(k);
-
-    // Redistributions: any array whose distribution changes entering phase k.
-    if (k > 0) {
-      for (const auto& arr : program.arrays()) {
-        const auto it = plan.data.find(arr.name);
-        if (it == plan.data.end()) continue;
-        const DataDistribution& prev = it->second[k - 1];
-        const DataDistribution& next = it->second[k];
-        if (prev == next) continue;
-        if (!prev.hasOwner() || !next.hasOwner()) {
-          continue;  // entering/leaving private scratch moves no shared data
-        }
-        if (!redistributionMovesData(program, arr.name, k)) {
-          continue;  // dead values: re-allocation only, no copies
-        }
-        RedistributionStats rs;
-        rs.array = arr.name;
-        rs.beforePhase = k;
-        const std::int64_t size = arr.size.evaluate(params).asInteger();
-        std::set<std::pair<std::int64_t, std::int64_t>> pairs;
-        for (std::int64_t a = 0; a < size; ++a) {
-          const std::int64_t src = prev.owner(a, H);
-          const std::int64_t dst = next.owner(a, H);
-          if (src == dst) continue;
-          ++rs.wordsMoved;
-          pairs.insert({src, dst});
-        }
-        rs.messages = static_cast<std::int64_t>(pairs.size());
-        // Aggregated puts proceed in parallel across processors: the
-        // critical path carries ~1/H of the volume and messages.
-        rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
-                   static_cast<double>(rs.wordsMoved) * machine.perWord) /
-                  static_cast<double>(H);
-        if (rs.wordsMoved > 0) result.redistributions.push_back(std::move(rs));
-      }
+    const PhaseCommunication comm = counter.communication(k);
+    for (const auto& rs : comm.global) charge(rs);
+    // With a single processor every block boundary is intra-processor — a
+    // frontier "refresh" would be a self-put moving nothing over the network.
+    if (H > 1) {
+      for (const auto& rs : comm.frontier) charge(rs);
     }
 
-    // Frontier refreshes: before a phase reading an array through a halo,
-    // the owners push the replicated overlap regions (aggregated puts). With
-    // a single processor every block boundary is intra-processor — the
-    // "refresh" would be a self-put moving nothing over the network — so the
-    // whole pass only exists for H >= 2 (the element-exact redistribution
-    // loop above gets this for free from its src == dst owner check).
-    if (H > 1) for (const auto& arr : program.arrays()) {
-      const auto hit = plan.halo.find(arr.name);
-      if (hit == plan.halo.end() || hit->second[k] <= 0) continue;
-      if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
-      bool writtenElsewhere = false;
-      for (const auto& other : program.phases()) {
-        writtenElsewhere = writtenElsewhere ||
-                           (&other != &phase && other.writes(arr.name) &&
-                            !other.isPrivatized(arr.name));
-      }
-      if (!writtenElsewhere) continue;
-      const auto& dist = plan.data.at(arr.name)[k];
-      if (!dist.hasOwner()) continue;
-      const std::int64_t size = arr.size.evaluate(params).asInteger();
-      const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-      RedistributionStats rs;
-      rs.array = arr.name;
-      rs.beforePhase = k;
-      rs.frontier = true;
-      rs.wordsMoved = 2 * hit->second[k] * boundaries;  // both directions
-      rs.messages = 2 * boundaries;
-      rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
-                 static_cast<double>(rs.wordsMoved) * machine.perWord) /
-                static_cast<double>(H);
-      if (rs.wordsMoved > 0) result.redistributions.push_back(std::move(rs));
-    }
-
+    // Compute work scales with the phase's per-access weight; remoteness adds
+    // a flat network penalty on top.
+    const PhaseTally tally = counter.countPhase(k);
+    enumerated += tally.enumeratedRefs();
+    const double work = machine.localAccess * phase.workPerAccess();
+    std::vector<std::int64_t> accesses(static_cast<std::size_t>(H), 0);
+    std::vector<std::int64_t> remote(static_cast<std::size_t>(H), 0);
     PhaseStats ps;
     ps.phase = phase.name();
-    ps.peTime.assign(static_cast<std::size_t>(H), 0.0);
-    const IterationDistribution& sched = plan.iteration[k];
-
-    ir::forEachAccess(program, phase, params,
-                      [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-      const std::int64_t pe =
-          phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
-      bool local = true;
-      if (!phase.isPrivatized(acc.ref->array)) {
-        const auto it = plan.data.find(acc.ref->array);
-        AD_REQUIRE(it != plan.data.end(), "plan missing array " + acc.ref->array);
-        // Halo replicas serve reads only (Theorem 1c: overlap must be
-        // read-only to stay consistent without updates).
-        std::int64_t halo = 0;
-        if (acc.ref->kind == ir::AccessKind::kRead) {
-          if (auto hit = plan.halo.find(acc.ref->array); hit != plan.halo.end()) {
-            halo = hit->second[k];
-          }
-        }
-        local = it->second[k].isLocal(acc.address, pe, H, halo);
+    for (const auto& a : tally.arrays) {
+      ps.localAccesses += a.counts.local;
+      ps.remoteAccesses += a.counts.remote;
+      for (std::size_t p = 0; p < accesses.size(); ++p) {
+        accesses[p] += a.peAccesses[p];
+        remote[p] += a.peRemote[p];
       }
-      // Compute work scales with the phase's per-access weight; remoteness
-      // adds a flat network penalty on top.
-      const double cost = machine.localAccess * phase.workPerAccess() +
-                          (local ? 0.0 : machine.remoteAccess);
-      ps.peTime[static_cast<std::size_t>(pe)] += cost;
-      ps.seqTime += machine.localAccess * phase.workPerAccess();
-      if (local) {
-        ++ps.localAccesses;
-      } else {
-        ++ps.remoteAccesses;
-      }
-    });
+    }
+    ps.peTime.resize(accesses.size());
+    for (std::size_t p = 0; p < accesses.size(); ++p) {
+      ps.peTime[p] = static_cast<double>(accesses[p]) * work +
+                     static_cast<double>(remote[p]) * machine.remoteAccess;
+    }
+    ps.seqTime = static_cast<double>(ps.localAccesses + ps.remoteAccesses) * work;
     ps.time = *std::max_element(ps.peTime.begin(), ps.peTime.end());
     result.phases.push_back(std::move(ps));
   }
+  obs::metrics().counter("ad.dsm.regions_enumerated").add(enumerated);
   return result;
 }
 

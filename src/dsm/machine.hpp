@@ -1,29 +1,35 @@
 // DSM machine model.
 //
-// A deterministic simulator of a distributed-shared-memory multiprocessor in
+// A deterministic cost model of a distributed-shared-memory multiprocessor in
 // the style of the paper's Cray T3D testbed: H processors, each owning a
 // slice of every shared array under a BLOCK-CYCLIC(b) distribution, with
 // single-sided put communication. Iterations of each parallel loop are
 // scheduled CYCLIC(p) (the paper's Section 4 assumption ii).
 //
-// The simulator replays a program's exact access stream (via ir::walker),
-// classifies every access local/remote against the active data distribution,
-// and charges costs from MachineParams. Data redistributions between phases
-// (the C edges of the LCG) are executed as aggregated puts.
+// The model is closed form: the counting core (dsm/access_count) derives
+// every phase's per-processor local/remote access counts from the loop
+// nests' arithmetic progressions, without visiting the accesses, and
+// simulate() charges those counts with MachineParams. Data redistributions
+// between phases (the C edges of the LCG) are executed as aggregated puts,
+// counted by one owner-run walk over a single pattern period. The cost is
+// independent of the problem size; tests/reference_oracles holds the
+// access-by-access replay the tests compare it against.
 //
 // Cost parameters default to published T3D ratios (remote:local latency on
 // the order of 10^2, put startup on the order of 10^3 cycles); the paper's
 // claim that we reproduce — >70% parallel efficiency at H = 64 with
 // LCG-derived distributions — is about the *ratio* of local to remote
-// traffic, which the replay measures exactly.
+// traffic, which the counts give exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "ir/walker.hpp"
+#include "support/budget.hpp"
 
 namespace ad::dsm {
 
@@ -65,6 +71,12 @@ struct DataDistribution {
   /// communications).
   [[nodiscard]] bool isLocal(std::int64_t addr, std::int64_t pe, std::int64_t processors,
                              std::int64_t halo = 0) const;
+  /// End (exclusive) of the constant-owner run containing `addr`: one block,
+  /// or for folded kinds one block of the reflected address (owner-bearing
+  /// kinds only).
+  [[nodiscard]] std::int64_t ownerRunEnd(std::int64_t addr) const;
+  /// Length of the owner pattern's period: block * processors, or the fold.
+  [[nodiscard]] std::int64_t ownerPeriod(std::int64_t processors) const;
 
   [[nodiscard]] bool operator==(const DataDistribution& o) const {
     if (kind != o.kind) return false;
@@ -73,6 +85,23 @@ struct DataDistribution {
     return true;
   }
 };
+
+/// The owner-run walker: visits [begin, end) in maximal runs on which both
+/// `from` and `to` keep one owner, as fn(runBegin, runEnd, fromOwner,
+/// toOwner), in address order. Redistribution counting, schedule generation
+/// and schedule verification all walk owners through it, so each costs
+/// O(runs) rather than O(elements). Polls cancellation and the deadline.
+template <typename Fn>
+void forEachOwnerRun(const DataDistribution& from, const DataDistribution& to,
+                     std::int64_t processors, std::int64_t begin, std::int64_t end, Fn&& fn) {
+  support::ExpiryPoll poll;
+  for (std::int64_t a = begin; a < end;) {
+    poll.tick();
+    const std::int64_t next = std::min({from.ownerRunEnd(a), to.ownerRunEnd(a), end});
+    fn(a, next, from.owner(a, processors), to.owner(a, processors));
+    a = next;
+  }
+}
 
 /// CYCLIC(chunk) scheduling of a parallel loop.
 struct IterationDistribution {
@@ -88,11 +117,6 @@ struct PhaseStats {
   std::vector<double> peTime;  ///< per-processor busy time
   double time = 0.0;           ///< max over processors
   double seqTime = 0.0;        ///< all accesses at local cost (1 processor)
-
-  [[nodiscard]] double remoteFraction() const {
-    const auto total = localAccesses + remoteAccesses;
-    return total == 0 ? 0.0 : static_cast<double>(remoteAccesses) / static_cast<double>(total);
-  }
 };
 
 struct RedistributionStats {
@@ -115,7 +139,6 @@ struct SimulationResult {
     return speedup() / static_cast<double>(processors);
   }
   [[nodiscard]] std::int64_t totalRemoteAccesses() const;
-  [[nodiscard]] std::int64_t totalWordsMoved() const;
 
   [[nodiscard]] std::string str() const;
 };
@@ -144,9 +167,12 @@ struct ExecutionPlan {
 [[nodiscard]] bool redistributionMovesData(const ir::Program& program, const std::string& array,
                                            std::size_t phase);
 
-/// Replays the program under `plan` and returns the measured statistics.
-/// Arrays marked privatizable in a phase are local there regardless of the
-/// plan (each processor works on its own copy).
+/// Evaluates the program's cost under `plan`, in closed form. Arrays marked
+/// privatizable in a phase are local there regardless of the plan (each
+/// processor works on its own copy). Per phase, global redistributions come
+/// first, then frontier refreshes (H >= 2 only). Never charges the request's
+/// budget; a region the counting core cannot collapse is enumerated, which
+/// polls cancellation and the deadline.
 [[nodiscard]] SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                                         const MachineParams& machine,
                                         const ExecutionPlan& plan);

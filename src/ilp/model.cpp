@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ir/walker.hpp"
 #include "obs/obs.hpp"
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
@@ -11,6 +12,8 @@
 #include "support/rational.hpp"
 
 namespace ad::ilp {
+
+using ir::evalInt;
 
 std::int64_t Solution::chunkOf(const Model& model, std::size_t phase) const {
   AD_REQUIRE(feasible, "no feasible solution");
@@ -30,17 +33,6 @@ std::size_t Model::varIndex(std::size_t phase, const std::string& array) const {
 // ---------------------------------------------------------------------------
 // Build
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::int64_t evalInt(const sym::Expr& e, const std::map<sym::SymbolId, std::int64_t>& params,
-                     const char* what) {
-  const Rational r = e.evaluate(params);
-  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
-  return r.asInteger();
-}
-
-}  // namespace
 
 Model buildModel(const lcg::LCG& lcg, const std::map<sym::SymbolId, std::int64_t>& params,
                  std::int64_t processors, const CostParams& cp) {

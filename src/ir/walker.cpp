@@ -7,15 +7,13 @@
 
 namespace ad::ir {
 
-namespace {
-
-std::int64_t evalInt(const sym::Expr& e, const Bindings& b, const char* what) {
-  const Rational r = e.evaluate(b);
-  if (!r.isInteger()) {
-    throw AnalysisError(std::string(what) + " does not evaluate to an integer");
-  }
+std::int64_t evalInt(const sym::Expr& e, const Bindings& bindings, const char* what) {
+  const Rational r = e.evaluate(bindings);
+  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
   return r.asInteger();
 }
+
+namespace {
 
 void walk(const Program& program, const Phase& phase, Bindings& b, std::size_t depth,
           const std::function<void(const Bindings&)>& fn) {

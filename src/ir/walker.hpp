@@ -3,8 +3,9 @@
 // Given numeric bindings for the program parameters, these helpers execute a
 // phase's loop nest exactly as written (including non-rectangular bounds) and
 // report every array access. They are the *ground truth* that descriptor
-// predictions are validated against in the property tests, and the access
-// stream that the DSM simulator replays.
+// predictions are validated against in the property tests, the access
+// stream the trace simulator replays, and the closed-form counting core's
+// exact fallback.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,11 @@ void forEachAccessWhere(const Program& program, const Phase& phase, const Bindin
                                                                     const std::string& array,
                                                                     const Bindings& params,
                                                                     std::int64_t iter);
+
+/// `e` evaluated under `bindings`; throws AnalysisError ("<what> is not
+/// integral") when the value is not an integer.
+[[nodiscard]] std::int64_t evalInt(const sym::Expr& e, const Bindings& bindings,
+                                   const char* what);
 
 /// Number of iterations of the phase's parallel loop (its trip count) under
 /// the given parameter bindings; 1 when the phase has no parallel loop.

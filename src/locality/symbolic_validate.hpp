@@ -3,14 +3,14 @@
 // The enumerating simulator (sim/trace_sim) classifies every concrete access
 // of every phase against the plan's distributions — exact, but O(accesses),
 // which caps it well below the paper's problem scales. This module computes
-// the *same* observed trace in closed form: each reference's access region is
-// collapsed into arithmetic progressions (loop-nest tails fold by exact
-// stride-merge rules), and each progression is intersected with the
-// processor-locality interval sets of sym/interval_set — owner blocks,
-// Theorem-1c replicated halos, and folded-storage reflections included. The
-// per-(phase, processor) local/remote counts and the redistribution
-// word/message counts then cost O(descriptor regions), independent of the
-// iteration counts being validated.
+// the *same* observed trace in closed form with the counting core the DSM
+// cost model also uses (dsm/access_count): each reference's access region is
+// collapsed into arithmetic progressions and intersected with the
+// processor-locality interval sets, so the per-(phase, array) local/remote
+// counts and the redistribution word/message counts cost O(descriptor
+// regions), independent of the iteration counts being validated. This
+// module adds the validator's policy: it charges the request budget, and it
+// reports a region that fell back to enumeration as a degradation.
 //
 // The output is an dsm::ObservedTrace that must be *identical* — field for
 // field, ordering included — to sim::simulateTrace's on the same inputs;

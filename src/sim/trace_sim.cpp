@@ -25,11 +25,7 @@ namespace ad::sim {
 
 namespace {
 
-std::int64_t evalInt(const sym::Expr& e, const ir::Bindings& params, const char* what) {
-  const Rational r = e.evaluate(params);
-  if (!r.isInteger()) throw AnalysisError(std::string(what) + " is not integral");
-  return r.asInteger();
-}
+using ir::evalInt;
 
 /// Per-reference classification recipe, resolved once per phase on the main
 /// thread so the per-access hot path is a table lookup.

@@ -1,8 +1,9 @@
 // Parallel DSM access-trace simulator.
 //
-// dsm::simulate() replays a program serially and charges model cycles; this
-// module replays it with *real* parallelism — P simulated processors, one
-// std::thread each — and tallies what the paper's Theorems 1 and 2 predict:
+// dsm::simulate() charges model cycles from closed-form access counts; this
+// module replays every access with *real* parallelism — P simulated
+// processors, one std::thread each — and tallies what the paper's Theorems 1
+// and 2 predict:
 // per-phase, per-array local vs. remote access counts and remote bytes moved.
 // Iterations of each DOALL are walked CYCLIC(p_k) exactly as the plan
 // schedules them, so thread t executes precisely the iterations processor t

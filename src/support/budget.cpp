@@ -94,6 +94,13 @@ void throwIfCancelled() {
   }
 }
 
+void throwIfExpired() {
+  throwIfCancelled();
+  if (const Budget* b = Budget::current(); b != nullptr && b->pastDeadline()) {
+    throw DeadlineError("deadline passed");
+  }
+}
+
 BudgetScope::BudgetScope(Budget* budget) noexcept : previous_(tlBudget) { tlBudget = budget; }
 BudgetScope::~BudgetScope() { tlBudget = previous_; }
 

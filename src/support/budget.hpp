@@ -107,6 +107,12 @@ class Budget {
   /// that must respect the parent's wall clock.
   [[nodiscard]] std::optional<std::int64_t> remainingMs() const noexcept;
 
+  /// True once this budget has a deadline and it has passed (a clock read;
+  /// latches nothing).
+  [[nodiscard]] bool pastDeadline() const noexcept {
+    return limits_.deadlineMs > 0 && std::chrono::steady_clock::now() >= deadline_;
+  }
+
   /// Limits for one of `items` equal sub-budgets of this budget: the
   /// remaining step allowance split evenly (ceil), the remaining wall clock
   /// shared (a deadline is a point in time, not a rate), the depth cap
@@ -161,6 +167,24 @@ class BudgetScope {
 /// surfaces as a structured kCancelled failure within a bounded amount of
 /// work instead of grinding through the degradation ladder to completion.
 void throwIfCancelled();
+
+/// throwIfCancelled() plus the wall clock: also throws DeadlineError once the
+/// current budget's deadline has passed. Charges no step. Polled by exact
+/// loops that cannot degrade (owner-run walks, enumerated counts), so the
+/// request still ends near its deadline.
+void throwIfExpired();
+
+/// Calls throwIfExpired() once every 4096 calls: the poll for loops whose
+/// single iteration is too cheap to pay a clock read.
+class ExpiryPoll {
+ public:
+  void tick() {
+    if ((++calls_ & 0xFFF) == 0) throwIfExpired();
+  }
+
+ private:
+  std::uint32_t calls_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Degradation ledger

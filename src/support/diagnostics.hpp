@@ -50,6 +50,14 @@ class CancelledError : public std::runtime_error {
   explicit CancelledError(const std::string& message) : std::runtime_error(message) {}
 };
 
+/// Thrown when a run's wall-clock deadline passed inside exact work that has
+/// no conservative fallback (communication generation, enumerated counts).
+/// Boundaries map it to ErrorCode::kDeadline.
+class DeadlineError : public std::runtime_error {
+ public:
+  explicit DeadlineError(const std::string& message) : std::runtime_error(message) {}
+};
+
 [[noreturn]] void failContract(std::string_view condition, std::string_view file, int line,
                                std::string_view message);
 

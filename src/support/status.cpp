@@ -75,6 +75,8 @@ Status statusFromCurrentException() {
     status = Status(ErrorCode::kContract, e.what());
   } catch (const CancelledError& e) {
     status = Status(ErrorCode::kCancelled, e.what());
+  } catch (const DeadlineError& e) {
+    status = Status(ErrorCode::kDeadline, e.what());
   } catch (const AnalysisError& e) {
     status = Status(ErrorCode::kAnalysis, e.what());
   } catch (const ProgramError& e) {

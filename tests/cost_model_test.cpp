@@ -1,0 +1,300 @@
+// The closed-form DSM cost model (dsm::simulate) against the enumerating
+// reference (tests/reference_oracles): field-by-field equality — counts,
+// event order and every time at %.9g — over the ten-code suite, the N-sweep
+// requests and a fractional-work program. Also pins the model's event order
+// and its fallback path: an uncollapsible region is enumerated exactly,
+// without a degradation-ledger entry and without charging the budget.
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "codes/suite.hpp"
+#include "codes/tfft2.hpp"
+#include "driver/pipeline.hpp"
+#include "dsm/machine.hpp"
+#include "frontend/parser.hpp"
+#include "locality/symbolic_validate.hpp"
+#include "obs/obs.hpp"
+#include "reference_oracles.hpp"
+#include "support/budget.hpp"
+
+namespace ad {
+namespace {
+
+std::string g9(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
+
+void expectSameResult(const dsm::SimulationResult& got, const dsm::SimulationResult& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.phases.size(), want.phases.size()) << what;
+  for (std::size_t k = 0; k < want.phases.size(); ++k) {
+    const auto& g = got.phases[k];
+    const auto& w = want.phases[k];
+    const std::string at = what + " phase " + w.phase;
+    EXPECT_EQ(g.phase, w.phase) << at;
+    EXPECT_EQ(g.localAccesses, w.localAccesses) << at;
+    EXPECT_EQ(g.remoteAccesses, w.remoteAccesses) << at;
+    EXPECT_EQ(g9(g.time), g9(w.time)) << at;
+    EXPECT_EQ(g9(g.seqTime), g9(w.seqTime)) << at;
+    ASSERT_EQ(g.peTime.size(), w.peTime.size()) << at;
+    for (std::size_t p = 0; p < w.peTime.size(); ++p) {
+      EXPECT_EQ(g9(g.peTime[p]), g9(w.peTime[p])) << at << " PE " << p;
+    }
+  }
+  ASSERT_EQ(got.redistributions.size(), want.redistributions.size()) << what;
+  for (std::size_t i = 0; i < want.redistributions.size(); ++i) {
+    const auto& g = got.redistributions[i];
+    const auto& w = want.redistributions[i];
+    const std::string at = what + " event " + std::to_string(i) + " (" + w.array + ")";
+    EXPECT_EQ(g.array, w.array) << at;
+    EXPECT_EQ(g.beforePhase, w.beforePhase) << at;
+    EXPECT_EQ(g.frontier, w.frontier) << at;
+    EXPECT_EQ(g.wordsMoved, w.wordsMoved) << at;
+    EXPECT_EQ(g.messages, w.messages) << at;
+    EXPECT_EQ(g9(g.time), g9(w.time)) << at;
+  }
+}
+
+/// The plan the pipeline derives for one request (front half only).
+dsm::ExecutionPlan derivedPlan(const ir::Program& prog, const ir::Bindings& params,
+                               std::int64_t processors) {
+  driver::PipelineConfig config;
+  config.params = params;
+  config.processors = processors;
+  config.simulatePlan = false;
+  config.simulateBaseline = false;
+  return driver::analyzeAndSimulate(prog, config).plan;
+}
+
+/// Closed form == reference under the derived plan and under naiveBlock.
+void expectModelMatchesReference(const ir::Program& prog, const ir::Bindings& params,
+                                 std::int64_t processors, const std::string& what) {
+  dsm::MachineParams machine;
+  machine.processors = processors;
+  const std::string at = what + " H=" + std::to_string(processors);
+  const dsm::ExecutionPlan plan = derivedPlan(prog, params, processors);
+  expectSameResult(dsm::simulate(prog, params, machine, plan),
+                   reference::simulate(prog, params, machine, plan), at + " (derived plan)");
+  const auto naive = dsm::ExecutionPlan::naiveBlock(prog, params, processors);
+  expectSameResult(dsm::simulate(prog, params, machine, naive),
+                   reference::simulate(prog, params, machine, naive), at + " (naive BLOCK)");
+}
+
+// --- The ten-code suite -----------------------------------------------------
+
+class CostModelSuite : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CostModelSuite, ClosedFormMatchesEnumeration) {
+  const codes::CodeInfo& info = codes::benchmarkSuite()[GetParam()];
+  const ir::Program prog = info.build();
+  for (const auto* params : {&info.smallParams, &info.simParams}) {
+    const std::string what =
+        info.name + (params == &info.smallParams ? " smallParams" : " simParams");
+    for (const std::int64_t processors : {1, 4, 8}) {
+      expectModelMatchesReference(prog, codes::bindParams(prog, *params), processors, what);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, CostModelSuite,
+                         ::testing::Range<std::size_t>(0, codes::benchmarkSuite().size()),
+                         [](const auto& i) { return codes::benchmarkSuite()[i.param].name; });
+
+// --- The N-sweep requests ---------------------------------------------------
+
+/// The generated stencil of the N-sweep workload: family 4 (five-point
+/// star) or 5 (stride-2 gather), variant 1 — three phases over N*N arrays,
+/// phase k reading Ak through a rotated slice of the family's offsets.
+std::string sweepStencil(std::size_t family) {
+  const std::vector<std::string> offsets =
+      family == 4 ? std::vector<std::string>{"N*i + j", "N*i + j - 1", "N*i + j + 1",
+                                             "N*i - N + j", "N*i + N + j"}
+                  : std::vector<std::string>{"N*i + 2*j", "N*i + 2*j + 1"};
+  const std::size_t variant = 1;
+  std::string src = "param N\n";
+  for (int a = 0; a <= 3; ++a) src += "array A" + std::to_string(a) + "(N*N)\n";
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::size_t width = 1 + (variant + k) % offsets.size();
+    src += "phase S" + std::to_string(k) + " {\n  doall i = 1, N - 2 {\n    do j = 1, N - 2 {\n";
+    for (std::size_t o = 0; o <= width; ++o) {
+      src += "      read A" + std::to_string(k) + "(" +
+             offsets[(variant + k + o) % offsets.size()] + ")\n";
+    }
+    src += "      write A" + std::to_string(k + 1) + "(N*i + j)\n    }\n  }\n";
+    if (k % 2 == 0) src += "  work 2.0\n";
+    src += "}\n";
+  }
+  return src;
+}
+
+TEST(CostModel, MatchesEnumerationOnTheNSweepRequests) {
+  const ir::Program tfft2 = codes::makeTFFT2();
+  for (const std::int64_t pq : {32, 64}) {
+    expectModelMatchesReference(tfft2, codes::bindParams(tfft2, {{"P", pq}, {"Q", pq}}), 64,
+                                "tfft2 P=Q=" + std::to_string(pq));
+  }
+  for (const std::size_t family : {4u, 5u}) {
+    const ir::Program prog = frontend::parseProgram(sweepStencil(family));
+    for (const std::int64_t n : {64, 128, 256}) {
+      expectModelMatchesReference(prog, codes::bindParams(prog, {{"N", n}}), 16,
+                                  "family " + std::to_string(family) + " N=" +
+                                      std::to_string(n));
+    }
+  }
+}
+
+TEST(CostModel, MatchesEnumerationWithFractionalWork) {
+  // Per-access costs that are not exact binary fractions: the reference sums
+  // them access by access, the model multiplies counts once.
+  const ir::Program prog = frontend::parseProgram(
+      "param N\n"
+      "array A(N*N)\n"
+      "array B(N*N)\n"
+      "phase F1 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+      "  read A(N*i + j - 1) read A(N*i + j + 1) write B(N*i + j) } }\n"
+      "  work 0.3 }\n"
+      "phase F2 { doall j = 1, N - 2 { do i = 1, N - 2 {\n"
+      "  read B(N*i + j) read B(N*i - N + j) write A(N*i + j) } }\n"
+      "  work 1.7 }\n");
+  for (const std::int64_t processors : {1, 4, 8}) {
+    expectModelMatchesReference(prog, codes::bindParams(prog, {{"N", 48}}), processors,
+                                "fractional work");
+  }
+}
+
+// --- Event order ------------------------------------------------------------
+
+TEST(CostModel, EmitsGlobalThenFrontierPerPhase) {
+  // The model charges a phase's global redistributions before its frontier
+  // refreshes; the trace oracles group every frontier first and the globals
+  // after the replay. Same events, different order — and the order is part
+  // of the DSM result's digest.
+  const ir::Program prog = frontend::parseProgram(sweepStencil(5));
+  const ir::Bindings params = codes::bindParams(prog, {{"N", 64}});
+  const dsm::ExecutionPlan plan = derivedPlan(prog, params, 16);
+  dsm::MachineParams machine;
+  machine.processors = 16;
+
+  const auto order = [](const std::vector<dsm::RedistributionStats>& events) {
+    std::vector<std::string> out;
+    for (const auto& r : events) out.push_back(r.array + (r.frontier ? " F" : " G"));
+    return out;
+  };
+  const std::vector<std::string> model =
+      order(dsm::simulate(prog, params, machine, plan).redistributions);
+  EXPECT_EQ(model, (std::vector<std::string>{"A1 G", "A1 F", "A2 G", "A2 F"}));
+
+  loc::SymvalOptions opts;
+  opts.processors = 16;
+  const std::vector<std::string> symval =
+      order(loc::symbolicTrace(prog, params, plan, opts).observed.redistributions);
+  EXPECT_EQ(symval, (std::vector<std::string>{"A1 F", "A2 F", "A1 G", "A2 G"}));
+}
+
+// --- The fallback path ------------------------------------------------------
+
+/// A DOALL whose subscript is quadratic in the parallel index: no uniform
+/// shift, and too many iterations to collapse one by one, so the counting
+/// core must enumerate the region.
+ir::Program uncollapsibleProgram() {
+  constexpr std::int64_t kTrip = (1 << 14) + 100;
+  ir::Program prog;
+  const auto c = [](std::int64_t v) { return sym::Expr::constant(v); };
+  prog.declareArray("A", c(kTrip * kTrip));
+  prog.declareArray("B", c(kTrip));
+  ir::PhaseBuilder b(prog, "square");
+  b.doall("i", c(0), c(kTrip - 1));
+  b.read("A", b.idx("i") * b.idx("i"));
+  b.write("B", b.idx("i"));
+  b.commit();
+  prog.validate();
+  return prog;
+}
+
+TEST(CostModelFallback, UncollapsibleRegionStaysExactWithoutLedgerOrBudgetCharge) {
+  const ir::Program prog = uncollapsibleProgram();
+  dsm::MachineParams machine;
+  machine.processors = 4;
+  const auto plan = dsm::ExecutionPlan::naiveBlock(prog, {}, 4);
+  const dsm::SimulationResult want = reference::simulate(prog, {}, machine, plan);
+
+  support::BudgetLimits limits;
+  limits.proverSteps = 10;
+  support::Budget budget(limits);
+  support::BudgetScope budgetScope(&budget);
+  support::DegradationReport ledger;
+  support::DegradationScope ledgerScope(&ledger);
+  obs::Counter& enumerated = obs::metrics().counter("ad.dsm.regions_enumerated");
+  const std::int64_t before = enumerated.value();
+
+  expectSameResult(dsm::simulate(prog, {}, machine, plan), want, "uncollapsible");
+  EXPECT_EQ(enumerated.value() - before, 1) << "exactly the A reference falls back";
+  EXPECT_TRUE(ledger.empty()) << "the cost model's fallback is not a degradation";
+  EXPECT_EQ(budget.stepsUsed(), 0) << "the cost model must not charge the request's budget";
+  EXPECT_FALSE(budget.exhausted());
+
+  // The validator, by contrast, charges the budget and records its fallback.
+  loc::SymvalOptions opts;
+  opts.processors = 4;
+  const loc::SymbolicCounts symbolic = loc::symbolicTrace(prog, {}, plan, opts);
+  EXPECT_GT(symbolic.enumeratedRegions, 0);
+  EXPECT_FALSE(ledger.empty());
+}
+
+TEST(CostModelFallback, ExhaustedBudgetLeavesTheModelClosedForm) {
+  // The budget-starved runs of degradation_test and `ci.sh fault` reach the
+  // cost model with their budget spent. The model must neither notice (its
+  // counts stay closed form and exact) nor add to the ledger.
+  const ir::Program prog = frontend::parseProgram(sweepStencil(4));
+  const ir::Bindings params = codes::bindParams(prog, {{"N", 64}});
+  const dsm::ExecutionPlan plan = derivedPlan(prog, params, 4);
+  dsm::MachineParams machine;
+  machine.processors = 4;
+  const dsm::SimulationResult want = reference::simulate(prog, params, machine, plan);
+
+  support::BudgetLimits limits;
+  limits.proverSteps = 1;
+  support::Budget budget(limits);
+  budget.exhaust(support::BudgetStop::kSteps);
+  support::BudgetScope budgetScope(&budget);
+  support::DegradationReport ledger;
+  support::DegradationScope ledgerScope(&ledger);
+  obs::Counter& enumerated = obs::metrics().counter("ad.dsm.regions_enumerated");
+  const std::int64_t before = enumerated.value();
+
+  expectSameResult(dsm::simulate(prog, params, machine, plan), want, "exhausted budget");
+  EXPECT_EQ(enumerated.value(), before);
+  EXPECT_TRUE(ledger.empty());
+}
+
+TEST(CostModelFallback, EnumerationPollsCancellationAndDeadline) {
+  const ir::Program prog = uncollapsibleProgram();
+  dsm::MachineParams machine;
+  machine.processors = 4;
+  const auto plan = dsm::ExecutionPlan::naiveBlock(prog, {}, 4);
+  {
+    auto token = std::make_shared<std::atomic<bool>>(true);
+    support::Budget budget(support::BudgetLimits{}, token);
+    support::BudgetScope scope(&budget);
+    EXPECT_THROW((void)dsm::simulate(prog, {}, machine, plan), CancelledError);
+  }
+  {
+    support::BudgetLimits limits;
+    limits.deadlineMs = 1;
+    support::Budget budget(limits);
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    support::BudgetScope scope(&budget);
+    EXPECT_THROW((void)dsm::simulate(prog, {}, machine, plan), DeadlineError);
+  }
+}
+
+}  // namespace
+}  // namespace ad

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "codes/tfft2.hpp"
 #include "comm/schedule.hpp"
 #include "dsm/machine.hpp"
+#include "reference_oracles.hpp"
+#include "support/budget.hpp"
 
 namespace ad::dsm {
 namespace {
@@ -191,6 +198,164 @@ TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {
       EXPECT_EQ(r.begin % 10, 0);  // overlap regions start at block starts
       EXPECT_LE(r.words(), 2);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Run-based generation and verification vs the element-wise reference
+// ---------------------------------------------------------------------------
+
+/// xorshift64* — deterministic, seed-stable across platforms.
+std::uint64_t nextRand(std::uint64_t& state) {
+  state ^= state >> 12;
+  state ^= state << 25;
+  state ^= state >> 27;
+  return state * 0x2545F4914F6CDD1DULL;
+}
+
+DataDistribution randomDistribution(std::uint64_t& rng) {
+  const auto block = 1 + static_cast<std::int64_t>(nextRand(rng) % 12);
+  if (nextRand(rng) % 3 == 0) {
+    // Folds of any parity, shorter and longer than the array.
+    return DataDistribution::foldedBlockCyclic(block,
+                                               1 + static_cast<std::int64_t>(nextRand(rng) % 90));
+  }
+  return DataDistribution::blockCyclic(block);
+}
+
+std::string describe(const DataDistribution& d) {
+  return d.kind == DataDistribution::Kind::kFoldedBlockCyclic
+             ? "folded(" + std::to_string(d.block) + "," + std::to_string(d.fold) + ")"
+             : "cyclic(" + std::to_string(d.block) + ")";
+}
+
+TEST(CommSchedule, RunBasedGenerationMatchesElementwiseReference) {
+  std::uint64_t rng = 0xC0FFEE99;  // fixed seed: failures must reproduce
+  for (int iter = 0; iter < 600; ++iter) {
+    const DataDistribution from = randomDistribution(rng);
+    const DataDistribution to = randomDistribution(rng);
+    const auto size = static_cast<std::int64_t>(nextRand(rng) % 300);
+    const auto H = 1 + static_cast<std::int64_t>(nextRand(rng) % 8);
+    const std::string what = describe(from) + " -> " + describe(to) +
+                             " size=" + std::to_string(size) + " H=" + std::to_string(H);
+
+    const auto got = comm::generateGlobal("X", size, from, to, H);
+    const auto want = reference::generateGlobal("X", size, from, to, H);
+    ASSERT_EQ(got.messageCount(), want.messageCount()) << what;
+    for (std::size_t i = 0; i < want.messageCount(); ++i) {
+      const auto& g = got.messages()[i];
+      const auto& w = want.messages()[i];
+      EXPECT_EQ(g.src, w.src) << what;
+      EXPECT_EQ(g.dst, w.dst) << what;
+      ASSERT_EQ(g.ranges.size(), w.ranges.size()) << what << " message " << i;
+      for (std::size_t r = 0; r < w.ranges.size(); ++r) {
+        EXPECT_EQ(g.ranges[r].begin, w.ranges[r].begin) << what;
+        EXPECT_EQ(g.ranges[r].end, w.ranges[r].end) << what;
+      }
+    }
+    EXPECT_TRUE(comm::verifiesRedistribution(got, size, from, to, H)) << what;
+    EXPECT_TRUE(reference::verifiesRedistribution(got, size, from, to, H)) << what;
+  }
+}
+
+TEST(CommSchedule, VerificationRejectsWhatTheElementwiseReferenceRejects) {
+  std::uint64_t rng = 0xBADC0DE;
+  int corrupted = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const DataDistribution from = randomDistribution(rng);
+    const DataDistribution to = randomDistribution(rng);
+    const auto size = 1 + static_cast<std::int64_t>(nextRand(rng) % 200);
+    const auto H = 2 + static_cast<std::int64_t>(nextRand(rng) % 7);
+    const auto valid = comm::generateGlobal("X", size, from, to, H);
+    if (valid.messageCount() == 0) continue;
+    const std::string what = describe(from) + " -> " + describe(to) +
+                             " size=" + std::to_string(size) + " H=" + std::to_string(H);
+    const auto m = static_cast<std::size_t>(nextRand(rng) % valid.messageCount());
+
+    using Corrupt = void (*)(comm::Message&, std::int64_t size, std::int64_t H);
+    const std::vector<std::pair<const char*, Corrupt>> corruptions = {
+        {"dropped range", [](comm::Message& msg, std::int64_t, std::int64_t) {
+           msg.ranges.erase(msg.ranges.begin());
+         }},
+        {"wrong src", [](comm::Message& msg, std::int64_t, std::int64_t h) {
+           msg.src = (msg.src + 1) % h;
+         }},
+        {"wrong dst", [](comm::Message& msg, std::int64_t, std::int64_t h) {
+           msg.dst = (msg.dst + 1) % h;
+         }},
+        {"overlapping range", [](comm::Message& msg, std::int64_t, std::int64_t) {
+           msg.ranges.push_back(msg.ranges.front());
+         }},
+        {"self-put", [](comm::Message& msg, std::int64_t, std::int64_t) { msg.dst = msg.src; }},
+        {"out of bounds", [](comm::Message& msg, std::int64_t n, std::int64_t) {
+           msg.ranges.push_back(comm::Range{n, n + 1});
+         }},
+    };
+    for (const auto& [name, corrupt] : corruptions) {
+      std::vector<comm::Message> messages = valid.messages();
+      corrupt(messages[m], size, H);
+      const comm::CommSchedule bad("X", comm::Pattern::kGlobal, std::move(messages));
+      EXPECT_FALSE(reference::verifiesRedistribution(bad, size, from, to, H))
+          << name << ": " << what;
+      EXPECT_FALSE(comm::verifiesRedistribution(bad, size, from, to, H)) << name << ": " << what;
+      ++corrupted;
+    }
+    // A whole message sent twice: every range is owner-correct, but each
+    // element is covered twice.
+    std::vector<comm::Message> doubled = valid.messages();
+    doubled.push_back(doubled[m]);
+    const comm::CommSchedule twice("X", comm::Pattern::kGlobal, std::move(doubled));
+    EXPECT_FALSE(reference::verifiesRedistribution(twice, size, from, to, H)) << what;
+    EXPECT_FALSE(comm::verifiesRedistribution(twice, size, from, to, H)) << what;
+
+    // An overlap that hides a gap: drop one range and resend as many words
+    // from another, so the word total still matches.
+    for (const auto& msg : valid.messages()) {
+      if (msg.ranges.size() < 2 || msg.ranges[1].words() < msg.ranges[0].words()) continue;
+      std::vector<comm::Message> shifted = valid.messages();
+      auto& ranges = shifted[static_cast<std::size_t>(&msg - valid.messages().data())].ranges;
+      const comm::Range resent{ranges[1].begin, ranges[1].begin + ranges[0].words()};
+      ranges.erase(ranges.begin());
+      ranges.push_back(resent);
+      const comm::CommSchedule hidden("X", comm::Pattern::kGlobal, std::move(shifted));
+      EXPECT_FALSE(reference::verifiesRedistribution(hidden, size, from, to, H)) << what;
+      EXPECT_FALSE(comm::verifiesRedistribution(hidden, size, from, to, H)) << what;
+      ++corrupted;
+      break;
+    }
+
+    // An empty range moves nothing: both accept it.
+    std::vector<comm::Message> padded = valid.messages();
+    padded[m].ranges.push_back(comm::Range{size + 5, size + 5});
+    const comm::CommSchedule harmless("X", comm::Pattern::kGlobal, std::move(padded));
+    EXPECT_TRUE(reference::verifiesRedistribution(harmless, size, from, to, H)) << what;
+    EXPECT_TRUE(comm::verifiesRedistribution(harmless, size, from, to, H)) << what;
+  }
+  EXPECT_GT(corrupted, 600);
+}
+
+TEST(CommSchedule, LongWalksPollCancellationAndDeadline) {
+  // Block 1 -> block 2 changes owner every element or two: 2^16 runs, far
+  // past the walker's poll interval.
+  const auto from = DataDistribution::blockCyclic(1);
+  const auto to = DataDistribution::blockCyclic(2);
+  const std::int64_t size = 1 << 16;
+  const auto valid = comm::generateGlobal("X", size, from, to, 4);
+  {
+    auto token = std::make_shared<std::atomic<bool>>(true);
+    support::Budget budget(support::BudgetLimits{}, token);
+    support::BudgetScope scope(&budget);
+    EXPECT_THROW((void)comm::generateGlobal("X", size, from, to, 4), CancelledError);
+    EXPECT_THROW((void)comm::verifiesRedistribution(valid, size, from, to, 4), CancelledError);
+  }
+  {
+    support::BudgetLimits limits;
+    limits.deadlineMs = 1;
+    support::Budget budget(limits);
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    support::BudgetScope scope(&budget);
+    EXPECT_THROW((void)comm::generateGlobal("X", size, from, to, 4), DeadlineError);
+    EXPECT_THROW((void)comm::generateFrontier("X", size, from, 1, 4), DeadlineError);
   }
 }
 

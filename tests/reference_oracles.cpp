@@ -1,0 +1,158 @@
+#include "reference_oracles.hpp"
+
+#include <algorithm>
+#include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "support/checked_int.hpp"
+#include "support/diagnostics.hpp"
+
+namespace ad::reference {
+
+dsm::SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
+                               const dsm::MachineParams& machine,
+                               const dsm::ExecutionPlan& plan) {
+  AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
+  const std::int64_t H = machine.processors;
+  dsm::SimulationResult result;
+  const auto charge = [&](dsm::RedistributionStats rs) {
+    rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
+               static_cast<double>(rs.wordsMoved) * machine.perWord) /
+              static_cast<double>(H);
+    if (rs.wordsMoved > 0) result.redistributions.push_back(std::move(rs));
+  };
+
+  for (std::size_t k = 0; k < program.phases().size(); ++k) {
+    const ir::Phase& phase = program.phase(k);
+    if (k > 0) {
+      for (const auto& arr : program.arrays()) {
+        const auto it = plan.data.find(arr.name);
+        if (it == plan.data.end()) continue;
+        const dsm::DataDistribution& prev = it->second[k - 1];
+        const dsm::DataDistribution& next = it->second[k];
+        if (prev == next || !prev.hasOwner() || !next.hasOwner()) continue;
+        if (!dsm::redistributionMovesData(program, arr.name, k)) continue;
+        dsm::RedistributionStats rs;
+        rs.array = arr.name;
+        rs.beforePhase = k;
+        const std::int64_t size = arr.size.evaluate(params).asInteger();
+        std::set<std::pair<std::int64_t, std::int64_t>> pairs;
+        for (std::int64_t a = 0; a < size; ++a) {
+          const std::int64_t src = prev.owner(a, H);
+          const std::int64_t dst = next.owner(a, H);
+          if (src == dst) continue;
+          ++rs.wordsMoved;
+          pairs.insert({src, dst});
+        }
+        rs.messages = static_cast<std::int64_t>(pairs.size());
+        charge(std::move(rs));
+      }
+    }
+
+    if (H > 1) {
+      for (const auto& arr : program.arrays()) {
+        const auto hit = plan.halo.find(arr.name);
+        if (hit == plan.halo.end() || hit->second[k] <= 0) continue;
+        if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
+        bool writtenElsewhere = false;
+        for (const auto& other : program.phases()) {
+          writtenElsewhere = writtenElsewhere || (&other != &phase && other.writes(arr.name) &&
+                                                 !other.isPrivatized(arr.name));
+        }
+        if (!writtenElsewhere) continue;
+        const auto& dist = plan.data.at(arr.name)[k];
+        if (!dist.hasOwner()) continue;
+        const std::int64_t size = arr.size.evaluate(params).asInteger();
+        const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
+        dsm::RedistributionStats rs;
+        rs.array = arr.name;
+        rs.beforePhase = k;
+        rs.frontier = true;
+        rs.wordsMoved = 2 * hit->second[k] * boundaries;
+        rs.messages = 2 * boundaries;
+        charge(std::move(rs));
+      }
+    }
+
+    dsm::PhaseStats ps;
+    ps.phase = phase.name();
+    ps.peTime.assign(static_cast<std::size_t>(H), 0.0);
+    const dsm::IterationDistribution& sched = plan.iteration[k];
+    ir::forEachAccess(program, phase, params,
+                      [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+                        const std::int64_t pe =
+                            phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
+                        bool local = true;
+                        if (!phase.isPrivatized(acc.ref->array)) {
+                          const auto it = plan.data.find(acc.ref->array);
+                          AD_REQUIRE(it != plan.data.end(), "plan missing array " + acc.ref->array);
+                          std::int64_t halo = 0;
+                          if (acc.ref->kind == ir::AccessKind::kRead) {
+                            if (auto hit = plan.halo.find(acc.ref->array); hit != plan.halo.end()) {
+                              halo = hit->second[k];
+                            }
+                          }
+                          local = it->second[k].isLocal(acc.address, pe, H, halo);
+                        }
+                        const double cost = machine.localAccess * phase.workPerAccess() +
+                                            (local ? 0.0 : machine.remoteAccess);
+                        ps.peTime[static_cast<std::size_t>(pe)] += cost;
+                        ps.seqTime += machine.localAccess * phase.workPerAccess();
+                        ++(local ? ps.localAccesses : ps.remoteAccesses);
+                      });
+    ps.time = *std::max_element(ps.peTime.begin(), ps.peTime.end());
+    result.phases.push_back(std::move(ps));
+  }
+  return result;
+}
+
+comm::CommSchedule generateGlobal(const std::string& array, std::int64_t size,
+                                  const dsm::DataDistribution& from,
+                                  const dsm::DataDistribution& to, std::int64_t processors) {
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
+  for (std::int64_t a = 0; a < size; ++a) {
+    const std::int64_t src = from.owner(a, processors);
+    const std::int64_t dst = to.owner(a, processors);
+    if (src != dst) moves.emplace_back(src, dst, a);
+  }
+  std::sort(moves.begin(), moves.end());
+  std::vector<comm::Message> messages;
+  for (const auto& [src, dst, addr] : moves) {
+    if (messages.empty() || messages.back().src != src || messages.back().dst != dst) {
+      messages.push_back(comm::Message{src, dst, {}});
+    }
+    auto& ranges = messages.back().ranges;
+    if (!ranges.empty() && ranges.back().end == addr) {
+      ++ranges.back().end;
+    } else {
+      ranges.push_back(comm::Range{addr, addr + 1});
+    }
+  }
+  return comm::CommSchedule(array, comm::Pattern::kGlobal, std::move(messages));
+}
+
+bool verifiesRedistribution(const comm::CommSchedule& schedule, std::int64_t size,
+                            const dsm::DataDistribution& from, const dsm::DataDistribution& to,
+                            std::int64_t processors) {
+  std::vector<int> covered(static_cast<std::size_t>(size), 0);
+  for (const auto& m : schedule.messages()) {
+    for (const auto& r : m.ranges) {
+      for (std::int64_t a = r.begin; a < r.end; ++a) {
+        if (a < 0 || a >= size) return false;
+        if (from.owner(a, processors) != m.src) return false;
+        if (to.owner(a, processors) != m.dst) return false;
+        if (m.src == m.dst) return false;
+        ++covered[static_cast<std::size_t>(a)];
+      }
+    }
+  }
+  for (std::int64_t a = 0; a < size; ++a) {
+    const bool moves = from.owner(a, processors) != to.owner(a, processors);
+    if (covered[static_cast<std::size_t>(a)] != (moves ? 1 : 0)) return false;
+  }
+  return true;
+}
+
+}  // namespace ad::reference

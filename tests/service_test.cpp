@@ -462,6 +462,52 @@ TEST(ServiceServer, DeadlineSpentInQueueIsRefusedWithoutRunning) {
   EXPECT_EQ(server.stats().queueExpired, 1);
 }
 
+/// The N-sweep's generated stencil family 5 (stride-2 gather), variant 1:
+/// three phases over N*N arrays, so its redistributions and accesses grow
+/// with N^2.
+constexpr const char* kGatherStencilSource =
+    "param N\n"
+    "array A0(N*N)\n"
+    "array A1(N*N)\n"
+    "array A2(N*N)\n"
+    "array A3(N*N)\n"
+    "phase S0 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+    "  read A0(N*i + 2*j + 1) read A0(N*i + 2*j) read A0(N*i + 2*j + 1) write A1(N*i + j) } }\n"
+    "  work 2.0 }\n"
+    "phase S1 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+    "  read A1(N*i + 2*j) read A1(N*i + 2*j + 1) write A2(N*i + j) } } }\n"
+    "phase S2 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+    "  read A2(N*i + 2*j + 1) read A2(N*i + 2*j) read A2(N*i + 2*j + 1) write A3(N*i + j) } }\n"
+    "  work 2.0 }\n";
+
+TEST(ServiceServer, OversizedBindingIsAnsweredWithinItsDeadline) {
+  // N = 4000: 16M-element arrays, ~48M accesses per simulated plan. The
+  // request must come back within its 50 ms deadline plus a fixed slack —
+  // either answered or refused with a structured deadline error — and not
+  // seconds later. The slack covers sanitizer builds and a loaded machine.
+  constexpr std::int64_t kDeadlineMs = 50;
+  constexpr std::int64_t kSlackMs = 450;
+  service::Server server({.workers = 1});
+  Request big;
+  big.op = Op::kAnalyze;
+  big.id = "oversized";
+  big.source = kGatherStencilSource;
+  big.params["N"] = 4000;
+  big.processors = 16;
+  big.simulate = true;
+  big.deadlineMs = kDeadlineMs;
+  const auto start = std::chrono::steady_clock::now();
+  const Response response = server.call(std::move(big));
+  const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(elapsedMs, kDeadlineMs + kSlackMs);
+  const bool answered = response.kind == ResponseKind::kOk ||
+                        response.kind == ResponseKind::kDegraded ||
+                        (response.kind == ResponseKind::kError && response.errorCode == "deadline");
+  EXPECT_TRUE(answered) << service::responseKindName(response.kind) << ": " << response.error;
+}
+
 TEST(ServiceServer, PingAndStatsAnswerInlineEvenWhenBusy) {
   service::Server server({.workers = 1, .queueCapacity = 1});
   auto blocker = server.submit(slowRequest("blocker"));  // saturates the queue
