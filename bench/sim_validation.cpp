@@ -1,7 +1,7 @@
 // Empirical validation of the Theorem-1/2 locality predictions.
 //
 // For every suite code and P in {1, 4, 8} simulated processors, replays the
-// derived execution plan on the parallel trace simulator (one thread per
+// derived execution plan on the trace replay (every access, charged to its
 // simulated processor) and cross-checks the observed local/remote traffic
 // against the LCG's edge labels. A single disagreement on any non-uncoupled
 // edge fails the bench.

@@ -1,7 +1,7 @@
 // Closed-form symbolic validation at paper scale.
 //
-// The enumerating trace simulator is O(accesses * threads): exact, but it
-// cannot reach the machine sizes the paper analyzes (P = 1024). The symbolic
+// The enumerating trace replay is O(accesses): exact, but it cannot reach
+// the problem sizes the paper analyzes at P = 1024. The symbolic
 // validator computes the identical observed trace in O(descriptor regions).
 // This bench demonstrates both claims:
 //
@@ -9,8 +9,9 @@
 //     (the same invariant tests/symval_test.cpp enforces);
 //   - scale: at P in {64, 1024} only the symbolic oracle runs; its wall time
 //     must stay under 100 ms per code at P = 64, and BENCH_symval.json
-//     records it next to the simulator's extrapolated cost (accesses divided
-//     by the replay rate measured at P = 4).
+//     records it next to the trace replay's extrapolated cost (accesses
+//     divided by the serial replay's accesses/sec at the last differential
+//     P).
 //
 // Emits BENCH_symval.json, consumed by `scripts/ci.sh symval`.
 #include <iomanip>
@@ -29,7 +30,7 @@ struct Run {
   std::int64_t processors = 0;
   std::int64_t accesses = 0;
   double symvalSeconds = 0.0;
-  double simExtrapolatedSeconds = 0.0;  ///< accesses / replay rate at P=4
+  double simExtrapolatedSeconds = 0.0;  ///< accesses / serial replay rate
   double localFraction = 0.0;
   std::int64_t closedFormRegions = 0;
   std::int64_t enumeratedRegions = 0;
@@ -87,10 +88,10 @@ int main() {
     CodeResult cr;
     cr.name = code.name;
     cr.params = code.simParams;
-    double replayRate = 0.0;  // simulator accesses/sec, measured at P = 4
+    double replayRate = 0.0;  // serial trace replay accesses/sec, P <= 8
 
     for (const std::int64_t H : processorCounts) {
-      const bool differential = H <= 8;  // the simulator spawns H real threads
+      const bool differential = H <= 8;  // the replay enumerates every access
       driver::PipelineConfig config;
       config.params = codes::bindParams(program, code.simParams);
       config.processors = H;

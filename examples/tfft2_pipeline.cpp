@@ -10,13 +10,13 @@
 // simulated execution against the naive baseline, and a Graphviz rendering
 // of the LCG (pipe the last section into `dot -Tpng`).
 //
-// With --simulate, additionally replays the plan on the parallel trace
-// simulator (H real threads, one per simulated processor) and cross-checks
-// the observed local/remote traffic against the Theorem-1/2 edge labels.
-// --validate picks the oracle explicitly: trace (the enumerating simulator),
-// symbolic (closed-form interval counts, O(descriptors)), or both
-// (differential mode: the two traces must agree exactly — see
-// docs/VALIDATION.md). A differential mismatch exits 1.
+// With --simulate, additionally replays every access of the plan on H
+// simulated processors (a serial, strength-reduced walk of each phase) and
+// cross-checks the observed local/remote traffic against the Theorem-1/2
+// edge labels. --validate picks the oracle explicitly: trace (the
+// enumerating replay), symbolic (closed-form interval counts,
+// O(descriptors)), or both (differential mode: the two traces must agree
+// exactly — see docs/VALIDATION.md). A differential mismatch exits 1.
 //
 // With --suite, runs the whole benchmark suite (six 1999 codes + the AI/HPC
 // kernel family) as one batch through the

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full CI gate: tier-1 tests, ThreadSanitizer pass over the multithreaded
-# trace-simulator and observability tests, the observability smoke
+# pool, observability and batched-engine tests, the observability smoke
 # (trace/metrics JSON artifacts validated with python), and the
 # paper-reproduction benches.
 #
@@ -30,13 +30,13 @@ tier1() {
 }
 
 tsan() {
-  # The trace simulator and the obs layer are the concurrent code; a
+  # The thread pool and the obs layer are the concurrent code; a
   # dedicated -fsanitize=thread build of their tests catches data races the
   # plain run cannot. GTest itself is TSan-clean, so the whole binaries run
   # under it.
   # golden_test and symval_test ride along for the kernel family: the batched
   # jobs=8 golden run and the P in {1,4,8} differential validations spawn real
-  # worker/simulator threads over the kernels' tiled and sliding-window nests.
+  # worker threads over the kernels' tiled and sliding-window nests.
   echo "=== tsan: simulator + observability + batched-engine tests under ThreadSanitizer ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -241,7 +241,6 @@ need_spans = {
     "pipeline.ilp_solve", "pipeline.plan", "pipeline.comm",
     "pipeline.dsm_model", "pipeline.trace_sim", "pipeline.validate",
     "lcg.build", "ilp.solve", "dsm.simulate", "sim.trace",
-    "sim.barrier_wait",
 }
 missing = need_spans - names
 assert not missing, f"trace.json missing spans: {sorted(missing)}"
@@ -255,7 +254,7 @@ need_counters = {
     "ad.desc.homogenizations", "ad.desc.offset_adjustments",
     "ad.lcg.edges_local", "ad.lcg.edges_comm", "ad.lcg.edges_uncoupled",
     "ad.ilp.greedy_fallbacks", "ad.sim.local_accesses",
-    "ad.sim.remote_accesses", "ad.sim.barrier_wait_us",
+    "ad.sim.remote_accesses",
 }
 missing = need_counters - set(metrics["counters"])
 assert not missing, f"metrics.json missing counters: {sorted(missing)}"
@@ -266,8 +265,6 @@ profile = json.load(open("profile.json"))
 assert profile["schema"] == "ad.profile.v1", profile.get("schema")
 thread_names = {row["name"] for row in profile["threads"]}
 assert "main" in thread_names, f"no main thread row: {sorted(thread_names)}"
-assert any(n.startswith("sim.p") for n in thread_names), \
-    f"no simulator worker rows: {sorted(thread_names)}"
 print(f"obs smoke ok: {len(events)} trace events, "
       f"{len(metrics['counters'])} counters, "
       f"{len(metrics['gauges'])} gauges, {len(metrics['histograms'])} histograms, "

@@ -53,7 +53,7 @@ struct CodeInfo {
   std::map<std::string, std::int64_t> studyParams;
   /// Smaller sizes for quick runs/tests.
   std::map<std::string, std::int64_t> smallParams;
-  /// Sizes for the parallel trace simulator: enough accesses for meaningful
+  /// Sizes for the trace replay: enough accesses for meaningful
   /// accesses/sec rates, small enough that a 1-core CI box replays them fast.
   std::map<std::string, std::int64_t> simParams;
 };

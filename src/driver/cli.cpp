@@ -40,8 +40,8 @@ std::string cliUsage(std::string_view argv0) {
       "\n"
       "  P Q H           TFFT2 problem sizes and processor count (default 64 64 8);\n"
       "                  incompatible with --suite, which fixes its own sizes\n"
-      "  --simulate      replay the plan on the parallel trace simulator and\n"
-      "                  cross-check the Theorem-1/2 edge labels\n"
+      "  --simulate      replay every access of the plan (serial trace replay)\n"
+      "                  and cross-check the Theorem-1/2 edge labels\n"
       "  --validate=MODE trace (enumerate), symbolic (closed form), or both\n"
       "                  (differential: the two must agree exactly); see\n"
       "                  docs/VALIDATION.md\n"

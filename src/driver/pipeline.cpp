@@ -480,7 +480,7 @@ std::string PipelineResult::report(const ir::Program& program) const {
     os << "  efficiency = " << naiveEfficiency() << "\n";
   }
   if (trace) {
-    os << "\n=== Parallel trace simulation (" << trace->processors << " threads) ===\n"
+    os << "\n=== Trace replay (H = " << trace->processors << ") ===\n"
        << trace->str();
   }
   if (symbolic) {

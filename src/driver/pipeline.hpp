@@ -32,7 +32,7 @@ class ThreadPool;
 namespace ad::driver {
 
 /// Which trace-validation oracle(s) to run after planning (docs/VALIDATION.md):
-///  - kTrace:    enumerate every access on the parallel trace simulator;
+///  - kTrace:    enumerate every access (sim::simulateTrace, a serial replay);
 ///  - kSymbolic: closed-form interval-intersection counts (O(descriptors));
 ///  - kBoth:     run both and compare them field for field (differential
 ///               mode; any difference is reported as a validation failure).
@@ -52,8 +52,8 @@ struct PipelineConfig {
   /// Also simulate the naive BLOCK/BLOCK baseline for comparison.
   bool simulateBaseline = true;
 
-  /// The `--simulate` stage: additionally replay the plan on the parallel
-  /// trace simulator (one thread per simulated processor) and cross-check the
+  /// The `--simulate` stage: additionally replay every access of the plan
+  /// (sim::simulateTrace, one serial walk per phase) and cross-check the
   /// observed communication against the LCG's Theorem-1/2 edge labels.
   /// Legacy switch: equivalent to `validate = ValidateMode::kTrace`; ignored
   /// when `validate` is set explicitly.
@@ -90,7 +90,7 @@ struct PipelineResult {
   std::int64_t processors = 1;
 
   /// Present when trace validation ran (kTrace / kBoth, or traceSimulate).
-  std::optional<sim::TraceResult> trace;                      ///< parallel replay
+  std::optional<sim::TraceResult> trace;                      ///< access replay
   /// Present when symbolic validation ran (kSymbolic / kBoth).
   std::optional<loc::SymbolicCounts> symbolic;                ///< closed-form counts
   /// Theorem-1/2 check against whichever observed trace ran (the enumerated

@@ -234,7 +234,9 @@ std::string Tracer::toJson() const {
   std::ostringstream os;
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   bool first = true;
-  for (const auto& [tid, name] : threadNames_) {
+  std::map<std::int64_t, std::string> names = threadNames_;
+  names.emplace(0, "main");
+  for (const auto& [tid, name] : names) {
     os << (first ? "" : ",\n")
        << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
        << ", \"args\": {\"name\": \"";

@@ -11,14 +11,13 @@
 //    directly.
 //
 //  - obs::metrics() is a registry of named counters, gauges, and histograms.
-//    Counters shard their cell across cache lines (the same idiom as the
-//    trace simulator's per-thread tallies) so concurrent increments do not
-//    contend; MetricsRegistry::toJson() renders a stable-schema document
+//    Counters shard their cell across cache lines so concurrent increments
+//    do not contend; MetricsRegistry::toJson() renders a stable-schema document
 //    ("ad.metrics.v1", keys sorted).
 //
 // Naming convention for both spans and metrics: `ad.<subsystem>.<name>` for
 // metrics (ad.desc.stride_coalescings, ad.sim.remote_accesses) and
-// `<subsystem>.<stage>` for span names (pipeline.ilp_solve, sim.barrier_wait).
+// `<subsystem>.<stage>` for span names (pipeline.ilp_solve, sim.redistribute).
 // Instruments must register their metric names unconditionally (fetch the
 // counter even when adding zero) so the exported schema is stable across
 // inputs.
@@ -44,8 +43,8 @@ inline constexpr std::string_view kMetricsSchema = "ad.metrics.v1";
 // ---------------------------------------------------------------------------
 
 /// Monotonic counter, sharded across cache lines: each thread lands on a
-/// fixed shard, so concurrent add() calls from the simulator's worker
-/// threads never bounce one cache line around.
+/// fixed shard, so concurrent add() calls from pool workers never bounce one
+/// cache line around.
 class Counter {
  public:
   static constexpr std::size_t kShards = 16;
@@ -160,9 +159,9 @@ class Tracer {
   /// Associates `tid` with a display name (emitted as thread_name metadata).
   void nameThread(std::int64_t tid, std::string name);
 
-  /// The logical trace tid of the calling thread (0 unless set). The sim's
-  /// workers set their simulated-processor number so their spans land on
-  /// separate tracks in Perfetto.
+  /// The logical trace tid of the calling thread (0 unless set; exported as
+  /// "main" unless named otherwise). Pool workers set 100 + their index so
+  /// their spans land on separate tracks in Perfetto.
   static void setCurrentThreadId(std::int64_t tid) noexcept;
   [[nodiscard]] static std::int64_t currentThreadId() noexcept;
 

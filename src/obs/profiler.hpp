@@ -1,7 +1,7 @@
 // Task-level contention profiler: where does the wall-clock of a parallel
 // analysis run actually go?
 //
-// The ad.metrics.v1 counters (pool steals, memo hits, barrier-wait totals)
+// The ad.metrics.v1 counters (pool steals, memo hits, idle totals)
 // are process-wide aggregates — they can say *that* eight threads only buy
 // 8% over one, but not *where* the other seven threads wait. This module
 // attributes every microsecond of a run to a (thread, cause) pair, the same
@@ -9,10 +9,10 @@
 // per-reference costs:
 //
 //  - Per-thread tracks (ThreadStats): work vs. queue-wait vs. lock-wait vs.
-//    idle vs. barrier-wait time, plus task/steal tallies. Threads register by
-//    *name* ("pool.w0", "sim.p3", "main"), so short-lived workers from
-//    successive pools and simulator runs accumulate into stable rows instead
-//    of leaking one row per std::thread.
+//    idle time, plus task/steal tallies. Threads register by *name*
+//    ("pool.w0", "pool.w3", "main"), so short-lived workers from successive
+//    pools accumulate into stable rows instead of leaking one row per
+//    std::thread.
 //
 //  - Per-shard lock accounting (ShardStats): the interned-expression arena
 //    and the proof memo time every contended mutex acquisition per shard,
@@ -52,7 +52,6 @@ struct alignas(64) ThreadStats {
   std::atomic<std::int64_t> queueWaitUs{0};    ///< tasks' submit->start latency
   std::atomic<std::int64_t> lockWaitUs{0};     ///< contended profiled mutexes
   std::atomic<std::int64_t> idleUs{0};         ///< parked on the pool idle CV
-  std::atomic<std::int64_t> barrierWaitUs{0};  ///< simulator phase barriers
   std::atomic<std::int64_t> tasks{0};
   std::atomic<std::int64_t> steals{0};  ///< tasks taken from another worker
   std::atomic<std::int64_t> helped{0};  ///< tasks run inside TaskGroup::wait
@@ -89,7 +88,7 @@ class Profiler {
  public:
   /// Enables recording and binds the calling thread as the "main" row, so a
   /// profile always has the coordinating thread even when it never touches a
-  /// contended shard (workers bind themselves as "pool.wN" / "sim.pN").
+  /// contended shard (pool workers bind themselves as "pool.wN").
   void enable() {
     threadStats("main");
     enabled_.store(true, std::memory_order_relaxed);
@@ -106,8 +105,8 @@ class Profiler {
   /// the exported schema is stable).
   ThreadStats& threadStats(std::string_view name);
 
-  /// Rebinds the calling thread to `name` (pool workers and sim workers call
-  /// this on entry; helpers that never bind land in "main").
+  /// Rebinds the calling thread to `name` (pool workers call this on entry;
+  /// helpers that never bind land in "main").
   void bindCurrentThread(std::string_view name);
 
   [[nodiscard]] ShardStats& shard(ShardFamily family, std::size_t index) noexcept {

@@ -1,10 +1,10 @@
 // Precomputed element -> owner lookup tables.
 //
-// The trace simulator classifies every access of every simulated processor,
-// so the owner of an address must be a load, not a divide chain (and for the
-// folded "reverse" distribution, not a mod + min + divide chain). An OwnerMap
-// materializes dsm::DataDistribution::owner() over a whole array once, on the
-// main thread, and is then shared read-only by all worker threads.
+// The trace replay classifies every access, so the owner of an address must
+// be a load, not a divide chain (and for the folded "reverse" distribution,
+// not a mod + min + divide chain). An OwnerMap materializes
+// dsm::DataDistribution::owner() over a whole array once per replay; the
+// construction polls cancellation and the deadline like the replay itself.
 #pragma once
 
 #include <cstdint>

@@ -1,20 +1,15 @@
 #include "sim/trace_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <chrono>
-#include <exception>
+#include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "ir/walker.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "sim/owner_map.hpp"
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
@@ -27,53 +22,13 @@ namespace {
 
 using ir::evalInt;
 
-/// Per-reference classification recipe, resolved once per phase on the main
-/// thread so the per-access hot path is a table lookup.
+/// How one reference's accesses are classified, resolved once per phase so
+/// the per-access hot path is a table lookup.
 struct RefSlot {
   std::size_t slot = 0;              ///< index into the phase's array slots
-  const OwnerMap* owners = nullptr;  ///< null: replicated/private (always local)
+  const OwnerMap* owners = nullptr;  ///< null: privatized (always local)
   std::int64_t halo = 0;             ///< replicated frontier width (reads only)
-  bool privatized = false;
 };
-
-struct PhasePrep {
-  std::vector<std::string> slotArrays;  ///< distinct arrays, slot order
-  std::vector<RefSlot> refs;            ///< parallel to phase.refs()
-  dsm::IterationDistribution sched;
-  std::string spanName;                 ///< "sim.phase:<name>", built once here
-};
-
-/// One redistribution to count entering a phase: every element whose owner
-/// changes between `prev` and `next` moves.
-struct RedistJob {
-  std::string array;
-  std::int64_t size = 0;
-  const OwnerMap* prev = nullptr;
-  const OwnerMap* next = nullptr;
-};
-
-/// Per-thread tallies. Each worker writes only its own shard; shards are
-/// aggregated by the main thread after join. alignas keeps the shard array
-/// itself off shared cache lines; the vectors' heap blocks are per-thread
-/// allocations already.
-struct alignas(64) Shard {
-  std::vector<std::vector<dsm::ArrayCounts>> access;           // [phase][slot]
-  std::vector<std::vector<std::int64_t>> redistWords;          // [phase][job]
-  std::vector<std::vector<std::set<std::pair<std::int64_t, std::int64_t>>>> redistPairs;
-  std::exception_ptr error;
-};
-
-const OwnerMap* cachedOwnerMap(
-    std::map<std::string, std::vector<std::unique_ptr<OwnerMap>>>& cache,
-    const std::string& array, const dsm::DataDistribution& dist, std::int64_t size,
-    std::int64_t processors) {
-  auto& maps = cache[array];
-  for (const auto& m : maps) {
-    if (m->distribution() == dist && m->size() == size) return m.get();
-  }
-  maps.push_back(std::make_unique<OwnerMap>(dist, size, processors));
-  return maps.back().get();
-}
 
 }  // namespace
 
@@ -117,64 +72,30 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
   const std::int64_t H = opts.processors;
   const std::size_t numPhases = program.phases().size();
 
-  // ------------------------------------------------------------------
-  // Main-thread preparation: owner maps, per-reference recipes, and the
-  // redistribution/frontier events of every phase boundary.
-  // ------------------------------------------------------------------
-  std::map<std::string, std::vector<std::unique_ptr<OwnerMap>>> ownerCache;
-  std::vector<PhasePrep> prep(numPhases);
-  std::vector<std::vector<RedistJob>> jobs(numPhases);
+  // One owner table per (array, distribution), shared across phases.
+  std::map<std::string, std::vector<std::unique_ptr<OwnerMap>>> owners;
+  const auto ownerMap = [&](const std::string& array, const dsm::DataDistribution& dist) {
+    auto& maps = owners[array];
+    for (const auto& m : maps) {
+      if (m->distribution() == dist) return m.get();
+    }
+    maps.push_back(std::make_unique<OwnerMap>(
+        dist, evalInt(program.array(array).size, params, "array size"), H));
+    return maps.back().get();
+  };
+
   TraceResult result;
   result.processors = H;
+  std::vector<dsm::RedistributionStats> globals;  // reported after every frontier
+  std::vector<std::vector<std::string>> slotArrays(numPhases);
+  // tally[k][pe * slots + slot]: what processor pe did to one array in phase k.
+  std::vector<std::vector<dsm::ArrayCounts>> tally(numPhases);
+  std::vector<char> pairSeen;
+  support::ExpiryPoll poll;
+  const auto start = std::chrono::steady_clock::now();
 
   for (std::size_t k = 0; k < numPhases; ++k) {
     const ir::Phase& phase = program.phase(k);
-    PhasePrep& pp = prep[k];
-    pp.sched = plan.iteration[k];
-    pp.spanName = "sim.phase:" + phase.name();
-    std::map<std::string, std::size_t> slotOf;
-    for (const auto& r : phase.refs()) {
-      RefSlot rs;
-      const auto it = slotOf.find(r.array);
-      if (it != slotOf.end()) {
-        rs.slot = it->second;
-      } else {
-        rs.slot = pp.slotArrays.size();
-        slotOf.emplace(r.array, rs.slot);
-        pp.slotArrays.push_back(r.array);
-      }
-      rs.privatized = phase.isPrivatized(r.array);
-      if (!rs.privatized) {
-        const auto dit = plan.data.find(r.array);
-        AD_REQUIRE(dit != plan.data.end(), "plan missing array " + r.array);
-        const std::int64_t size = evalInt(program.array(r.array).size, params, "array size");
-        rs.owners = cachedOwnerMap(ownerCache, r.array, dit->second[k], size, H);
-        // Halo replicas serve reads only (Theorem 1c: overlap must be
-        // read-only to stay consistent without updates).
-        if (r.kind == ir::AccessKind::kRead) {
-          if (auto hit = plan.halo.find(r.array); hit != plan.halo.end()) {
-            rs.halo = hit->second[k];
-          }
-        }
-      }
-      pp.refs.push_back(rs);
-    }
-
-    if (k > 0) {
-      for (const auto& arr : program.arrays()) {
-        const auto it = plan.data.find(arr.name);
-        if (it == plan.data.end()) continue;
-        const dsm::DataDistribution& prev = it->second[k - 1];
-        const dsm::DataDistribution& next = it->second[k];
-        if (prev == next) continue;
-        if (!prev.hasOwner() || !next.hasOwner()) continue;
-        if (!dsm::redistributionMovesData(program, arr.name, k)) continue;
-        const std::int64_t size = evalInt(arr.size, params, "array size");
-        jobs[k].push_back(RedistJob{arr.name, size,
-                                    cachedOwnerMap(ownerCache, arr.name, prev, size, H),
-                                    cachedOwnerMap(ownerCache, arr.name, next, size, H)});
-      }
-    }
 
     // Frontier refreshes are a deterministic closed form (no per-element
     // work): record them directly, mirroring dsm::simulate's conditions.
@@ -200,203 +121,122 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
       rs.messages = 2 * boundaries;
       if (rs.wordsMoved > 0) result.observed.redistributions.push_back(std::move(rs));
     }
-  }
 
-  // ------------------------------------------------------------------
-  // The parallel replay: one thread per simulated processor.
-  // ------------------------------------------------------------------
-  std::vector<Shard> shards(static_cast<std::size_t>(H));
-  for (auto& s : shards) {
-    s.access.resize(numPhases);
-    s.redistWords.resize(numPhases);
-    s.redistPairs.resize(numPhases);
-    for (std::size_t k = 0; k < numPhases; ++k) {
-      s.access[k].assign(prep[k].slotArrays.size(), dsm::ArrayCounts{});
-      s.redistWords[k].assign(jobs[k].size(), 0);
-      s.redistPairs[k].resize(jobs[k].size());
-    }
-  }
-
-  std::barrier<> phaseBarrier(static_cast<std::ptrdiff_t>(H));
-  std::atomic<bool> abort{false};
-
-  // The workers are raw threads, not pool tasks, so the submitting thread's
-  // budget/cancellation context must be forwarded by hand (as
-  // ThreadPool::submit does). Each worker polls the token every 4096
-  // accesses: a cancelled service request aborts the replay in bounded work
-  // instead of enumerating the remaining millions of accesses.
-  const support::RobustnessContext robustness = support::RobustnessContext::capture();
-
-  // Per-phase telemetry: each worker tags its spans with its simulated
-  // processor number (main thread stays tid 0) and tallies the time it
-  // spends parked on the two phase barriers. The barrier clock reads are two
-  // per phase per thread — noise next to the per-access walk — and the
-  // counter reference is resolved once, outside the workers.
-  obs::Counter& barrierWaitUs = obs::metrics().counter("ad.sim.barrier_wait_us");
-  const bool traceOn = obs::tracer().enabled();
-  if (traceOn) {
-    for (std::int64_t t = 0; t < H; ++t) {
-      obs::tracer().nameThread(t + 1, "sim.p" + std::to_string(t));
-    }
-  }
-
-  const auto worker = [&](std::int64_t t) {
-    const support::RobustnessContextScope robustnessScope(robustness);
-    std::int64_t sinceCancelPoll = 0;
-    obs::Tracer::setCurrentThreadId(t + 1);
-    // Join the contention profiler's per-thread timeline under the same name
-    // as the Perfetto track, so sim barrier stalls line up with pool/lock
-    // waits in the ad.profile.v1 summary.
-    const bool profiled = obs::profiler().enabled();
-    if (profiled) obs::profiler().bindCurrentThread("sim.p" + std::to_string(t));
-    const std::int64_t workerStartUs = obs::Profiler::nowUs();
-    Shard& shard = shards[static_cast<std::size_t>(t)];
-    std::int64_t waitedUs = 0;
-    const auto awaitBarrier = [&] {
-      const std::int64_t t0 = obs::tracer().nowUs();
-      phaseBarrier.arrive_and_wait();
-      const std::int64_t t1 = obs::tracer().nowUs();
-      waitedUs += t1 - t0;
-      if (traceOn) {
-        obs::tracer().record(
-            obs::TraceEvent{"sim.barrier_wait", "sim", t0, t1 - t0, t + 1});
+    // Global redistributions entering the phase, element by element: every
+    // element whose owner changes moves; each (src, dst) pair is a message.
+    for (const auto& arr : program.arrays()) {
+      const auto it = plan.data.find(arr.name);
+      if (k == 0 || it == plan.data.end()) continue;
+      const dsm::DataDistribution& prevDist = it->second[k - 1];
+      const dsm::DataDistribution& nextDist = it->second[k];
+      if (prevDist == nextDist || !prevDist.hasOwner() || !nextDist.hasOwner()) continue;
+      if (!dsm::redistributionMovesData(program, arr.name, k)) continue;
+      obs::Span redistSpan("sim.redistribute", "sim");
+      const OwnerMap* prev = ownerMap(arr.name, prevDist);
+      const OwnerMap* next = ownerMap(arr.name, nextDist);
+      dsm::RedistributionStats rs;
+      rs.array = arr.name;
+      rs.beforePhase = k;
+      pairSeen.assign(static_cast<std::size_t>(H * H), 0);
+      for (std::int64_t a = 0; a < prev->size(); ++a) {
+        poll.tick();
+        const std::int64_t src = prev->owner(a);
+        const std::int64_t dst = next->owner(a);
+        if (src == dst) continue;
+        ++rs.wordsMoved;
+        char& seen = pairSeen[static_cast<std::size_t>(src * H + dst)];
+        rs.messages += seen == 0 ? 1 : 0;
+        seen = 1;
       }
-    };
-    for (std::size_t k = 0; k < numPhases; ++k) {
-      // Phase-entry communication: count the owner changes of every
-      // redistribution, sharded by contiguous address range.
-      if (!jobs[k].empty()) {
-        obs::Span redistSpan("sim.redistribute", "sim");
-        for (std::size_t j = 0; j < jobs[k].size(); ++j) {
-          const RedistJob& job = jobs[k][j];
-          const std::int64_t lo = job.size * t / H;
-          const std::int64_t hi = job.size * (t + 1) / H;
-          for (std::int64_t a = lo; a < hi; ++a) {
-            const std::int64_t src = job.prev->owner(a);
-            const std::int64_t dst = job.next->owner(a);
-            if (src == dst) continue;
-            ++shard.redistWords[k][j];
-            shard.redistPairs[k][j].insert({src, dst});
+      if (rs.wordsMoved > 0) globals.push_back(std::move(rs));
+    }
+
+    // The phase's accesses: one walk, each access charged to the processor
+    // that executes its parallel iteration (processor 0 without a DOALL).
+    obs::Span phaseSpan("sim.phase:" + phase.name(), "sim");
+    std::vector<RefSlot> refs;
+    for (const auto& r : phase.refs()) {
+      RefSlot rs;
+      auto& arrays = slotArrays[k];
+      rs.slot = static_cast<std::size_t>(std::find(arrays.begin(), arrays.end(), r.array) -
+                                         arrays.begin());
+      if (rs.slot == arrays.size()) arrays.push_back(r.array);
+      if (!phase.isPrivatized(r.array)) {
+        const auto dit = plan.data.find(r.array);
+        AD_REQUIRE(dit != plan.data.end(), "plan missing array " + r.array);
+        rs.owners = ownerMap(r.array, dit->second[k]);
+        // Halo replicas serve reads only (Theorem 1c: overlap must be
+        // read-only to stay consistent without updates).
+        if (r.kind == ir::AccessKind::kRead) {
+          if (auto hit = plan.halo.find(r.array); hit != plan.halo.end()) {
+            rs.halo = hit->second[k];
           }
         }
       }
-      // The DOALL cannot start before the data is in place.
-      awaitBarrier();
-      if (!abort.load(std::memory_order_relaxed)) {
-        const ir::Phase& phase = program.phase(k);
-        const PhasePrep& pp = prep[k];
-        obs::Span phaseSpan(pp.spanName, "sim");
-        const auto keep = [&](std::int64_t iter) {
-          // Phases with no DOALL run on processor 0 (iter reported as 0).
-          return phase.hasParallelLoop() ? pp.sched.executor(iter, H) == t : t == 0;
-        };
-        try {
-          ir::forEachAccessWhere(
-              program, phase, params, keep,
-              [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-                if ((++sinceCancelPoll & 0xFFF) == 0) support::throwIfCancelled();
-                const std::size_t refIdx =
-                    static_cast<std::size_t>(acc.ref - phase.refs().data());
-                const RefSlot& rs = pp.refs[refIdx];
-                dsm::ArrayCounts& c = shard.access[k][rs.slot];
-                if (rs.privatized || rs.owners == nullptr ||
-                    rs.owners->isLocal(acc.address, t, rs.halo)) {
-                  ++c.local;
-                } else {
-                  ++c.remote;
-                  c.remoteBytes += opts.wordBytes;
-                }
-              });
-        } catch (...) {
-          shard.error = std::current_exception();
-          abort.store(true, std::memory_order_relaxed);
-        }
-      }
-      // DOALL join: phase k is complete everywhere before phase k+1 begins.
-      awaitBarrier();
+      refs.push_back(rs);
     }
-    barrierWaitUs.add(waitedUs);
-    if (profiled) {
-      obs::ThreadStats& stats = obs::profiler().threadStats("");
-      stats.barrierWaitUs.fetch_add(waitedUs, std::memory_order_relaxed);
-      stats.workUs.fetch_add(obs::Profiler::nowUs() - workerStartUs - waitedUs,
-                             std::memory_order_relaxed);
-    }
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(H));
-  for (std::int64_t t = 0; t < H; ++t) threads.emplace_back(worker, t);
-  for (auto& th : threads) th.join();
+    const std::size_t slots = slotArrays[k].size();
+    std::vector<dsm::ArrayCounts>& counts = tally[k];
+    counts.assign(static_cast<std::size_t>(H) * slots, dsm::ArrayCounts{});
+    const dsm::IterationDistribution& sched = plan.iteration[k];
+    const bool hasPar = phase.hasParallelLoop();
+    std::int64_t pe = 0;
+    std::int64_t peIter = std::numeric_limits<std::int64_t>::min();
+    ir::forEachAccess(program, phase, params,
+                      [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+                        poll.tick();
+                        if (hasPar && acc.parallelIter != peIter) {
+                          peIter = acc.parallelIter;
+                          pe = sched.executor(peIter, H);
+                        }
+                        const RefSlot& rs =
+                            refs[static_cast<std::size_t>(acc.ref - phase.refs().data())];
+                        dsm::ArrayCounts& c = counts[static_cast<std::size_t>(pe) * slots + rs.slot];
+                        const bool local = rs.owners == nullptr ||
+                                           rs.owners->isLocal(acc.address, pe, rs.halo);
+                        ++(local ? c.local : c.remote);
+                      });
+  }
   result.wallSeconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  for (const auto& s : shards) {
-    if (s.error) std::rethrow_exception(s.error);
-  }
+  for (auto& g : globals) result.observed.redistributions.push_back(std::move(g));
 
   // ------------------------------------------------------------------
-  // Aggregation (main thread, workers joined).
-  // ------------------------------------------------------------------
-  for (std::size_t k = 0; k < numPhases; ++k) {
-    dsm::PhaseCounts pc;
-    pc.phase = program.phase(k).name();
-    for (std::size_t slot = 0; slot < prep[k].slotArrays.size(); ++slot) {
-      dsm::ArrayCounts total;
-      for (const auto& s : shards) {
-        total.local += s.access[k][slot].local;
-        total.remote += s.access[k][slot].remote;
-        total.remoteBytes += s.access[k][slot].remoteBytes;
-      }
-      pc.arrays.emplace(prep[k].slotArrays[slot], total);
-      result.totalAccesses += total.local + total.remote;
-    }
-    result.observed.phases.push_back(std::move(pc));
-
-    for (std::size_t j = 0; j < jobs[k].size(); ++j) {
-      dsm::RedistributionStats rs;
-      rs.array = jobs[k][j].array;
-      rs.beforePhase = k;
-      std::set<std::pair<std::int64_t, std::int64_t>> pairs;
-      for (const auto& s : shards) {
-        rs.wordsMoved += s.redistWords[k][j];
-        pairs.insert(s.redistPairs[k][j].begin(), s.redistPairs[k][j].end());
-      }
-      rs.messages = static_cast<std::int64_t>(pairs.size());
-      if (rs.wordsMoved > 0) result.observed.redistributions.push_back(std::move(rs));
-    }
-  }
-
-  // ------------------------------------------------------------------
-  // Telemetry: traffic totals and per-processor/per-phase distributions,
-  // derived from the already-aggregated shards (the per-access hot path
-  // above carries no instrumentation).
+  // Aggregation and telemetry: per-phase totals, traffic totals and the
+  // per-processor/per-phase distributions.
   // ------------------------------------------------------------------
   obs::MetricsRegistry& reg = obs::metrics();
   std::int64_t localTotal = 0;
   std::int64_t remoteTotal = 0;
-  std::int64_t remoteBytesTotal = 0;
   obs::Histogram& localHist = reg.histogram("ad.sim.local_per_proc_phase");
   obs::Histogram& remoteHist = reg.histogram("ad.sim.remote_per_proc_phase");
   for (std::size_t k = 0; k < numPhases; ++k) {
+    const std::size_t slots = slotArrays[k].size();
+    dsm::PhaseCounts pc;
+    pc.phase = program.phase(k).name();
+    for (std::size_t slot = 0; slot < slots; ++slot) pc.arrays[slotArrays[k][slot]];
     for (std::int64_t t = 0; t < H; ++t) {
-      const Shard& s = shards[static_cast<std::size_t>(t)];
       std::int64_t local = 0;
       std::int64_t remote = 0;
-      for (std::size_t slot = 0; slot < prep[k].slotArrays.size(); ++slot) {
-        local += s.access[k][slot].local;
-        remote += s.access[k][slot].remote;
-        remoteBytesTotal += s.access[k][slot].remoteBytes;
+      for (std::size_t slot = 0; slot < slots; ++slot) {
+        const dsm::ArrayCounts& c = tally[k][static_cast<std::size_t>(t) * slots + slot];
+        dsm::ArrayCounts& total = pc.arrays[slotArrays[k][slot]];
+        total.local += c.local;
+        total.remote += c.remote;
+        total.remoteBytes += c.remote * opts.wordBytes;
+        local += c.local;
+        remote += c.remote;
       }
       localHist.observe(local);
       remoteHist.observe(remote);
       localTotal += local;
       remoteTotal += remote;
     }
+    result.observed.phases.push_back(std::move(pc));
   }
+  result.totalAccesses = localTotal + remoteTotal;
   reg.counter("ad.sim.local_accesses").add(localTotal);
   reg.counter("ad.sim.remote_accesses").add(remoteTotal);
-  reg.counter("ad.sim.remote_bytes").add(remoteBytesTotal);
+  reg.counter("ad.sim.remote_bytes").add(remoteTotal * opts.wordBytes);
   std::int64_t redistWords = 0;
   std::int64_t frontierWords = 0;
   for (const auto& r : result.observed.redistributions) {

@@ -1,20 +1,18 @@
-// Parallel DSM access-trace simulator.
+// DSM access-trace replay: the enumerating validation oracle.
 //
 // dsm::simulate() charges model cycles from closed-form access counts; this
-// module replays every access with *real* parallelism — P simulated
-// processors, one std::thread each — and tallies what the paper's Theorems 1
-// and 2 predict:
-// per-phase, per-array local vs. remote access counts and remote bytes moved.
-// Iterations of each DOALL are walked CYCLIC(p_k) exactly as the plan
-// schedules them, so thread t executes precisely the iterations processor t
-// would execute, against the plan's BLOCK-CYCLIC(b) owner maps.
+// module instead replays every access and tallies what the paper's Theorems
+// 1 and 2 predict: per-phase, per-array local vs. remote access counts and
+// remote bytes moved, and the words and messages of every redistribution.
 //
-// Concurrency structure (ThreadSanitizer-clean by construction):
-//  - every thread owns a cache-line-padded counter shard; no shared writes;
-//  - a std::barrier separates phases, mirroring the DOALL join on the DSM
-//    machine: redistribution work for the phase is sharded by address range,
-//    counted, then the access walk starts only after all threads arrive;
-//  - owner maps are built on the main thread and read shared.
+// The replay is serial. Each phase's access stream is walked once
+// (ir::forEachAccess, which steps linear subscripts instead of evaluating
+// them); every access is charged to the processor that executes its parallel
+// iteration under the plan's CYCLIC(p_k) schedule and classified against the
+// plan's BLOCK-CYCLIC(b) owner maps. Redistributions entering a phase are
+// counted element by element against those owner maps, so this oracle stays
+// independent of the owner-run counting core that the closed-form validator
+// (loc::symbolicTrace) shares with the cost model.
 //
 // The result feeds dsm::validateLocality(), which compares the observed
 // communication against the LCG's Theorem-1/2 edge labels.
@@ -28,13 +26,13 @@
 namespace ad::sim {
 
 struct SimOptions {
-  std::int64_t processors = 8;  ///< simulated PEs; one worker std::thread each
+  std::int64_t processors = 8;  ///< simulated PEs
   std::int64_t wordBytes = 8;   ///< bytes per array element (remote-byte tallies)
 };
 
 struct TraceResult {
   dsm::ObservedTrace observed;      ///< per-phase/per-array counts + comm events
-  std::int64_t processors = 1;      ///< simulated PEs (= worker threads)
+  std::int64_t processors = 1;      ///< simulated PEs
   std::int64_t totalAccesses = 0;
   double wallSeconds = 0.0;         ///< host wall time of the replay
 
@@ -47,8 +45,9 @@ struct TraceResult {
 
 /// Replays `program` under `plan` on opts.processors simulated PEs. The plan
 /// must cover every phase (same contract as dsm::simulate). Throws
-/// AnalysisError/ProgramError on unanalyzable inputs; worker-thread errors are
-/// rethrown on the calling thread.
+/// AnalysisError/ProgramError on unanalyzable inputs, and CancelledError or
+/// DeadlineError when the current budget is cancelled or past its deadline
+/// (polled every 4096 accesses and elements).
 [[nodiscard]] TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params,
                                         const dsm::ExecutionPlan& plan, const SimOptions& opts);
 

@@ -43,7 +43,7 @@ namespace ad::support {
 class ThreadPool {
  public:
   /// Trace tids of pool workers start here ("pool.w0" = 100, ...), leaving
-  /// the low tids for the main thread (0) and the simulator's processors.
+  /// tid 0 to the main thread.
   static constexpr std::int64_t kTraceTidBase = 100;
 
   /// Spawns workers. The count is clamped to [1, hardwareConcurrency()]:

@@ -125,7 +125,7 @@ TEST_F(PipelineTest, MetricsAndTraceMatchSimulation) {
         "\"ad.desc.term_unions\"", "\"ad.desc.homogenizations\"", "\"ad.desc.offset_adjustments\"",
         "\"ad.lcg.edges_local\"", "\"ad.lcg.edges_comm\"", "\"ad.lcg.edges_uncoupled\"",
         "\"ad.ilp.variables\"", "\"ad.ilp.equality_constraints\"", "\"ad.ilp.greedy_fallbacks\"",
-        "\"ad.sim.local_accesses\"", "\"ad.sim.remote_accesses\"", "\"ad.sim.barrier_wait_us\"",
+        "\"ad.sim.local_accesses\"", "\"ad.sim.remote_accesses\"",
         "\"ad.sim.local_per_proc_phase\"", "\"ad.sim.remote_per_proc_phase\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }

@@ -480,11 +480,11 @@ constexpr const char* kGatherStencilSource =
     "  read A2(N*i + 2*j + 1) read A2(N*i + 2*j) read A2(N*i + 2*j + 1) write A3(N*i + j) } }\n"
     "  work 2.0 }\n";
 
-TEST(ServiceServer, OversizedBindingIsAnsweredWithinItsDeadline) {
-  // N = 4000: 16M-element arrays, ~48M accesses per simulated plan. The
-  // request must come back within its 50 ms deadline plus a fixed slack —
-  // either answered or refused with a structured deadline error — and not
-  // seconds later. The slack covers sanitizer builds and a loaded machine.
+/// N = 4000: 16M-element arrays, ~48M accesses per simulated plan or trace
+/// replay. The request must come back within its 50 ms deadline plus a fixed
+/// slack — either answered or refused with a structured deadline error — and
+/// not seconds later. The slack covers sanitizer builds and a loaded machine.
+void expectOversizedAnsweredWithinDeadline(bool simulate, const std::string& validate) {
   constexpr std::int64_t kDeadlineMs = 50;
   constexpr std::int64_t kSlackMs = 450;
   service::Server server({.workers = 1});
@@ -494,7 +494,8 @@ TEST(ServiceServer, OversizedBindingIsAnsweredWithinItsDeadline) {
   big.source = kGatherStencilSource;
   big.params["N"] = 4000;
   big.processors = 16;
-  big.simulate = true;
+  big.simulate = simulate;
+  big.validate = validate;
   big.deadlineMs = kDeadlineMs;
   const auto start = std::chrono::steady_clock::now();
   const Response response = server.call(std::move(big));
@@ -506,6 +507,16 @@ TEST(ServiceServer, OversizedBindingIsAnsweredWithinItsDeadline) {
                         response.kind == ResponseKind::kDegraded ||
                         (response.kind == ResponseKind::kError && response.errorCode == "deadline");
   EXPECT_TRUE(answered) << service::responseKindName(response.kind) << ": " << response.error;
+}
+
+TEST(ServiceServer, OversizedBindingIsAnsweredWithinItsDeadline) {
+  expectOversizedAnsweredWithinDeadline(/*simulate=*/true, "none");
+}
+
+TEST(ServiceServer, OversizedTraceValidationIsAnsweredWithinItsDeadline) {
+  // The trace replay polls the deadline in its owner maps, its
+  // redistribution counts and its access walk.
+  expectOversizedAnsweredWithinDeadline(/*simulate=*/false, "trace");
 }
 
 TEST(ServiceServer, PingAndStatsAnswerInlineEvenWhenBusy) {
