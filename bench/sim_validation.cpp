@@ -105,7 +105,7 @@ int main() {
       config.params = codes::bindParams(program, code.simParams);
       config.processors = H;
       config.simulateBaseline = false;
-      config.traceSimulate = true;
+      config.validate = driver::ValidateMode::kTrace;
 
       const auto result = driver::analyzeAndSimulate(program, config);
       Run run;

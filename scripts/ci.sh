@@ -164,14 +164,26 @@ fault() {
 symval() {
   # Differential gate for the closed-form validator: the symbolic oracle must
   # reproduce the enumerating simulator's observed trace byte-for-byte on
-  # every suite code (tests/symval_test.cpp), and the scale bench must hold
-  # its <100 ms bound at P=64 while emitting BENCH_symval.json, whose schema
-  # is validated here.
+  # every suite code (tests/symval_test.cpp), the shared count must make one
+  # pass per plan, and the scale bench must hold its <100 ms bound at P=64
+  # while emitting BENCH_symval.json, whose schema is validated here.
   echo "=== symval: symbolic-vs-trace differential + scale bench ==="
   cmake -B build -S .
   cmake --build build -j "$jobs" --target symval_test symbolic_validation tfft2_pipeline
   ./build/tests/symval_test
   ./build/examples/tfft2_pipeline 8 8 4 --validate=both >/dev/null
+  # Work, not time: a simulated, symbolically validated request counts the
+  # derived plan once for the cost model and the validator together, and the
+  # naive baseline once more.
+  ./build/examples/tfft2_pipeline 64 64 64 --validate=symbolic \
+    --metrics-out=metrics.json >/dev/null
+  python3 - <<'EOF'
+import json
+
+passes = json.load(open("metrics.json"))["counters"]["ad.dsm.count_passes"]
+assert passes == 2, f"tfft2 64/64/64 --validate=symbolic made {passes} count passes, want 2"
+print("symval count passes ok: 2")
+EOF
   ./build/bench/symbolic_validation
   python3 - <<'EOF'
 import json

@@ -7,6 +7,7 @@
 
 #include "dsm/access_count.hpp"
 #include "support/budget.hpp"
+#include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::comm {
@@ -54,30 +55,45 @@ std::string CommSchedule::str() const {
 
 namespace {
 
-/// Each (src, dst) pair's ranges, in address order.
-using RangesByPair = std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Range>>;
+/// Aggregates ranges arriving in address order into one message per
+/// (src, dst) pair. A dense H x H table maps each pair to its message, so a
+/// range costs O(1); reading the table in order puts the messages in pair order.
+class Aggregator {
+ public:
+  explicit Aggregator(std::int64_t processors)
+      : h_(processors), index_(static_cast<std::size_t>(checkedMul(processors, processors)), -1) {}
 
-/// Appends [begin, end) to the (src, dst) message, coalescing it with the
-/// message's last range when they touch. Ranges arrive in address order.
-void appendRange(RangesByPair& byPair, std::int64_t src, std::int64_t dst, std::int64_t begin,
-                 std::int64_t end) {
-  auto& ranges = byPair[{src, dst}];
-  if (!ranges.empty() && ranges.back().end == begin) {
-    ranges.back().end = end;
-  } else {
-    ranges.push_back(Range{begin, end});
+  /// Appends [begin, end) to the (src, dst) message, coalescing it with the
+  /// message's last range when they touch.
+  void append(std::int64_t src, std::int64_t dst, std::int64_t begin, std::int64_t end) {
+    std::int32_t& i = index_[static_cast<std::size_t>(src * h_ + dst)];
+    if (i < 0) {
+      i = static_cast<std::int32_t>(messages_.size());
+      messages_.push_back(Message{src, dst, {}});
+    }
+    auto& ranges = messages_[static_cast<std::size_t>(i)].ranges;
+    if (!ranges.empty() && ranges.back().end == begin) {
+      ranges.back().end = end;
+    } else {
+      ranges.push_back(Range{begin, end});
+    }
   }
-}
 
-/// One message per (src, dst) pair, in pair order.
-std::vector<Message> aggregate(RangesByPair byPair) {
-  std::vector<Message> out;
-  out.reserve(byPair.size());
-  for (auto& [pair, ranges] : byPair) {
-    out.push_back(Message{pair.first, pair.second, std::move(ranges)});
+  /// One message per (src, dst) pair, in pair order.
+  std::vector<Message> finish() && {
+    std::vector<Message> out;
+    out.reserve(messages_.size());
+    for (const std::int32_t i : index_) {
+      if (i >= 0) out.push_back(std::move(messages_[static_cast<std::size_t>(i)]));
+    }
+    return out;
   }
-  return out;
-}
+
+ private:
+  std::int64_t h_;
+  std::vector<std::int32_t> index_;
+  std::vector<Message> messages_;
+};
 
 }  // namespace
 
@@ -87,13 +103,13 @@ CommSchedule generateGlobal(const std::string& array, std::int64_t size,
   AD_REQUIRE(from.hasOwner() && to.hasOwner(),
              "global redistribution requires owner-bearing endpoints");
   // One range per constant-owner run whose owner changes.
-  RangesByPair byPair;
+  Aggregator messages(processors);
   dsm::forEachOwnerRun(from, to, processors, 0, size,
                        [&](std::int64_t begin, std::int64_t end, std::int64_t src,
                            std::int64_t dst) {
-                         if (src != dst) appendRange(byPair, src, dst, begin, end);
+                         if (src != dst) messages.append(src, dst, begin, end);
                        });
-  return CommSchedule(array, Pattern::kGlobal, aggregate(std::move(byPair)));
+  return CommSchedule(array, Pattern::kGlobal, std::move(messages).finish());
 }
 
 CommSchedule generateFrontier(const std::string& array, std::int64_t size,
@@ -104,7 +120,7 @@ CommSchedule generateFrontier(const std::string& array, std::int64_t size,
   AD_REQUIRE(overlap >= 1, "overlap width must be positive");
   // The owner of each block refreshes its replicated copy of the first
   // `overlap` elements of the following block, which the next owner holds.
-  RangesByPair byPair;
+  Aggregator messages(processors);
   support::ExpiryPoll poll;
   for (std::int64_t blockStart = 0; blockStart < size; blockStart += dist.block) {
     poll.tick();
@@ -113,9 +129,9 @@ CommSchedule generateFrontier(const std::string& array, std::int64_t size,
     const std::int64_t dst = dist.owner(blockStart, processors);
     const std::int64_t src = dist.owner(nextStart, processors);
     if (src == dst) continue;
-    appendRange(byPair, src, dst, nextStart, std::min(size, nextStart + overlap));
+    messages.append(src, dst, nextStart, std::min(size, nextStart + overlap));
   }
-  return CommSchedule(array, Pattern::kFrontier, aggregate(std::move(byPair)));
+  return CommSchedule(array, Pattern::kFrontier, std::move(messages).finish());
 }
 
 bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,

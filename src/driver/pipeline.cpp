@@ -210,19 +210,14 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
   obs::metrics().counter("ad.driver.pipelines").add(1);
   // Registered up front (not only at their call sites) so the exported
   // metrics schema is stable even for inputs that never trigger them.
-  obs::metrics().counter("ad.desc.homogenizations");
-  obs::metrics().counter("ad.desc.offset_adjustments");
-  obs::metrics().counter("ad.degrade.events");
-  obs::metrics().counter("ad.budget.exhaustions");
-  obs::metrics().counter("ad.fault.injected");
-  obs::metrics().counter("ad.symval.local_accesses");
-  obs::metrics().counter("ad.symval.remote_accesses");
-  obs::metrics().counter("ad.symval.remote_bytes");
-  obs::metrics().counter("ad.symval.regions_closed_form");
-  obs::metrics().counter("ad.symval.regions_enumerated");
-  obs::metrics().counter("ad.symval.redistributed_words");
-  obs::metrics().counter("ad.symval.frontier_words");
-  obs::metrics().counter("ad.dsm.regions_enumerated");
+  for (const char* name :
+       {"ad.desc.homogenizations", "ad.desc.offset_adjustments", "ad.degrade.events",
+        "ad.budget.exhaustions", "ad.fault.injected", "ad.symval.local_accesses",
+        "ad.symval.remote_accesses", "ad.symval.remote_bytes", "ad.symval.regions_closed_form",
+        "ad.symval.regions_enumerated", "ad.symval.redistributed_words",
+        "ad.symval.frontier_words", "ad.dsm.regions_enumerated", "ad.dsm.count_passes"}) {
+    obs::metrics().counter(name);
+  }
 
   // The run's budget (when one is configured) and degradation ledger. The
   // scopes are thread-local here; ThreadPool::submit forwards them to every
@@ -299,12 +294,24 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
   dsm::MachineParams machine = config.machine;
   machine.processors = config.processors;
 
+  const ValidateMode mode = config.validate;
+  const bool symbolic = mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth;
+  loc::SymvalOptions symvalOptions;
+  symvalOptions.processors = config.processors;
+  // A simulated, symbolically validated run counts the plan once, with the
+  // validator's options: the counts are exact whichever way a region is
+  // counted, so the cost model reads the same numbers from them.
+  std::optional<dsm::PlanCounts> shared;
   dsm::SimulationResult planned;
   if (config.simulatePlan) {
     obs::Span s("pipeline.dsm_model");
     ErrorContext stage("stage", "dsm_model");
     support::throwIfCancelled();
-    planned = dsm::simulate(program, config.params, machine, plan);
+    if (symbolic) {
+      shared = dsm::countPlan(program, config.params, plan, loc::countOptions(symvalOptions));
+    }
+    planned = shared ? dsm::simulate(program, machine, *shared)
+                     : dsm::simulate(program, config.params, machine, plan);
   }
   PipelineResult result{std::move(*lcgGraph),
                         std::move(*model),
@@ -322,10 +329,6 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
                                  dsm::ExecutionPlan::naiveBlock(program, config.params,
                                                                 config.processors));
   }
-  const ValidateMode mode = config.validate != ValidateMode::kNone
-                                ? config.validate
-                                : (config.traceSimulate ? ValidateMode::kTrace
-                                                        : ValidateMode::kNone);
   if (mode == ValidateMode::kTrace || mode == ValidateMode::kBoth) {
     obs::Span s("pipeline.trace_sim");
     ErrorContext stage("stage", "trace_sim");
@@ -334,13 +337,13 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     so.processors = config.processors;
     result.trace = sim::simulateTrace(program, config.params, result.plan, so);
   }
-  if (mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth) {
+  if (symbolic) {
     obs::Span s("pipeline.symval");
     ErrorContext stage("stage", "symval");
     support::throwIfCancelled();
-    loc::SymvalOptions so;
-    so.processors = config.processors;
-    result.symbolic = loc::symbolicTrace(program, config.params, result.plan, so);
+    result.symbolic =
+        shared ? loc::symbolicTrace(program, *shared, config.processors)
+               : loc::symbolicTrace(program, config.params, result.plan, symvalOptions);
   }
   if (mode == ValidateMode::kBoth) {
     // Differential oracle check: the two observed traces must be identical

@@ -52,15 +52,10 @@ struct PipelineConfig {
   /// Also simulate the naive BLOCK/BLOCK baseline for comparison.
   bool simulateBaseline = true;
 
-  /// The `--simulate` stage: additionally replay every access of the plan
-  /// (sim::simulateTrace, one serial walk per phase) and cross-check the
-  /// observed communication against the LCG's Theorem-1/2 edge labels.
-  /// Legacy switch: equivalent to `validate = ValidateMode::kTrace`; ignored
-  /// when `validate` is set explicitly.
-  bool traceSimulate = false;
-
-  /// Trace-validation oracle selection (`--validate=trace|symbolic|both`).
-  /// kNone defers to the legacy `traceSimulate` flag.
+  /// Trace-validation oracle selection (`--validate=trace|symbolic|both`;
+  /// the CLI's `--simulate` means kTrace): the chosen oracle(s) observe the
+  /// plan's communication, which is cross-checked against the LCG's
+  /// Theorem-1/2 edge labels.
   ValidateMode validate = ValidateMode::kNone;
 
   /// Worker threads for the batched engine (analyzeBatch). Within a single
@@ -89,7 +84,7 @@ struct PipelineResult {
   dsm::SimulationResult naive;                ///< under the BLOCK baseline
   std::int64_t processors = 1;
 
-  /// Present when trace validation ran (kTrace / kBoth, or traceSimulate).
+  /// Present when trace validation ran (kTrace / kBoth).
   std::optional<sim::TraceResult> trace;                      ///< access replay
   /// Present when symbolic validation ran (kSymbolic / kBoth).
   std::optional<loc::SymbolicCounts> symbolic;                ///< closed-form counts

@@ -1,14 +1,18 @@
 #include "dsm/access_count.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
+#include <map>
 #include <optional>
-#include <set>
+#include <tuple>
 #include <utility>
 
+#include "obs/obs.hpp"
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
+#include "symbolic/interval_set.hpp"
 
 namespace ad::dsm {
 
@@ -160,13 +164,23 @@ std::optional<ApList> collapseTail(const std::vector<ir::Loop>& loops, std::size
   return out;
 }
 
-/// Accesses of `aps`, shifted by `shift`, that fall in `set` (all of them
-/// when `set` is null: an always-local reference).
-std::int64_t countApsIn(const ApList& aps, const PeriodicIntervalSet* set, std::int64_t shift) {
+/// Accesses of `aps`, shifted by shift * t for each t in [u, u + len), that
+/// fall in `set`. Along t each inner address is itself a progression, so this
+/// costs one count per inner address or one per t, whichever is fewer.
+std::int64_t countRunIn(const ApList& aps, const PeriodicIntervalSet& set, std::int64_t shift,
+                        std::int64_t u, std::int64_t len) {
   std::int64_t local = 0;
-  for (ArithmeticProgression ap : aps.aps) {
-    ap.base = checkedAdd(ap.base, shift);
-    local = checkedAdd(local, set == nullptr ? ap.total() : set->countAP(ap));
+  for (const ArithmeticProgression& ap : aps.aps) {
+    const std::int64_t base = checkedAdd(ap.base, checkedMul(shift, u));
+    const bool perAddress = ap.count <= len;
+    for (std::int64_t i = 0; i < (perAddress ? ap.count : len); ++i) {
+      const ArithmeticProgression piece =
+          perAddress ? ArithmeticProgression::make(checkedAdd(base, checkedMul(ap.stride, i)),
+                                                   shift, len, ap.repeat)
+                     : ArithmeticProgression{checkedAdd(base, checkedMul(shift, i)), ap.stride,
+                                             ap.count, ap.repeat};
+      local = checkedAdd(local, set.countAP(piece));
+    }
   }
   return local;
 }
@@ -183,23 +197,58 @@ std::int64_t iterationsOn(const IterationDistribution& sched, std::int64_t proce
   return below(checkedAdd(lo, trip)) - below(lo);
 }
 
+/// Each processor's locality set under one (distribution, halo); nullopt
+/// where the folded expansion was refused (a reference executed there falls
+/// back to enumeration).
+using LocalSets = std::vector<std::optional<PeriodicIntervalSet>>;
+
+/// Classification recipe of one reference.
+struct RefInfo {
+  std::size_t slot = 0;
+  const DataDistribution* dist = nullptr;  ///< null: privatized
+  std::int64_t halo = 0;                   ///< reads only (Theorem 1c)
+  const LocalSets* sets = nullptr;         ///< null: always local
+
+  [[nodiscard]] bool alwaysLocal() const { return sets == nullptr; }
+};
+
+/// Counts a program's accesses and communication under one plan. Keeps the
+/// locality sets across phases.
+class AccessCounter {
+ public:
+  AccessCounter(const ir::Program& program, const ir::Bindings& params,
+                const ExecutionPlan& plan, const CountOptions& options);
+
+  /// Every access of phase `k`, per array.
+  [[nodiscard]] PhaseTally countPhase(std::size_t k);
+  /// Global redistributions (k > 0) and frontier refreshes entering phase
+  /// `k`, with words and messages; times are left 0.
+  [[nodiscard]] PhaseCommunication communication(std::size_t k) const;
+
+ private:
+  bool step();
+  bool countSerial(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
+                   ArrayTally& out);
+  bool countParallel(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
+                     const IterationDistribution& sched, ArrayTally& out);
+  void enumerate(const ir::Phase& phase, const IterationDistribution& sched,
+                 const std::vector<RefInfo>& refs, PhaseTally& tally);
+  void add(ArrayTally& out, std::int64_t pe, std::int64_t total, std::int64_t local) const;
+  const LocalSets& localSets(const DataDistribution& dist, std::int64_t halo);
+
+  const ir::Program& program_;
+  const ir::Bindings& params_;
+  const ExecutionPlan& plan_;
+  CountOptions options_;
+  support::ExpiryPoll poll_;
+  std::map<std::tuple<int, std::int64_t, std::int64_t, std::int64_t>, LocalSets> sets_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Per-phase access counting
 // ---------------------------------------------------------------------------
-
-/// Classification recipe of one reference.
-struct AccessCounter::RefInfo {
-  std::size_t slot = 0;
-  bool privatized = false;
-  const DataDistribution* dist = nullptr;  ///< null: privatized
-  std::int64_t halo = 0;                   ///< reads only (Theorem 1c)
-
-  [[nodiscard]] bool alwaysLocal() const {
-    return privatized || dist == nullptr || !dist->hasOwner();
-  }
-};
 
 std::int64_t PhaseTally::enumeratedRefs() const {
   std::int64_t n = 0;
@@ -222,25 +271,18 @@ bool AccessCounter::step() {
   return true;
 }
 
-/// The locality set of `pe`, cached per (distribution, halo, pe); nullptr
-/// when the folded expansion was refused (the caller falls back).
-const PeriodicIntervalSet* AccessCounter::localSet(const DataDistribution& dist,
-                                                   std::int64_t pe, std::int64_t halo) {
-  const SetKey key{static_cast<int>(dist.kind), dist.block, dist.fold, halo, pe};
-  auto it = sets_.find(key);
-  if (it == sets_.end()) {
-    std::unique_ptr<const PeriodicIntervalSet> set;
-    if (dist.kind == DataDistribution::Kind::kBlockCyclic) {
-      set = std::make_unique<const PeriodicIntervalSet>(
-          sym::localIntervals(dist.block, options_.processors, pe, halo));
-    } else {
-      auto folded =
-          sym::foldedLocalIntervals(dist.block, dist.fold, options_.processors, pe, halo);
-      if (folded) set = std::make_unique<const PeriodicIntervalSet>(std::move(*folded));
-    }
-    it = sets_.emplace(key, std::move(set)).first;
+/// Every processor's locality set under (`dist`, `halo`), built on the first
+/// reference that needs them.
+const LocalSets& AccessCounter::localSets(const DataDistribution& dist, std::int64_t halo) {
+  const std::int64_t H = options_.processors;
+  const auto [it, fresh] =
+      sets_.try_emplace({static_cast<int>(dist.kind), dist.block, dist.fold, halo});
+  for (std::int64_t pe = 0; fresh && pe < H; ++pe) {
+    it->second.push_back(dist.kind == DataDistribution::Kind::kBlockCyclic
+                             ? std::optional(sym::localIntervals(dist.block, H, pe, halo))
+                             : sym::foldedLocalIntervals(dist.block, dist.fold, H, pe, halo));
   }
-  return it->second.get();
+  return it->second;
 }
 
 void AccessCounter::add(ArrayTally& out, std::int64_t pe, std::int64_t total,
@@ -261,12 +303,13 @@ bool AccessCounter::countSerial(const ir::Phase& phase, const ir::ArrayRef& ref,
   const auto aps =
       collapseTail(phase.loops(), 0, ref.subscript, bindings, [this] { return step(); });
   if (!aps) return false;
-  const PeriodicIntervalSet* set = nullptr;
-  if (!info.alwaysLocal()) {
-    set = localSet(*info.dist, 0, info.halo);
-    if (set == nullptr) return false;
+  if (info.alwaysLocal()) {
+    add(out, 0, aps->total(), aps->total());
+    return true;
   }
-  add(out, 0, aps->total(), countApsIn(*aps, set, 0));
+  const auto& set = info.sets->front();
+  if (!set) return false;
+  add(out, 0, aps->total(), countRunIn(*aps, *set, 0, 0, 1));
   return true;
 }
 
@@ -366,19 +409,23 @@ bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& re
       const std::size_t h = static_cast<std::size_t>(H);
       std::vector<std::int64_t> cycleLocal(h, 0), cycleIters(h, 0), remLocal(h, 0),
           remIters(h, 0);
-      for (std::int64_t u = 0; u < lambda; ++u) {
+      // One step per run of iterations on one processor (split at `rem`).
+      for (std::int64_t u = 0; u < lambda;) {
         if (!step()) return false;
         const std::int64_t pe = sched.executor(lo + u, H);
-        const PeriodicIntervalSet* set = localSet(*info.dist, pe, info.halo);
-        if (set == nullptr) return false;
-        const std::int64_t l = countApsIn(*aps0, set, checkedMul(shift, u));
+        std::int64_t end = std::min(lambda, u + sched.chunk - (lo + u) % sched.chunk);
+        if (u < rem) end = std::min(end, rem);
+        const auto& set = (*info.sets)[static_cast<std::size_t>(pe)];
+        if (!set) return false;
+        const std::int64_t l = countRunIn(*aps0, *set, shift, u, end - u);
         const auto p = static_cast<std::size_t>(pe);
         cycleLocal[p] = checkedAdd(cycleLocal[p], l);
-        ++cycleIters[p];
+        cycleIters[p] += end - u;
         if (u < rem) {
           remLocal[p] = checkedAdd(remLocal[p], l);
-          ++remIters[p];
+          remIters[p] += end - u;
         }
+        u = end;
       }
       for (std::size_t p = 0; p < h; ++p) {
         const std::int64_t iters = checkedAdd(checkedMul(cycleIters[p], cycles), remIters[p]);
@@ -402,9 +449,9 @@ bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& re
       const std::int64_t total = aps->total();
       std::int64_t local = total;
       if (!info.alwaysLocal()) {
-        const PeriodicIntervalSet* set = localSet(*info.dist, pe, info.halo);
-        if (set == nullptr) return false;
-        local = countApsIn(*aps, set, 0);
+        const auto& set = (*info.sets)[static_cast<std::size_t>(pe)];
+        if (!set) return false;
+        local = countRunIn(*aps, *set, 0, 0, 1);
       }
       add(out, pe, total, local);
     }
@@ -460,8 +507,7 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
       tally.arrays.push_back(std::move(a));
     }
     ++tally.arrays[info.slot].refs;
-    info.privatized = phase.isPrivatized(r.array);
-    if (!info.privatized) {
+    if (!phase.isPrivatized(r.array)) {
       const auto dit = plan_.data.find(r.array);
       AD_REQUIRE(dit != plan_.data.end(), "plan missing array " + r.array);
       info.dist = &dit->second[k];
@@ -470,6 +516,7 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
           info.halo = hit->second[k];
         }
       }
+      if (info.dist->hasOwner()) info.sets = &localSets(*info.dist, info.halo);
     }
     refs.push_back(info);
   }
@@ -565,17 +612,36 @@ PhaseCommunication AccessCounter::communication(std::size_t k) const {
   return out;
 }
 
+PlanCounts countPlan(const ir::Program& program, const ir::Bindings& params,
+                     const ExecutionPlan& plan, const CountOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  obs::metrics().counter("ad.dsm.count_passes").add(1);
+  AccessCounter counter(program, params, plan, options);
+  PlanCounts counts;
+  for (std::size_t k = 0; k < program.phases().size(); ++k) {
+    counts.communication.push_back(counter.communication(k));
+    counts.tallies.push_back(counter.countPhase(k));
+  }
+  counts.wallSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return counts;
+}
+
 void countRedistribution(const DataDistribution& from, const DataDistribution& to,
                          std::int64_t size, std::int64_t processors, std::int64_t& words,
                          std::int64_t& messages) {
-  std::set<std::pair<std::int64_t, std::int64_t>> pairs;
+  // One byte per (src, dst) pair: has the pair carried a word yet?
+  std::vector<char> seen(static_cast<std::size_t>(checkedMul(processors, processors)), 0);
+  messages = 0;
   const auto walk = [&](std::int64_t limit) {
     std::int64_t moved = 0;
     forEachOwnerRun(from, to, processors, 0, limit,
                     [&](std::int64_t begin, std::int64_t end, std::int64_t src, std::int64_t dst) {
                       if (src == dst) return;
                       moved += end - begin;
-                      pairs.insert({src, dst});
+                      char& pair = seen[static_cast<std::size_t>(src * processors + dst)];
+                      messages += pair == 0 ? 1 : 0;
+                      pair = 1;
                     });
     return moved;
   };
@@ -591,7 +657,6 @@ void countRedistribution(const DataDistribution& from, const DataDistribution& t
     const std::int64_t perPeriod = walk(lambda);
     words = checkedAdd(checkedMul(perPeriod, size / lambda), walk(size % lambda));
   }
-  messages = static_cast<std::int64_t>(pairs.size());
 }
 
 }  // namespace ad::dsm

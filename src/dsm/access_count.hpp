@@ -18,14 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "dsm/validate.hpp"
-#include "symbolic/interval_set.hpp"
 
 namespace ad::dsm {
 
@@ -67,42 +63,19 @@ struct CountOptions {
   bool (*forceFallback)() = nullptr;
 };
 
-/// Counts a program's accesses and communication under one plan. Keeps the
-/// per-(distribution, halo, processor) locality sets across phases.
-class AccessCounter {
- public:
-  AccessCounter(const ir::Program& program, const ir::Bindings& params,
-                const ExecutionPlan& plan, const CountOptions& options);
-
-  /// Every access of phase `k`, per array.
-  [[nodiscard]] PhaseTally countPhase(std::size_t k);
-
-  /// Global redistributions (k > 0) and frontier refreshes entering phase
-  /// `k`, with words and messages; times are left 0.
-  [[nodiscard]] PhaseCommunication communication(std::size_t k) const;
-
- private:
-  struct RefInfo;
-
-  const sym::PeriodicIntervalSet* localSet(const DataDistribution& dist, std::int64_t pe,
-                                           std::int64_t halo);
-  bool step();
-  bool countSerial(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
-                   ArrayTally& out);
-  bool countParallel(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
-                     const IterationDistribution& sched, ArrayTally& out);
-  void enumerate(const ir::Phase& phase, const IterationDistribution& sched,
-                 const std::vector<RefInfo>& refs, PhaseTally& tally);
-  void add(ArrayTally& out, std::int64_t pe, std::int64_t total, std::int64_t local) const;
-
-  const ir::Program& program_;
-  const ir::Bindings& params_;
-  const ExecutionPlan& plan_;
-  CountOptions options_;
-  support::ExpiryPoll poll_;
-  using SetKey = std::tuple<int, std::int64_t, std::int64_t, std::int64_t, std::int64_t>;
-  std::map<SetKey, std::unique_ptr<const sym::PeriodicIntervalSet>> sets_;
+/// Every phase's counts under one plan, in phase order: the one counting
+/// pass the cost model and the validator share.
+struct PlanCounts {
+  std::vector<PhaseCommunication> communication;  ///< entering each phase
+  std::vector<PhaseTally> tallies;                ///< each phase's accesses
+  double wallSeconds = 0.0;                       ///< host time of the pass
 };
+
+/// Counts a program's accesses and communication under one plan: per phase,
+/// the global redistributions (k > 0) and frontier refreshes entering it,
+/// then its accesses. Bumps ad.dsm.count_passes once.
+[[nodiscard]] PlanCounts countPlan(const ir::Program& program, const ir::Bindings& params,
+                                   const ExecutionPlan& plan, const CountOptions& options);
 
 /// Words and aggregated messages (distinct (src, dst) pairs) of redistributing
 /// `size` elements from `from` to `to`: one owner-run walk over a single

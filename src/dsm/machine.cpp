@@ -175,10 +175,15 @@ bool redistributionMovesData(const ir::Program& program, const std::string& arra
 SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                           const MachineParams& machine, const ExecutionPlan& plan) {
   obs::Span span("dsm.simulate");
-  const std::int64_t H = machine.processors;
   CountOptions options;
-  options.processors = H;
-  AccessCounter counter(program, params, plan, options);
+  options.processors = machine.processors;
+  return simulate(program, machine, countPlan(program, params, plan, options));
+}
+
+SimulationResult simulate(const ir::Program& program, const MachineParams& machine,
+                          const PlanCounts& counts) {
+  const std::int64_t H = machine.processors;
+  AD_REQUIRE(counts.tallies.size() == program.phases().size(), "counts must cover every phase");
   SimulationResult result;
 
   // Aggregated puts proceed in parallel across processors: the critical path
@@ -192,7 +197,7 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
   std::int64_t enumerated = 0;
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
     const ir::Phase& phase = program.phase(k);
-    const PhaseCommunication comm = counter.communication(k);
+    const PhaseCommunication& comm = counts.communication[k];
     for (const auto& rs : comm.global) charge(rs);
     // With a single processor every block boundary is intra-processor — a
     // frontier "refresh" would be a self-put moving nothing over the network.
@@ -202,7 +207,7 @@ SimulationResult simulate(const ir::Program& program, const ir::Bindings& params
 
     // Compute work scales with the phase's per-access weight; remoteness adds
     // a flat network penalty on top.
-    const PhaseTally tally = counter.countPhase(k);
+    const PhaseTally& tally = counts.tallies[k];
     enumerated += tally.enumeratedRefs();
     const double work = machine.localAccess * phase.workPerAccess();
     std::vector<std::int64_t> accesses(static_cast<std::size_t>(H), 0);

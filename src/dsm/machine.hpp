@@ -177,4 +177,11 @@ struct ExecutionPlan {
                                         const MachineParams& machine,
                                         const ExecutionPlan& plan);
 
+struct PlanCounts;
+
+/// simulate() from counts dsm::countPlan took at machine.processors, so one
+/// counting pass can serve the cost model and the validator alike.
+[[nodiscard]] SimulationResult simulate(const ir::Program& program, const MachineParams& machine,
+                                        const PlanCounts& counts);
+
 }  // namespace ad::dsm

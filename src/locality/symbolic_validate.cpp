@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsm/access_count.hpp"
 #include "obs/obs.hpp"
 #include "support/budget.hpp"
 #include "support/fault.hpp"
@@ -42,33 +41,47 @@ std::string SymbolicCounts::str() const {
   return os.str();
 }
 
-SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& params,
-                             const dsm::ExecutionPlan& plan, const SymvalOptions& opts) {
-  obs::Span span("symval.trace", "symval");
-  const auto start = std::chrono::steady_clock::now();
+dsm::CountOptions countOptions(const SymvalOptions& opts) {
   dsm::CountOptions counting;
   counting.processors = opts.processors;
   counting.wordBytes = opts.wordBytes;
   counting.chargeBudget = true;
   counting.forceFallback = [] { return AD_FAULT_POINT("symval.region"); };
-  dsm::AccessCounter counter(program, params, plan, counting);
+  return counting;
+}
 
+SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& params,
+                             const dsm::ExecutionPlan& plan, const SymvalOptions& opts) {
+  obs::Span span("symval.trace", "symval");
+  return symbolicTrace(program, dsm::countPlan(program, params, plan, countOptions(opts)),
+                       opts.processors);
+}
+
+SymbolicCounts symbolicTrace(const ir::Program& program, const dsm::PlanCounts& counts,
+                             std::int64_t processors) {
+  const auto start = std::chrono::steady_clock::now();
   SymbolicCounts result;
-  result.processors = opts.processors;
+  result.processors = processors;
   // Global redistributions go after all frontier events: the trace
   // simulator pushes frontiers during each phase's preparation and globals
   // after the replay, so they group that way in its output.
   std::vector<dsm::RedistributionStats> globals;
+  dsm::ArrayCounts traffic;  // whole-run totals, for the ad.symval.* counters
+  std::int64_t redistWords = 0;
+  std::int64_t frontierWords = 0;
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
     const ir::Phase& phase = program.phase(k);
     obs::Span phaseSpan("symval.phase:" + phase.name(), "symval");
-    dsm::PhaseCommunication comm = counter.communication(k);
-    for (auto& rs : comm.frontier) result.observed.redistributions.push_back(std::move(rs));
-    for (auto& rs : comm.global) globals.push_back(std::move(rs));
+    const dsm::PhaseCommunication& comm = counts.communication[k];
+    for (const auto& rs : comm.frontier) frontierWords += rs.wordsMoved;
+    for (const auto& rs : comm.global) redistWords += rs.wordsMoved;
+    result.observed.redistributions.insert(result.observed.redistributions.end(),
+                                           comm.frontier.begin(), comm.frontier.end());
+    globals.insert(globals.end(), comm.global.begin(), comm.global.end());
 
     // Closed-form access counting; an array whose region fell back to
     // enumeration is still exact, but the run is marked degraded.
-    const dsm::PhaseTally tally = counter.countPhase(k);
+    const dsm::PhaseTally& tally = counts.tallies[k];
     result.closedFormRegions += tally.closedFormRefs;
     result.enumeratedRegions += tally.enumeratedRefs();
     dsm::PhaseCounts pc;
@@ -79,36 +92,24 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& par
                                    "enumerated trace oracle", a.fallbackCause);
       }
       pc.arrays.emplace(a.array, a.counts);
-      result.totalAccesses += a.counts.local + a.counts.remote;
+      traffic.local += a.counts.local;
+      traffic.remote += a.counts.remote;
+      traffic.remoteBytes += a.counts.remoteBytes;
     }
     result.observed.phases.push_back(std::move(pc));
   }
   for (auto& rs : globals) result.observed.redistributions.push_back(std::move(rs));
-
+  result.totalAccesses = traffic.local + traffic.remote;
   result.wallSeconds =
+      counts.wallSeconds +
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   obs::MetricsRegistry& reg = obs::metrics();
-  std::int64_t localTotal = 0;
-  std::int64_t remoteTotal = 0;
-  std::int64_t remoteBytes = 0;
-  for (const auto& p : result.observed.phases) {
-    for (const auto& [array, c] : p.arrays) {
-      localTotal += c.local;
-      remoteTotal += c.remote;
-      remoteBytes += c.remoteBytes;
-    }
-  }
-  reg.counter("ad.symval.local_accesses").add(localTotal);
-  reg.counter("ad.symval.remote_accesses").add(remoteTotal);
-  reg.counter("ad.symval.remote_bytes").add(remoteBytes);
+  reg.counter("ad.symval.local_accesses").add(traffic.local);
+  reg.counter("ad.symval.remote_accesses").add(traffic.remote);
+  reg.counter("ad.symval.remote_bytes").add(traffic.remoteBytes);
   reg.counter("ad.symval.regions_closed_form").add(result.closedFormRegions);
   reg.counter("ad.symval.regions_enumerated").add(result.enumeratedRegions);
-  std::int64_t redistWords = 0;
-  std::int64_t frontierWords = 0;
-  for (const auto& r : result.observed.redistributions) {
-    (r.frontier ? frontierWords : redistWords) += r.wordsMoved;
-  }
   reg.counter("ad.symval.redistributed_words").add(redistWords);
   reg.counter("ad.symval.frontier_words").add(frontierWords);
   return result;

@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 
+#include "dsm/access_count.hpp"
 #include "dsm/validate.hpp"
 #include "ir/walker.hpp"
 
@@ -43,7 +44,7 @@ struct SymbolicCounts {
   dsm::ObservedTrace observed;
   std::int64_t processors = 0;
   std::int64_t totalAccesses = 0;
-  double wallSeconds = 0.0;
+  double wallSeconds = 0.0;  ///< host time, counting pass included
   std::int64_t closedFormRegions = 0;  ///< (phase, ref) regions counted algebraically
   std::int64_t enumeratedRegions = 0;  ///< regions that fell back to enumeration
 
@@ -58,6 +59,17 @@ struct SymbolicCounts {
                                            const ir::Bindings& params,
                                            const dsm::ExecutionPlan& plan,
                                            const SymvalOptions& opts = {});
+
+/// The counting options the validator runs with: budget charged, and the
+/// "symval.region" fault point checked once per reference.
+[[nodiscard]] dsm::CountOptions countOptions(const SymvalOptions& opts);
+
+/// symbolicTrace() from counts already taken with countOptions() at
+/// `processors`, so the cost model can share the pass. Records the
+/// degradations of the regions that fell back here, not at counting time.
+[[nodiscard]] SymbolicCounts symbolicTrace(const ir::Program& program,
+                                           const dsm::PlanCounts& counts,
+                                           std::int64_t processors);
 
 /// Differential comparison: first difference between the symbolic and the
 /// enumerated trace (counts, redistribution events, ordering); nullopt when

@@ -89,6 +89,7 @@ ArithmeticProgression ArithmeticProgression::make(std::int64_t base, std::int64_
     repeat = checkedMul(repeat, count);
     count = 1;
   }
+  if (count == 1) stride = 0;
   ap.base = base;
   ap.stride = stride;
   ap.count = count;
@@ -100,18 +101,21 @@ PeriodicIntervalSet::PeriodicIntervalSet(std::int64_t period) : period_(period) 
   AD_REQUIRE(period > 0, "interval-set period must be positive");
 }
 
-void PeriodicIntervalSet::addWrapped(std::int64_t start, std::int64_t len) {
-  if (len <= 0) return;
-  if (len >= period_) {
-    intervals_.assign(1, {0, period_});
-    return;
-  }
-  const std::int64_t s = euclidMod(start, period_);
-  if (s + len <= period_) {
-    intervals_.emplace_back(s, s + len);
-  } else {
-    intervals_.emplace_back(s, period_);
-    intervals_.emplace_back(0, s + len - period_);
+void PeriodicIntervalSet::addWrapped(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& pieces) {
+  for (const auto& [start, len] : pieces) {
+    if (len <= 0) continue;
+    if (len >= period_) {
+      intervals_.emplace_back(0, period_);
+      continue;
+    }
+    const std::int64_t s = euclidMod(start, period_);
+    if (s + len <= period_) {
+      intervals_.emplace_back(s, s + len);
+    } else {
+      intervals_.emplace_back(s, period_);
+      intervals_.emplace_back(0, s + len - period_);
+    }
   }
   normalize();
 }
@@ -154,16 +158,12 @@ PeriodicIntervalSet localIntervals(std::int64_t block, std::int64_t processors, 
   AD_REQUIRE(block >= 1 && processors >= 1 && pe >= 0 && pe < processors,
              "bad locality-set parameters");
   PeriodicIntervalSet set(checkedMul(block, processors));
-  set.addWrapped(pe * block, block);
-  if (halo > 0) {
-    // pe holds the `hl` elements following each of its blocks and the `hl`
-    // elements preceding them. A halo deeper than one block (multi-row
-    // sliding windows) keeps reaching across further neighbours; addWrapped
-    // saturates once the whole period is covered.
-    const std::int64_t hl = std::min(halo, checkedMul(block, processors));
-    set.addWrapped((pe + 1) * block, hl);
-    set.addWrapped(pe * block - hl, hl);
-  }
+  // pe holds the `hl` elements following each of its blocks and the `hl`
+  // elements preceding them. A halo deeper than one block (multi-row sliding
+  // windows) keeps reaching across further neighbours; addWrapped saturates
+  // once the whole period is covered.
+  const std::int64_t hl = std::min(std::max<std::int64_t>(halo, 0), set.period());
+  set.addWrapped({{pe * block, block}, {(pe + 1) * block, hl}, {pe * block - hl, hl}});
   return set;
 }
 
@@ -179,13 +179,13 @@ std::optional<PeriodicIntervalSet> foldedLocalIntervals(std::int64_t block, std:
       static_cast<std::size_t>(ceilDiv(fold, M)) * std::max<std::size_t>(1, canonical.intervals().size());
   if (expansions > maxIntervals) return std::nullopt;
 
-  PeriodicIntervalSet raw(fold);
+  std::vector<std::pair<std::int64_t, std::int64_t>> pieces;  // (start, len)
   // Ascending piece: raw residues m in [0, half] classify as sigma(m) = m.
   for (std::int64_t start = 0; start <= half; start += M) {
     for (const auto& [lo, hi] : canonical.intervals()) {
       const std::int64_t s = start + lo;
       const std::int64_t e = std::min(start + hi, half + 1);
-      if (s <= half && s < e) raw.addWrapped(s, e - s);
+      if (s <= half && s < e) pieces.emplace_back(s, e - s);
     }
   }
   // Descending piece: m in (half, fold) classifies as sigma(m) = fold - m,
@@ -196,9 +196,11 @@ std::optional<PeriodicIntervalSet> foldedLocalIntervals(std::int64_t block, std:
     for (const auto& [lo, hi] : canonical.intervals()) {
       const std::int64_t clo = std::max<std::int64_t>(start + lo, 1);
       const std::int64_t chi = std::min(start + hi, cLimit);
-      if (clo < chi) raw.addWrapped(fold - chi + 1, chi - clo);
+      if (clo < chi) pieces.emplace_back(fold - chi + 1, chi - clo);
     }
   }
+  PeriodicIntervalSet raw(fold);
+  raw.addWrapped(pieces);
   return raw;
 }
 

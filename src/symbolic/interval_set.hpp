@@ -33,7 +33,7 @@ namespace ad::sym {
                                            std::int64_t m, std::int64_t lo, std::int64_t hi);
 
 /// base + stride*j for j in [0, count), each address hit `repeat` times.
-/// Canonical form: stride >= 0, and stride == 0 implies count == 1 (pure
+/// Canonical form: stride >= 0, and stride == 0 iff count <= 1 (pure
 /// repetition is folded into `repeat`). Use make() to canonicalize.
 struct ArithmeticProgression {
   std::int64_t base = 0;
@@ -54,9 +54,10 @@ class PeriodicIntervalSet {
  public:
   explicit PeriodicIntervalSet(std::int64_t period);
 
-  /// Adds [start, start+len) taken mod period (wrapping allowed); len >=
-  /// period covers the whole set.
-  void addWrapped(std::int64_t start, std::int64_t len);
+  /// Adds each (start, len) piece, [start, start+len) taken mod period
+  /// (wrapping allowed; len >= period covers the whole set), then
+  /// normalizes once.
+  void addWrapped(const std::vector<std::pair<std::int64_t, std::int64_t>>& pieces);
 
   [[nodiscard]] std::int64_t period() const noexcept { return period_; }
   [[nodiscard]] const std::vector<std::pair<std::int64_t, std::int64_t>>& intervals()

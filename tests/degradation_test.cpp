@@ -123,7 +123,7 @@ TEST(Degradation, DegradedPipelineStillPassesLocalityValidation) {
   driver::PipelineConfig config;
   config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   config.processors = 4;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
   config.budget.proverSteps = 1;  // exhausts on the first prover step
 
   const driver::PipelineResult result = driver::analyzeAndSimulate(prog, config);
@@ -176,7 +176,7 @@ TEST_F(FaultedPipeline, BatchIsolatesAPoisonedItem) {
   item.program = &prog;
   item.config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   item.config.processors = 4;
-  item.config.traceSimulate = true;
+  item.config.validate = driver::ValidateMode::kTrace;
 
   std::vector<driver::BatchItem> batch(2, item);
   batch[0].label = "first";
@@ -208,7 +208,7 @@ TEST_F(FaultedPipeline, CheckedEntryPointsReturnStatusInsteadOfThrowing) {
   driver::PipelineConfig config;
   config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   config.processors = 4;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
 
   const auto result = driver::analyzeAndSimulateChecked(prog, config);
   ASSERT_FALSE(result.has_value());

@@ -126,7 +126,7 @@ TEST(Determinism, LocalityVerdictsThreadCountIndependent) {
   config.params = codes::bindParams(program, {{"P", 16}, {"Q", 16}});
   config.processors = 4;
   config.simulateBaseline = false;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
 
   sym::ProofMemo::global().clear();
   const auto serial = driver::analyzeAndSimulate(program, config);

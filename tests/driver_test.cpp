@@ -95,11 +95,22 @@ TEST_F(PipelineTest, OverSubscribedMachineDegradesToMoreCommunication) {
   EXPECT_GT(result.lcg.communicationEdges(), small.lcg.communicationEdges());
 }
 
+TEST_F(PipelineTest, SymbolicallyValidatedRunCountsEachPlanOnce) {
+  // The cost model and the validator share one count of the derived plan;
+  // the naive baseline takes the other.
+  config.validate = ValidateMode::kSymbolic;
+  obs::Counter& passes = obs::metrics().counter("ad.dsm.count_passes");
+  const std::int64_t before = passes.value();
+  const auto result = analyzeAndSimulate(prog, config);
+  ASSERT_TRUE(result.symbolic.has_value());
+  EXPECT_EQ(passes.value() - before, 2);
+}
+
 TEST_F(PipelineTest, MetricsAndTraceMatchSimulation) {
   obs::metrics().reset();
   obs::tracer().clear();
   obs::tracer().enable();
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
 
   const auto result = analyzeAndSimulate(prog, config);
   obs::tracer().disable();

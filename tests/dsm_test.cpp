@@ -229,6 +229,24 @@ std::string describe(const DataDistribution& d) {
              : "cyclic(" + std::to_string(d.block) + ")";
 }
 
+/// Same messages, in the same order, with the same ranges.
+void expectSameSchedule(const comm::CommSchedule& got, const comm::CommSchedule& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.pattern(), want.pattern()) << what;
+  ASSERT_EQ(got.messageCount(), want.messageCount()) << what;
+  for (std::size_t i = 0; i < want.messageCount(); ++i) {
+    const auto& g = got.messages()[i];
+    const auto& w = want.messages()[i];
+    EXPECT_EQ(g.src, w.src) << what;
+    EXPECT_EQ(g.dst, w.dst) << what;
+    ASSERT_EQ(g.ranges.size(), w.ranges.size()) << what << " message " << i;
+    for (std::size_t r = 0; r < w.ranges.size(); ++r) {
+      EXPECT_EQ(g.ranges[r].begin, w.ranges[r].begin) << what;
+      EXPECT_EQ(g.ranges[r].end, w.ranges[r].end) << what;
+    }
+  }
+}
+
 TEST(CommSchedule, RunBasedGenerationMatchesElementwiseReference) {
   std::uint64_t rng = 0xC0FFEE99;  // fixed seed: failures must reproduce
   for (int iter = 0; iter < 600; ++iter) {
@@ -240,21 +258,38 @@ TEST(CommSchedule, RunBasedGenerationMatchesElementwiseReference) {
                              " size=" + std::to_string(size) + " H=" + std::to_string(H);
 
     const auto got = comm::generateGlobal("X", size, from, to, H);
-    const auto want = reference::generateGlobal("X", size, from, to, H);
-    ASSERT_EQ(got.messageCount(), want.messageCount()) << what;
-    for (std::size_t i = 0; i < want.messageCount(); ++i) {
-      const auto& g = got.messages()[i];
-      const auto& w = want.messages()[i];
-      EXPECT_EQ(g.src, w.src) << what;
-      EXPECT_EQ(g.dst, w.dst) << what;
-      ASSERT_EQ(g.ranges.size(), w.ranges.size()) << what << " message " << i;
-      for (std::size_t r = 0; r < w.ranges.size(); ++r) {
-        EXPECT_EQ(g.ranges[r].begin, w.ranges[r].begin) << what;
-        EXPECT_EQ(g.ranges[r].end, w.ranges[r].end) << what;
-      }
-    }
+    expectSameSchedule(got, reference::generateGlobal("X", size, from, to, H), what);
     EXPECT_TRUE(comm::verifiesRedistribution(got, size, from, to, H)) << what;
     EXPECT_TRUE(reference::verifiesRedistribution(got, size, from, to, H)) << what;
+  }
+}
+
+TEST(CommSchedule, PairTableBuildersMatchElementwiseReferenceUpToH1024) {
+  // The H x H pair table at the service's processor limit: every (src, dst)
+  // pair of a BLOCK-CYCLIC(1) <-> BLOCK exchange carries words, and the
+  // messages must still come out in pair order.
+  for (const std::int64_t H : {1, 3, 64, 1024}) {
+    const std::int64_t size = 8 * H + 5;
+    const DataDistribution cyclic = DataDistribution::blockCyclic(1);
+    const DataDistribution block = DataDistribution::blocked(size, H);
+    const DataDistribution folded = DataDistribution::foldedBlockCyclic(2, size / 2 + 1);
+    const std::vector<std::pair<DataDistribution, DataDistribution>> exchanges = {
+        {cyclic, block}, {block, cyclic}, {folded, cyclic}, {block, folded}};
+    for (const auto& [from, to] : exchanges) {
+      const std::string what = describe(from) + " -> " + describe(to) + " size=" +
+                               std::to_string(size) + " H=" + std::to_string(H);
+      const auto got = comm::generateGlobal("X", size, from, to, H);
+      expectSameSchedule(got, reference::generateGlobal("X", size, from, to, H), what);
+      EXPECT_TRUE(comm::verifiesRedistribution(got, size, from, to, H)) << what;
+    }
+    for (const DataDistribution& dist : {cyclic, block, DataDistribution::blockCyclic(3)}) {
+      for (const std::int64_t overlap : {std::int64_t{1}, dist.block + 1}) {
+        const std::string what = "frontier " + describe(dist) + " overlap=" +
+                                 std::to_string(overlap) + " H=" + std::to_string(H);
+        expectSameSchedule(comm::generateFrontier("X", size, dist, overlap, H),
+                           reference::generateFrontier("X", size, dist, overlap, H), what);
+      }
+    }
   }
 }
 

@@ -133,7 +133,7 @@ TEST(TraceSim, MatchesSerialSimulatorAcrossTheSuite) {
     config.params = codes::bindParams(prog, code.smallParams);
     config.processors = 4;
     config.simulateBaseline = false;
-    config.traceSimulate = true;
+    config.validate = driver::ValidateMode::kTrace;
     const auto result = driver::analyzeAndSimulate(prog, config);
     ASSERT_TRUE(result.trace.has_value()) << code.name;
     ASSERT_EQ(result.planned.phases.size(), result.trace->observed.phases.size()) << code.name;
@@ -219,7 +219,7 @@ TEST(ValidateLocality, LEdgeAgreesUnderTheDerivedPlan) {
   driver::PipelineConfig config;
   config.processors = 2;
   config.simulateBaseline = false;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
   const auto result = driver::analyzeAndSimulate(prog, config);
   ASSERT_TRUE(result.localityCheck.has_value());
   EXPECT_TRUE(result.localityCheck->ok()) << result.localityCheck->str();
@@ -263,7 +263,7 @@ TEST(ValidateLocality, CEdgesOfTFFT2CarryObservedCommunication) {
   config.params = codes::bindParams(prog, {{"P", 16}, {"Q", 16}});
   config.processors = 4;
   config.simulateBaseline = false;
-  config.traceSimulate = true;
+  config.validate = driver::ValidateMode::kTrace;
   const auto result = driver::analyzeAndSimulate(prog, config);
   ASSERT_TRUE(result.localityCheck.has_value());
   EXPECT_TRUE(result.localityCheck->ok()) << result.localityCheck->str();

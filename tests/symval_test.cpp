@@ -362,6 +362,30 @@ TEST(Symval, PropertyFoldedCountAPMatchesBruteForce) {
   }
 }
 
+TEST(Symval, FoldedLocalIntervalsMatchIsLocalElementwise) {
+  // The folded locality set is built from its raw pieces in one sort; every
+  // address of two fold periods must classify as the distribution does.
+  for (std::int64_t block = 1; block <= 5; ++block) {
+    for (const std::int64_t fold : {1, 2, 7, 64, 4096}) {
+      const auto dist = dsm::DataDistribution::foldedBlockCyclic(block, fold);
+      for (const std::int64_t halo : {0, 1, 3}) {
+        for (const std::int64_t processors : {1, 4, 64}) {
+          for (std::int64_t pe = 0; pe < processors; ++pe) {
+            const auto set = sym::foldedLocalIntervals(block, fold, processors, pe, halo);
+            ASSERT_TRUE(set.has_value());
+            std::int64_t wrong = 0;
+            for (std::int64_t addr = 0; addr < 2 * fold; ++addr) {
+              wrong += set->contains(addr) != dist.isLocal(addr, pe, processors, halo) ? 1 : 0;
+            }
+            EXPECT_EQ(wrong, 0) << "block=" << block << " fold=" << fold << " halo=" << halo
+                                << " P=" << processors << " pe=" << pe;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Symval, FloorSumMatchesBruteForce) {
   std::uint64_t rng = 0x5EED;
   for (int iter = 0; iter < 500; ++iter) {
