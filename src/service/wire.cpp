@@ -227,12 +227,12 @@ void SocketServer::closeAllConnections() {
 
 void SocketServer::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);  // unblock accept()
+  if (acceptThread_.joinable()) acceptThread_.join();
   if (listenFd_ >= 0) {
-    ::shutdown(listenFd_, SHUT_RDWR);  // unblock accept()
-    ::close(listenFd_);
+    ::close(listenFd_);  // only once the accept loop no longer reads it
     listenFd_ = -1;
   }
-  if (acceptThread_.joinable()) acceptThread_.join();
   closeAllConnections();
   {
     std::unique_lock<std::mutex> lock(mu_);
