@@ -1,6 +1,6 @@
 // Overload-soak fault campaign for the analysis service (docs/SERVICE.md).
 //
-// Four phases against one long-lived in-process Server plus its socket
+// Five phases against one long-lived in-process Server plus its socket
 // front end:
 //
 //   1. flood      — thousands of concurrent mixed requests (clean /
@@ -18,7 +18,11 @@
 //                   against a tiny server: the overflow is shed with a
 //                   retry hint, the admitted work all completes, and the
 //                   drain leaves nothing in flight;
-//   4. socket     — concurrent clients over a real AF_UNIX socket, then a
+//   4. oversized  — an N=4000 trace-validated request under a 50 ms
+//                   deadline comes back within the deadline plus slack,
+//                   answered or refused with a structured deadline error,
+//                   and the next clean request is byte-identical;
+//   5. socket     — concurrent clients over a real AF_UNIX socket, then a
 //                   shutdown op and a clean drain.
 //
 // Emits BENCH_service.json (schema ad.bench.service.v1): request counts per
@@ -111,6 +115,23 @@ std::vector<Workload> buildCorpus() {
   }
   return corpus;
 }
+
+/// A gather stencil whose N = 4000 binding makes 16M-element arrays and
+/// ~48M accesses per trace replay (the oversized case of service_test).
+constexpr const char* kGatherStencilSource =
+    "param N\n"
+    "array A0(N*N)\n"
+    "array A1(N*N)\n"
+    "array A2(N*N)\n"
+    "array A3(N*N)\n"
+    "phase S0 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+    "  read A0(N*i + 2*j + 1) read A0(N*i + 2*j) read A0(N*i + 2*j + 1) write A1(N*i + j) } }\n"
+    "  work 2.0 }\n"
+    "phase S1 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+    "  read A1(N*i + 2*j) read A1(N*i + 2*j + 1) write A2(N*i + j) } } }\n"
+    "phase S2 { doall i = 1, N - 2 { do j = 1, N - 2 {\n"
+    "  read A2(N*i + 2*j + 1) read A2(N*i + 2*j) read A2(N*i + 2*j + 1) write A3(N*i + j) } }\n"
+    "  work 2.0 }\n";
 
 Request makeRequest(std::string id, const Workload& w) {
   Request r;
@@ -357,7 +378,42 @@ int main() {
   r.check("overload: drained to zero in flight", std::int64_t{0}, tinyStats.inFlight);
 
   // ------------------------------------------------------------------
-  // Phase 4: concurrent clients over the socket, then shutdown.
+  // Phase 4: an oversized trace validation under a deadline.
+  // ------------------------------------------------------------------
+  // The slack covers sanitizer builds and a loaded machine; without the
+  // back half's deadline polls the replay alone takes seconds.
+  constexpr std::int64_t kOversizedDeadlineMs = 50;
+  constexpr std::int64_t kOversizedSlackMs = 450;
+  Request oversized;
+  oversized.op = Op::kAnalyze;
+  oversized.id = "oversized";
+  oversized.source = kGatherStencilSource;
+  oversized.params["N"] = 4000;
+  oversized.processors = 16;
+  oversized.simulate = false;
+  oversized.validate = "trace";
+  oversized.deadlineMs = kOversizedDeadlineMs;
+  const auto oversizedStart = Clock::now();
+  const Response oversizedReply = server.call(std::move(oversized));
+  const auto oversizedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                               Clock::now() - oversizedStart)
+                               .count();
+  const bool oversizedAnswered =
+      oversizedReply.kind == ResponseKind::kOk || oversizedReply.kind == ResponseKind::kDegraded ||
+      (oversizedReply.kind == ResponseKind::kError && oversizedReply.errorCode == "deadline");
+  r.checkTrue("oversized: answered or refused with a deadline error (" +
+                  std::string(ad::service::responseKindName(oversizedReply.kind)) + ")",
+              oversizedAnswered);
+  r.checkTrue("oversized: back in " + std::to_string(oversizedMs) + " ms < " +
+                  std::to_string(kOversizedDeadlineMs + kOversizedSlackMs) + " ms",
+              oversizedMs < kOversizedDeadlineMs + kOversizedSlackMs);
+  const Response postOversized = server.call(makeRequest("post-oversized", corpus[0]));
+  r.checkTrue("oversized: clean request byte-identical afterwards",
+              postOversized.kind == ResponseKind::kOk &&
+                  postOversized.golden == reference[corpus[0].name]);
+
+  // ------------------------------------------------------------------
+  // Phase 5: concurrent clients over the socket, then shutdown.
   // ------------------------------------------------------------------
   ad::service::SocketOptions socketOptions;
   socketOptions.path = "/tmp/ad_service_soak_" + std::to_string(::getpid()) + ".sock";

@@ -48,11 +48,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   stop_.store(true, std::memory_order_release);
-  notifyWaiters();
+  // Empty critical section: see enqueue().
+  { std::lock_guard<std::mutex> lock(idleMu_); }
+  idleCv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::submit(std::function<void()> task) { enqueue(std::move(task), nullptr); }
+
+void ThreadPool::enqueue(std::function<void()> task, const TaskGroup* group) {
   // The submitter's budget and degradation ledger follow the task to
   // whichever worker runs it: a per-code budget (and its cancellation token)
   // bounds that code's per-array subtasks regardless of where they execute.
@@ -63,8 +67,7 @@ void ThreadPool::submit(std::function<void()> task) {
       inner();
     };
   }
-  Item item{std::move(task),
-            obs::profiler().enabled() ? obs::Profiler::nowUs() : 0};
+  Item item{std::move(task), obs::profiler().enabled() ? obs::Profiler::nowUs() : 0, group};
   const std::size_t slot =
       (tlPool == this) ? tlWorker : count_;  // own deque or injection queue
   {
@@ -72,34 +75,37 @@ void ThreadPool::submit(std::function<void()> task) {
     queues_[slot]->tasks.push_back(std::move(item));
   }
   pending_.fetch_add(1, std::memory_order_release);
-  // The empty critical section orders this notification after any waiter's
-  // predicate check: a thread between "saw pending_ == 0" and "parked" holds
-  // idleMu_, so we cannot signal into that window and lose the wakeup.
+  // The empty critical section orders this notification after any idle
+  // worker's predicate check: a worker between "saw pending_ == 0" and
+  // "parked" holds idleMu_, so we cannot signal into that window and lose
+  // the wakeup.
   { std::lock_guard<std::mutex> lock(idleMu_); }
   idleCv_.notify_one();
 }
 
-ThreadPool::Taken ThreadPool::take(std::size_t index) {
+ThreadPool::Taken ThreadPool::take(std::size_t index, const TaskGroup* group) {
+  // Removes the newest or oldest item of `q` that `group` may run (any item
+  // when unscoped, so the scan stops at the first slot it looks at).
+  const auto pop = [group](Queue& q, bool newest, TaskSource source) -> Taken {
+    std::lock_guard<std::mutex> lock(q.mu);
+    std::deque<Item>& d = q.tasks;
+    const std::size_t n = d.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t pos = newest ? n - 1 - k : k;
+      if (group != nullptr && d[pos].group != group) continue;
+      Taken t{std::move(d[pos]), source};
+      d.erase(d.begin() + static_cast<std::ptrdiff_t>(pos));
+      return t;
+    }
+    return Taken{};
+  };
+  const bool scoped = group != nullptr;
   // Own deque, newest first: nested fan-out keeps its working set hot.
   if (index < count_) {
-    Queue& own = *queues_[index];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      Taken t{std::move(own.tasks.back()), TaskSource::kOwn};
-      own.tasks.pop_back();
-      return t;
-    }
+    if (Taken t = pop(*queues_[index], /*newest=*/true, TaskSource::kOwn)) return t;
   }
   // Injected work, oldest first.
-  {
-    Queue& inj = *queues_[count_];
-    std::lock_guard<std::mutex> lock(inj.mu);
-    if (!inj.tasks.empty()) {
-      Taken t{std::move(inj.tasks.front()), TaskSource::kInjected};
-      inj.tasks.pop_front();
-      return t;
-    }
-  }
+  if (Taken t = pop(*queues_[count_], scoped, TaskSource::kInjected)) return t;
   // Steal from a victim, oldest first (the opposite end from the owner's
   // LIFO pops, minimizing contention and grabbing the largest subtrees).
   const std::size_t n = count_;
@@ -107,11 +113,7 @@ ThreadPool::Taken ThreadPool::take(std::size_t index) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t victim = (start + k) % n;
     if (victim == index) continue;
-    Queue& q = *queues_[victim];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      Taken t{std::move(q.tasks.front()), TaskSource::kStolen};
-      q.tasks.pop_front();
+    if (Taken t = pop(*queues_[victim], scoped, TaskSource::kStolen)) {
       stealsCounter_->add(1);
       return t;
     }
@@ -142,37 +144,11 @@ void ThreadPool::runTask(Taken& taken, bool helped) {
   if (helped) stats.helped.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool ThreadPool::runOneTask() {
-  const std::size_t index = (tlPool == this) ? tlWorker : count_;
-  Taken taken = take(index);
-  if (!taken) return false;
-  runTask(taken, /*helped=*/tlPool != this);
-  return true;
-}
-
-void ThreadPool::waitForWork(const std::function<bool()>& done) {
-  std::unique_lock<std::mutex> lock(idleMu_);
-  if (stop_.load(std::memory_order_acquire) || pending_.load(std::memory_order_acquire) > 0 ||
-      done()) {
-    return;
-  }
-  const std::int64_t t0 = obs::Profiler::nowUs();
-  idleCv_.wait(lock, [this, &done] {
-    return stop_.load(std::memory_order_acquire) ||
-           pending_.load(std::memory_order_acquire) > 0 || done();
-  });
-  const std::int64_t idled = obs::Profiler::nowUs() - t0;
-  idleCounter_->add(idled);
+void ThreadPool::recordIdle(std::int64_t us) {
+  idleCounter_->add(us);
   if (obs::profiler().enabled()) {
-    obs::profiler().threadStats("main").idleUs.fetch_add(idled, std::memory_order_relaxed);
+    obs::profiler().threadStats("main").idleUs.fetch_add(us, std::memory_order_relaxed);
   }
-}
-
-void ThreadPool::notifyWaiters() {
-  // Empty critical section: see submit() — serializes with a waiter that is
-  // between its predicate check and the park.
-  { std::lock_guard<std::mutex> lock(idleMu_); }
-  idleCv_.notify_all();
 }
 
 void ThreadPool::workerLoop(std::size_t index) {
@@ -196,11 +172,7 @@ void ThreadPool::workerLoop(std::size_t index) {
       return stop_.load(std::memory_order_acquire) ||
              pending_.load(std::memory_order_acquire) > 0;
     });
-    const std::int64_t idled = obs::Profiler::nowUs() - t0;
-    idleCounter_->add(idled);
-    if (obs::profiler().enabled()) {
-      obs::profiler().threadStats("main").idleUs.fetch_add(idled, std::memory_order_relaxed);
-    }
+    recordIdle(obs::Profiler::nowUs() - t0);
   }
   tlPool = nullptr;
   obs::Tracer::setCurrentThreadId(0);
@@ -209,52 +181,58 @@ void ThreadPool::workerLoop(std::size_t index) {
 TaskGroup::~TaskGroup() {
   // Best effort: a group abandoned mid-flight (e.g. stack unwinding after an
   // unrelated exception) must still not leave tasks referencing dead frames.
-  if (pending_.load(std::memory_order_acquire) > 0) {
-    try {
-      wait();
-    } catch (...) {  // NOLINT(bugprone-empty-catch): destructor must not throw
-    }
+  // Even a drained group waits, so the last task has released mu_.
+  try {
+    wait();
+  } catch (...) {  // NOLINT(bugprone-empty-catch): destructor must not throw
   }
 }
 
 void TaskGroup::run(std::function<void()> fn) {
-  pending_.fetch_add(1, std::memory_order_release);
-  // `pool` is captured by value: the final decrement below releases wait(),
-  // after which the group (and this->pool_) may already be destroyed, so the
-  // lambda must not touch `this` past that point. The pool itself is required
-  // to outlive every group submitted to it.
-  pool_->submit([this, pool = pool_, fn = std::move(fn)] {
-    try {
-      if (AD_FAULT_POINT("pool.task")) {
-        throw AnalysisError("injected fault: pool task abandoned (pool.task)");
-      }
-      fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!error_) error_ = std::current_exception();
-    }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Wake anyone parked in wait()'s waitForWork so the drained predicate
-      // gets re-evaluated. Workers that wake spuriously just re-park.
-      pool->notifyWaiters();
-    }
-  });
+  pending_.fetch_add(1, std::memory_order_acq_rel);
+  queued_.fetch_add(1, std::memory_order_acq_rel);
+  pool_->enqueue(
+      [this, fn = std::move(fn)] {
+        queued_.fetch_sub(1, std::memory_order_acq_rel);
+        std::exception_ptr err;
+        try {
+          if (AD_FAULT_POINT("pool.task")) {
+            throw AnalysisError("injected fault: pool task abandoned (pool.task)");
+          }
+          fn();
+        } catch (...) {
+          err = std::current_exception();
+        }
+        // The last decrement happens under mu_, and wait() takes mu_ before
+        // it returns: the group cannot be destroyed while this thread still
+        // holds the lock, and nothing here touches the group after that.
+        std::lock_guard<std::mutex> lock(mu_);
+        if (err && !error_) error_ = err;
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) drained_.notify_all();
+      },
+      this);
 }
 
 void TaskGroup::wait() {
-  while (pending_.load(std::memory_order_acquire) > 0) {
-    if (pool_->runOneTask()) continue;
-    // Nothing runnable here: our remaining tasks are executing on other
-    // workers. Park on the pool's idle signal; a new submission (more work
-    // to help with) or this group's completion wakes us.
-    pool_->waitForWork([this] { return pending_.load(std::memory_order_acquire) == 0; });
+  // Help with our own queued tasks only; take() never hands out another
+  // group's. It can miss one that another thread has taken but not yet
+  // started, which is then running elsewhere like the rest.
+  const std::size_t index = (tlPool == pool_) ? tlWorker : pool_->count_;
+  while (queued_.load(std::memory_order_acquire) > 0) {
+    ThreadPool::Taken taken = pool_->take(index, this);
+    if (!taken) break;
+    pool_->runTask(taken, /*helped=*/true);
   }
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    err = error_;
-    error_ = nullptr;
+  // The remaining tasks are running on other threads: park until the last
+  // of them finishes.
+  std::unique_lock<std::mutex> lock(mu_);
+  if (pending_.load(std::memory_order_acquire) > 0) {
+    const std::int64_t t0 = obs::Profiler::nowUs();
+    drained_.wait(lock, [this] { return pending_.load(std::memory_order_acquire) == 0; });
+    pool_->recordIdle(obs::Profiler::nowUs() - t0);
   }
+  const std::exception_ptr err = std::exchange(error_, nullptr);
+  lock.unlock();
   if (err) std::rethrow_exception(err);
 }
 

@@ -6,14 +6,19 @@
 // submitted from inside a worker land on that worker's own deque; tasks
 // submitted from outside land on the injection queue.
 //
-// TaskGroup is the join primitive: wait() *helps* — it runs pending pool
-// tasks on the calling thread until the group drains — so nested groups
-// (a per-code task waiting on its per-array subtasks) never deadlock the
-// pool, and a 1-thread pool still makes progress.
+// TaskGroup is the join primitive, and its joins are scoped: wait() runs
+// queued tasks *of its own group* on the calling thread, then parks until
+// the group drains. It never picks up another group's task, so a thread
+// nests at most one task per level of group nesting (batch item -> array ->
+// phase node), whatever the batch size, and every task's span covers only
+// its own work. Nested groups still cannot deadlock: a waiter can always run
+// its own queued tasks itself, and a task that is already running elsewhere
+// finishes without waiting on the waiter's ancestors. A 1-thread pool makes
+// progress the same way.
 //
-// Idle workers (and helping waiters) park on one condition variable and are
-// woken by submit()/group-completion signaling — there is no polling loop.
-// Accumulated park time is exported as ad.pool.idle_us.
+// Idle workers park on the pool's condition variable and are woken by
+// submit(); a join parks on its group's and is woken when the group drains.
+// There is no polling loop. Both park times are exported as ad.pool.idle_us.
 //
 // Observability: every executed task runs under an obs::Span ("pool.task")
 // and bumps ad.pool.tasks / ad.pool.steals in the ad.metrics.v1 registry.
@@ -40,6 +45,8 @@ class Counter;
 
 namespace ad::support {
 
+class TaskGroup;
+
 class ThreadPool {
  public:
   /// Trace tids of pool workers start here ("pool.w0" = 100, ...), leaving
@@ -64,27 +71,16 @@ class ThreadPool {
   /// Enqueues a task. Never blocks; safe from any thread, including workers.
   void submit(std::function<void()> task);
 
-  /// Runs one pending task (any group) on the calling thread. Returns false
-  /// when no task was available. This is the "help" primitive TaskGroup::wait
-  /// uses so joins make progress even on saturated or single-thread pools.
-  bool runOneTask();
-
-  /// Parks the calling thread on the pool's idle signal until there is a
-  /// task to help with, `done()` holds, or the pool stops. Used by
-  /// TaskGroup::wait between help attempts; group completion must call
-  /// notifyWaiters() so `done()` gets re-evaluated.
-  void waitForWork(const std::function<bool()>& done);
-
-  /// Wakes every parked worker and waiter (cheap; they re-check and re-park).
-  void notifyWaiters();
-
  private:
+  friend class TaskGroup;
+
   /// How a task reached its executor (recorded in the profiler's tracks).
   enum class TaskSource : std::uint8_t { kOwn, kInjected, kStolen };
 
   struct Item {
     std::function<void()> task;
     std::int64_t enqueueUs = 0;  ///< profiler clock at submit; 0 when disabled
+    const TaskGroup* group = nullptr;  ///< owning TaskGroup; null for plain submit()
   };
   struct Queue {
     std::mutex mu;
@@ -96,12 +92,17 @@ class ThreadPool {
     [[nodiscard]] explicit operator bool() const noexcept { return item.task != nullptr; }
   };
 
+  void enqueue(std::function<void()> task, const TaskGroup* group);
   void workerLoop(std::size_t index);
   /// Pops for executor `index` (own LIFO, injected FIFO, then steal). The
-  /// injection queue is queues_[workers_.size()]; callers that are not pool
-  /// workers use index == workers_.size() (injected first, then steal).
-  [[nodiscard]] Taken take(std::size_t index);
+  /// injection queue is queues_[count_]; callers that are not pool workers
+  /// use index == count_ (injected first, then steal). With `group` set only
+  /// that group's items qualify, taken newest first from every queue: a
+  /// join's own tasks are the last ones its thread submitted.
+  [[nodiscard]] Taken take(std::size_t index, const TaskGroup* group = nullptr);
   void runTask(Taken& taken, bool helped);
+  /// Adds parked microseconds to ad.pool.idle_us and the profiler's row.
+  void recordIdle(std::int64_t us);
 
   std::size_t count_ = 0;  ///< fixed before any worker spawns; workers_ itself
                            ///< grows while they run, so they must never size() it
@@ -133,15 +134,17 @@ class TaskGroup {
   /// the first one is rethrown from wait().
   void run(std::function<void()> fn);
 
-  /// Blocks until every task submitted through run() has finished, executing
-  /// pending pool tasks on the calling thread while it waits. Rethrows the
-  /// first captured exception.
+  /// Blocks until every task submitted through run() has finished, running
+  /// this group's queued tasks on the calling thread while it waits (never
+  /// another group's). Rethrows the first captured exception.
   void wait();
 
  private:
   ThreadPool* pool_;
-  std::atomic<std::int64_t> pending_{0};
-  std::mutex mu_;  ///< guards error_
+  std::atomic<std::int64_t> pending_{0};  ///< submitted, not yet finished
+  std::atomic<std::int64_t> queued_{0};   ///< submitted, not yet started
+  std::mutex mu_;  ///< guards error_; orders the last finish() before wait() returns
+  std::condition_variable drained_;
   std::exception_ptr error_;
 };
 

@@ -159,6 +159,10 @@ bool RangeAnalyzer::queryInterrupted(bool previouslyInterrupted) {
   return interrupted;
 }
 
+std::size_t RangeAnalyzer::ScratchHash::operator()(const Expr& e) const {
+  return static_cast<std::size_t>(internHash(e));
+}
+
 void RangeAnalyzer::resetScratch() const {
   nnCache_.clear();
   posCache_.clear();

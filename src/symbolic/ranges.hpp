@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "symbolic/expr.hpp"
 
@@ -179,21 +180,25 @@ class RangeAnalyzer {
   // caching "false" (= not proven) can only make the analysis more
   // conservative when a deeper budget would have succeeded, never unsound.
   // The caches also collapse the fact-combination search (e - f1 - f2 and
-  // e - f2 - f1 are the same normal form).
-  mutable std::map<Expr, bool> nnCache_;
-  mutable std::map<Expr, bool> posCache_;
-
+  // e - f2 - f1 are the same normal form). They are only probed, never
+  // iterated, so they are hash tables: one structural hash and (on a hit)
+  // one equality compare per probe instead of O(log n) ordered compares.
   struct BoundKey {
     Expr expr;
     bool upper;
     bool indicesOnly;
-    bool operator<(const BoundKey& o) const {
-      if (upper != o.upper) return upper < o.upper;
-      if (indicesOnly != o.indicesOnly) return indicesOnly < o.indicesOnly;
-      return expr.compare(o.expr) < 0;
-    }
+    friend bool operator==(const BoundKey&, const BoundKey&) = default;
   };
-  mutable std::map<BoundKey, std::optional<Expr>> boundCache_;
+  /// The arena's structural hash, through internHash so the degenerate-hash
+  /// test hook collides these tables too. A bound key hashes its expression
+  /// only: the four flag variants of one expression share a bucket.
+  struct ScratchHash {
+    [[nodiscard]] std::size_t operator()(const Expr& e) const;
+    [[nodiscard]] std::size_t operator()(const BoundKey& k) const { return (*this)(k.expr); }
+  };
+  mutable std::unordered_map<Expr, bool, ScratchHash> nnCache_;
+  mutable std::unordered_map<Expr, bool, ScratchHash> posCache_;
+  mutable std::unordered_map<BoundKey, std::optional<Expr>, ScratchHash> boundCache_;
   [[nodiscard]] bool monomialNonNegative(const Monomial& m, int depth) const;
   [[nodiscard]] bool monomialPositive(const Monomial& m, int depth) const;
   [[nodiscard]] bool symbolNonNegative(SymbolId id, int depth) const;

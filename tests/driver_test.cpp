@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
+#include "codes/suite.hpp"
 #include "codes/tfft2.hpp"
 #include "driver/pipeline.hpp"
+#include "frontend/parser.hpp"
 #include "obs/obs.hpp"
 
 namespace ad::driver {
@@ -167,6 +171,70 @@ TEST_F(PipelineTest, FoldedDistributionServesF8) {
   EXPECT_EQ(yDists[7].kind, dsm::DataDistribution::Kind::kFoldedBlockCyclic);
   // Earlier phases use plain BLOCK-CYCLIC.
   EXPECT_EQ(xDists[3].kind, dsm::DataDistribution::Kind::kBlockCyclic);
+}
+
+/// Two arrays over two phases: each item's LCG fans out one task per array,
+/// and array A one more per phase node, so a batch nests three group levels.
+constexpr const char* kStreamSource =
+    "param N\n"
+    "array A(N)\n"
+    "array B(N)\n"
+    "phase F1 { doall i = 0, N - 1 { write A(i) } }\n"
+    "phase F2 { doall i = 0, N - 1 { read A(i) write B(i) } }\n";
+
+std::vector<BatchItem> streamBatch(const ir::Program& program, std::size_t items,
+                                   std::size_t jobs) {
+  PipelineConfig config;
+  config.params = codes::bindParams(program, {{"N", 64}});
+  config.processors = 4;
+  config.simulatePlan = false;
+  config.simulateBaseline = false;
+  config.jobs = jobs;
+  return std::vector<BatchItem>(items, BatchItem{&program, config, ""});
+}
+
+// A join helps only with its own group, so a thread nests at most one task
+// per group level however long the batch is. A join that helped with any
+// queued task would nest one whole item per batch entry on the waiter's
+// stack, which overflows the default 8 MB stack at about 2000 items.
+TEST(AnalyzeBatch, TenThousandItemsFinishAtTheDefaultStackSize) {
+  const ir::Program program = frontend::parseProgram(kStreamSource);
+  for (const std::size_t jobs : {1u, 4u}) {
+    const auto results = analyzeBatch(streamBatch(program, 10000, jobs), jobs);
+    ASSERT_EQ(results.size(), 10000u);
+    const auto set = std::count_if(results.begin(), results.end(),
+                                   [](const auto& r) { return r.ok(); });
+    EXPECT_EQ(set, 10000) << "jobs=" << jobs;
+  }
+}
+
+// The same property seen in the trace: each item's span covers its own work
+// only, so on every thread the item spans follow one another and none opens
+// inside another.
+TEST(AnalyzeBatch, ItemSpansNeverNestOnOneThread) {
+  const ir::Program program = frontend::parseProgram(kStreamSource);
+  obs::tracer().clear();
+  obs::tracer().enable();
+  const auto results = analyzeBatch(streamBatch(program, 40, 4), 4);
+  obs::tracer().disable();
+  ASSERT_EQ(results.size(), 40u);
+
+  std::map<std::int64_t, std::vector<obs::TraceEvent>> byTid;
+  std::size_t spans = 0;
+  for (auto& e : obs::tracer().snapshot()) {
+    if (e.name != "pipeline.analyze_and_simulate") continue;
+    ++spans;
+    byTid[e.tid].push_back(std::move(e));
+  }
+  EXPECT_EQ(spans, 40u);
+  for (auto& [tid, events] : byTid) {
+    std::sort(events.begin(), events.end(),
+              [](const auto& a, const auto& b) { return a.ts < b.ts; });
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      EXPECT_GE(events[i].ts, events[i - 1].ts + events[i - 1].dur)
+          << "item span nested inside another on tid " << tid;
+    }
+  }
 }
 
 }  // namespace

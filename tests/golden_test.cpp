@@ -116,6 +116,32 @@ TEST_P(GoldenFile, DegenerateHashMatchesSnapshot) {
   EXPECT_EQ(*want, got) << info.name << " diverged under the degenerate-hash hook";
 }
 
+// The prover's per-query scratch tables hash through internHash as well, so
+// the hook collides every one of their entries into one bucket too. With the
+// proof memo off those tables carry every answer; the snapshot must come out
+// byte for byte with the hook on and off.
+TEST_P(GoldenFile, DegenerateHashLeavesScratchTablesExact) {
+  if (const char* update = std::getenv("AD_UPDATE_GOLDENS"); update && *update == '1') {
+    GTEST_SKIP() << "golden refresh run";
+  }
+  const codes::CodeInfo& info = codes::benchmarkSuite()[GetParam()];
+  const ir::Program program = info.build();
+  const auto want = readFile(goldenPath(info.name));
+  ASSERT_TRUE(want) << "missing golden file for " << info.name;
+
+  const sym::ProofMemoEnabledGuard off(false);
+  loc::clearPhaseArrayMemo();
+  const std::string hashed = driver::serializeGolden(analyzeCode(info, program), program);
+  std::string collided;
+  {
+    const sym::DegenerateHashGuard degenerate;
+    loc::clearPhaseArrayMemo();
+    collided = driver::serializeGolden(analyzeCode(info, program), program);
+  }
+  EXPECT_EQ(*want, hashed) << info.name;
+  EXPECT_EQ(hashed, collided) << info.name << " diverged with the scratch tables collided";
+}
+
 // The batched engine at any worker count must reproduce the snapshot byte
 // for byte (jobs only changes speed, never output). jobs=1 runs the pool
 // path with a single worker; jobs=8 exercises work stealing and concurrent

@@ -1,6 +1,7 @@
 // Work-stealing pool semantics: every submitted task runs exactly once,
-// nested groups drain without deadlock (wait() helps), exceptions surface at
-// the join, and a 1-thread pool still makes progress. Runs under TSan in CI.
+// nested groups drain without deadlock (wait() helps with its own group, and
+// only with it), exceptions surface at the join, and a 1-thread pool still
+// makes progress. Runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,8 +101,8 @@ TEST(ThreadPool, IdleTimeIsAccounted) {
   const std::int64_t before = idle.value();
   {
     support::ThreadPool pool(2);
-    // Quiet pool: workers park in waitForWork, which accumulates the parked
-    // microseconds into ad.pool.idle_us on wakeup (here: shutdown).
+    // Quiet pool: idle workers park, and the parked microseconds land in
+    // ad.pool.idle_us on wakeup (here: the submit below, or shutdown).
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     support::TaskGroup group(pool);
     std::atomic<bool> ran{false};
@@ -112,13 +113,46 @@ TEST(ThreadPool, IdleTimeIsAccounted) {
   EXPECT_GT(idle.value(), before);
 }
 
-TEST(ThreadPool, RunOneTaskReportsEmptiness) {
+TEST(ThreadPool, WaitOnAnEmptyGroupReturns) {
   support::ThreadPool pool(2);
-  EXPECT_FALSE(pool.runOneTask());  // nothing queued
+  support::TaskGroup group(pool);
+  group.wait();  // nothing submitted: returns without parking
   // The pool clamps its worker count to [1, hardwareConcurrency()].
   EXPECT_GE(pool.threadCount(), 1u);
   EXPECT_LE(pool.threadCount(), 2u);
   EXPECT_GE(support::ThreadPool::hardwareConcurrency(), 1u);
+}
+
+TEST(ThreadPool, WaitRunsOnlyItsOwnGroup) {
+  // One worker, held busy, so every later task stays queued until a join
+  // picks it up. The unrelated task is queued *ahead* of the waited group's:
+  // a join that helped with any task would run it on this thread.
+  support::ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  support::TaskGroup blocker(pool);
+  blocker.run([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+
+  std::atomic<bool> unrelatedRan{false};
+  support::TaskGroup unrelated(pool);
+  unrelated.run([&] { unrelatedRan.store(true); });
+
+  const std::thread::id self = std::this_thread::get_id();
+  std::thread::id ownRanOn;
+  support::TaskGroup own(pool);
+  own.run([&] { ownRanOn = std::this_thread::get_id(); });
+  own.wait();
+  EXPECT_EQ(self, ownRanOn);           // the join helped with its own task...
+  EXPECT_FALSE(unrelatedRan.load());  // ...and left the other group's queued
+
+  release.store(true);
+  blocker.wait();
+  unrelated.wait();
+  EXPECT_TRUE(unrelatedRan.load());
 }
 
 }  // namespace
