@@ -60,14 +60,16 @@ asan() {
   # taken paths (unwinding through ErrorContext frames, exception capture at
   # pool boundaries, budget-truncated searches); AddressSanitizer +
   # UndefinedBehaviorSanitizer keep those paths honest. The parser fuzz runs
-  # here too — mutated input is where lifetime bugs hide.
+  # here too — mutated input is where lifetime bugs hide. expr_test drives
+  # the Expr kernels (in-place compaction, list merges) with random inputs.
   echo "=== asan: robustness tests under ASan+UBSan ==="
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   local tests=(status_test fault_test cli_test parser_fuzz_test \
-               degradation_test thread_pool_test frontend_test service_test)
+               degradation_test thread_pool_test frontend_test service_test \
+               expr_test)
   cmake --build build-asan -j "$jobs" --target "${tests[@]}"
   for t in "${tests[@]}"; do
     ./build-asan/tests/"$t"
@@ -355,10 +357,10 @@ EOF
   local perf_artifacts="BENCH_analysis.json,BENCH_contention.json,BENCH_intern.json,BENCH_kernels.json,BENCH_symval.json"
   python3 scripts/bench_compare.py bench/baselines . --only "$perf_artifacts"
 
-  # Self-test: inject a synthetic regression (halved jobs=8 speedup, tripled
-  # profiler overhead, degenerate intern probe length) into copies of the
-  # fresh artifacts; the comparator must reject them, otherwise the gate is
-  # decorative.
+  # Self-test: inject a synthetic regression (halved parallel and warm
+  # speedups, tripled profiler overhead, degenerate intern probe length) into
+  # copies of the fresh artifacts; the comparator must reject them, otherwise
+  # the gate is decorative.
   local doctored
   doctored="$(mktemp -d)"
   cp BENCH_analysis.json BENCH_contention.json BENCH_intern.json \
@@ -369,7 +371,8 @@ import json, sys
 root = sys.argv[1]
 doc = json.load(open(f"{root}/BENCH_analysis.json"))
 for run in doc["runs"]:
-    run["speedup"] *= 0.5
+    run["parallel_speedup"] *= 0.5
+doc["warm"]["warm_speedup"] *= 0.5
 json.dump(doc, open(f"{root}/BENCH_analysis.json", "w"))
 doc = json.load(open(f"{root}/BENCH_contention.json"))
 doc["overhead_pct"] = max(3 * doc["overhead_pct"], 12.0)
@@ -387,7 +390,28 @@ EOF
   rm -rf "$doctored"
   echo "ok (self-test): synthetic regression rejected"
 
-  # Second leg: doctor ONLY the interning artifact, so a pass here proves the
+  # Next leg: doctor ONLY one work count of the analysis artifact (one more
+  # proof-memo miss), so a pass here proves the exact work gate itself trips.
+  doctored="$(mktemp -d)"
+  cp BENCH_analysis.json BENCH_contention.json BENCH_intern.json \
+     BENCH_kernels.json BENCH_symval.json "$doctored"/
+  python3 - "$doctored" <<'EOF'
+import json, sys
+
+root = sys.argv[1]
+doc = json.load(open(f"{root}/BENCH_analysis.json"))
+doc["work"]["proof_misses"] += 1
+json.dump(doc, open(f"{root}/BENCH_analysis.json", "w"))
+EOF
+  if python3 scripts/bench_compare.py bench/baselines "$doctored" --only "$perf_artifacts" >/dev/null 2>&1; then
+    echo "FAIL: bench_compare accepted a proof-miss count that drifted by 1" >&2
+    rm -rf "$doctored"
+    exit 1
+  fi
+  rm -rf "$doctored"
+  echo "ok (self-test): drifted analysis work count rejected"
+
+  # Next leg: doctor ONLY the interning artifact, so a pass here proves the
   # intern comparator itself trips (not just the analysis/contention gates).
   doctored="$(mktemp -d)"
   cp BENCH_analysis.json BENCH_contention.json BENCH_intern.json \
@@ -408,7 +432,7 @@ EOF
   rm -rf "$doctored"
   echo "ok (self-test): degenerate intern table rejected"
 
-  # Third leg: doctor ONLY the kernel-family artifact (a flipped differential
+  # Last leg: doctor ONLY the kernel-family artifact (a flipped differential
   # verdict and a drifted C-edge count), so a pass here proves compare_kernels
   # itself trips on the exact-match structural metrics.
   doctored="$(mktemp -d)"

@@ -160,10 +160,18 @@ Expr Expr::symbol(SymbolId id) {
   return e;
 }
 
+Expr Expr::monomial(const Monomial& m) {
+  Expr e;
+  if (!m.coeff_.isZero()) e.terms_.push_back(m);
+  return e;
+}
+
 Expr Expr::pow2(const Expr& exponent) {
   const Rational c = exponent.constantTerm();
   AD_REQUIRE(c.isInteger(), "pow2 exponent with non-integer constant part");
-  Expr rest = exponent - Expr::constant(c);
+  // The constant monomial has the smallest key, so it is the first term.
+  Expr rest;
+  rest.terms_.assign(exponent.terms_.begin() + (c.isZero() ? 0 : 1), exponent.terms_.end());
   const Rational coeff = pow2Rational(c.asInteger());
   if (rest.isZero()) return Expr::constant(coeff);
   Expr e;
@@ -195,25 +203,22 @@ Rational Expr::constantTerm() const {
   return Rational(0);
 }
 
-void Expr::addMonomial(Monomial m) {
-  if (m.coeff_.isZero()) return;
-  terms_.push_back(std::move(m));
-}
-
 void Expr::normalizeSort() {
   std::sort(terms_.begin(), terms_.end(),
             [](const Monomial& a, const Monomial& b) { return compareMonomialKey(a, b) < 0; });
-  std::vector<Monomial> out;
-  out.reserve(terms_.size());
-  for (auto& m : terms_) {
-    if (!out.empty() && out.back().sameKey(m)) {
-      out.back().coeff_ += m.coeff_;
-      if (out.back().coeff_.isZero()) out.pop_back();
-    } else if (!m.coeff_.isZero()) {
-      out.push_back(std::move(m));
+  // Sum each run of like terms into its first slot and compact in place.
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < terms_.size();) {
+    Rational c = terms_[i].coeff_;
+    std::size_t j = i + 1;
+    for (; j < terms_.size() && terms_[i].sameKey(terms_[j]); ++j) c += terms_[j].coeff_;
+    if (!c.isZero()) {
+      if (out != i) terms_[out] = std::move(terms_[i]);
+      terms_[out++].coeff_ = c;
     }
+    i = j;
   }
-  terms_ = std::move(out);
+  terms_.erase(terms_.begin() + static_cast<std::ptrdiff_t>(out), terms_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -226,14 +231,30 @@ Expr Expr::operator-() const {
   return r;
 }
 
-Expr operator+(const Expr& a, const Expr& b) {
-  Expr r = a;
-  r.terms_.insert(r.terms_.end(), b.terms_.begin(), b.terms_.end());
-  r.normalizeSort();
+Expr Expr::merge(const Expr& a, const Expr& b, bool negateB) {
+  Expr r;
+  r.terms_.reserve(a.terms_.size() + b.terms_.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.terms_.size() || j < b.terms_.size()) {
+    const int k = i == a.terms_.size()   ? 1
+                  : j == b.terms_.size() ? -1
+                                         : compareMonomialKey(a.terms_[i], b.terms_[j]);
+    const Monomial& m = k < 0 ? a.terms_[i] : b.terms_[j];
+    Rational c = k < 0 || !negateB ? m.coeff_ : -m.coeff_;
+    if (k == 0) c += a.terms_[i].coeff_;
+    if (k <= 0) ++i;
+    if (k >= 0) ++j;
+    if (c.isZero()) continue;  // like terms cancelled
+    r.terms_.push_back(m);
+    r.terms_.back().coeff_ = c;
+  }
   return r;
 }
 
-Expr operator-(const Expr& a, const Expr& b) { return a + (-b); }
+Expr operator+(const Expr& a, const Expr& b) { return Expr::merge(a, b, false); }
+
+Expr operator-(const Expr& a, const Expr& b) { return Expr::merge(a, b, true); }
 
 Monomial Expr::mulMonomial(const Monomial& a, const Monomial& b) {
   Monomial r(a.coeff_ * b.coeff_);
@@ -268,7 +289,7 @@ Expr operator*(const Expr& a, const Expr& b) {
   r.terms_.reserve(a.terms_.size() * b.terms_.size());
   for (const auto& ma : a.terms_) {
     for (const auto& mb : b.terms_) {
-      r.addMonomial(Expr::mulMonomial(ma, mb));
+      r.terms_.push_back(Expr::mulMonomial(ma, mb));
     }
   }
   r.normalizeSort();
@@ -307,7 +328,7 @@ std::optional<Expr> Expr::divideExact(const Expr& a, const Expr& b) {
     for (const auto& m : a.terms_) {
       auto d = divideMonomial(m, b.terms_[0]);
       if (!d) return std::nullopt;
-      q.addMonomial(std::move(*d));
+      q.terms_.push_back(std::move(*d));
     }
     q.normalizeSort();
     return q;
@@ -324,9 +345,7 @@ std::optional<Expr> Expr::divideExact(const Expr& a, const Expr& b) {
     const Monomial& t = remainder.terms_.back();
     auto q = divideMonomial(t, lead);
     if (!q) return std::nullopt;
-    Expr qe;
-    qe.addMonomial(std::move(*q));
-    qe.normalizeSort();
+    const Expr qe = Expr::monomial(*q);
     quotient += qe;
     remainder -= qe * b;
   }
@@ -371,14 +390,19 @@ std::vector<SymbolId> Expr::freeSymbols() const {
   return {s.begin(), s.end()};
 }
 
-bool Expr::contains(SymbolId id) const {
+template <typename Pred>
+bool Expr::mentions(const Pred& pred) const {
   for (const auto& m : terms_) {
     for (const auto& f : m.symbols_) {
-      if (f.id == id) return true;
+      if (pred(f.id)) return true;
     }
-    if (m.pow2_ && m.pow2_->contains(id)) return true;
+    if (m.pow2_ && m.pow2_->mentions(pred)) return true;
   }
   return false;
+}
+
+bool Expr::contains(SymbolId id) const {
+  return mentions([id](SymbolId s) { return s == id; });
 }
 
 bool Expr::hasIntegerCoefficients() const {
@@ -386,34 +410,55 @@ bool Expr::hasIntegerCoefficients() const {
                      [](const Monomial& m) { return m.coeff().isInteger(); });
 }
 
-namespace {
-Expr exprPow(const Expr& base, int exp) {
-  AD_CHECK(exp >= 0);
-  Expr r = Expr::constant(1);
-  for (int i = 0; i < exp; ++i) r *= base;
-  return r;
+template <typename Bound>
+Expr Expr::substituteWith(const Bound& bound) const {
+  const auto isBound = [&](SymbolId s) { return bound(s) != nullptr; };
+  if (!mentions(isBound)) return *this;
+  // Untouched monomials are copied as they are; each touched one expands to
+  // (its untouched factors) * value^power per bound factor, and the whole
+  // collection is normalized once at the end.
+  Expr result;
+  for (const auto& m : terms_) {
+    const bool expBound = m.pow2_ && m.pow2_->mentions(isBound);
+    const auto factorBound = [&](const SymbolFactor& f) { return isBound(f.id); };
+    if (!expBound && std::none_of(m.symbols_.begin(), m.symbols_.end(), factorBound)) {
+      result.terms_.push_back(m);
+      continue;
+    }
+    Monomial base(m.coeff_);
+    for (const auto& f : m.symbols_) {
+      if (!isBound(f.id)) base.symbols_.push_back(f);
+    }
+    if (expBound) {
+      const Expr p = Expr::pow2(m.pow2_->substituteWith(bound));
+      base.coeff_ *= p.terms_[0].coeff_;
+      base.pow2_ = p.terms_[0].pow2_;
+    } else {
+      base.pow2_ = m.pow2_;
+    }
+    Expr term;
+    term.terms_.push_back(std::move(base));
+    for (const auto& f : m.symbols_) {
+      if (const Expr* v = bound(f.id)) {
+        for (int i = 0; i < f.power; ++i) term = term * *v;
+      }
+    }
+    result.terms_.insert(result.terms_.end(), std::make_move_iterator(term.terms_.begin()),
+                         std::make_move_iterator(term.terms_.end()));
+  }
+  result.normalizeSort();
+  return result;
 }
-}  // namespace
 
 Expr Expr::substitute(SymbolId id, const Expr& value) const {
-  return substitute(std::map<SymbolId, Expr>{{id, value}});
+  return substituteWith([&](SymbolId s) { return s == id ? &value : nullptr; });
 }
 
 Expr Expr::substitute(const std::map<SymbolId, Expr>& bindings) const {
-  Expr result;
-  for (const auto& m : terms_) {
-    Expr term = Expr::constant(m.coeff());
-    for (const auto& f : m.symbols_) {
-      if (auto it = bindings.find(f.id); it != bindings.end()) {
-        term *= exprPow(it->second, f.power);
-      } else {
-        term *= exprPow(Expr::symbol(f.id), f.power);
-      }
-    }
-    if (m.pow2_) term *= Expr::pow2(m.pow2_->substitute(bindings));
-    result += term;
-  }
-  return result;
+  return substituteWith([&](SymbolId s) -> const Expr* {
+    auto it = bindings.find(s);
+    return it == bindings.end() ? nullptr : &it->second;
+  });
 }
 
 Rational Expr::evaluate(const std::map<SymbolId, std::int64_t>& bindings) const {
@@ -439,30 +484,21 @@ Rational Expr::evaluate(const std::map<SymbolId, std::int64_t>& bindings) const 
 
 std::optional<std::pair<Expr, Expr>> Expr::linearDecompose(SymbolId sym) const {
   Expr a;  // coefficient of sym
-  Expr b;  // remainder
+  Expr b;  // remainder: the terms free of sym, still in order
   for (const auto& m : terms_) {
     if (m.pow2_ && m.pow2_->contains(sym)) return std::nullopt;
-    int power = 0;
-    Monomial stripped(m.coeff_);
-    for (const auto& f : m.symbols_) {
-      if (f.id == sym) {
-        power = f.power;
-      } else {
-        stripped.symbols_.push_back(f);
-      }
+    const auto f = std::find_if(m.symbols_.begin(), m.symbols_.end(),
+                                [&](const SymbolFactor& s) { return s.id == sym; });
+    if (f == m.symbols_.end()) {
+      b.terms_.push_back(m);
+      continue;
     }
-    stripped.pow2_ = m.pow2_;
-    Expr piece;
-    piece.addMonomial(std::move(stripped));
-    piece.normalizeSort();
-    if (power == 0) {
-      b += piece;
-    } else if (power == 1) {
-      a += piece;
-    } else {
-      return std::nullopt;
-    }
+    if (f->power != 1) return std::nullopt;
+    Monomial stripped = m;
+    stripped.symbols_.erase(stripped.symbols_.begin() + (f - m.symbols_.begin()));
+    a.terms_.push_back(std::move(stripped));
   }
+  a.normalizeSort();
   return std::make_pair(std::move(a), std::move(b));
 }
 

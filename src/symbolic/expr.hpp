@@ -15,6 +15,19 @@
 // are canonicalized to pow2(logSymbol), which is what makes identities like
 // 2^(p-1) == P/2 fall out of the normal form.
 //
+// Every Expr keeps its terms sorted by strictly increasing key (the symbol
+// factors and pow2 exponent, ignoring the coefficient), with nonzero
+// coefficients; every pow2 exponent is a nonzero Expr in the same normal
+// form. The form is canonical: any evaluation order that yields the same
+// ring element yields the same terms, so == is structural and the kernels
+// may rely on sorted inputs. With n and m the operands' term counts:
+//   a + b, a - b   one merge of the sorted lists, O(n + m) key compares;
+//   a * b          n * m monomial products, then one sort, O(nm log nm);
+//   substitute     O(n) when no bound symbol occurs (the Expr is returned
+//                  as is); otherwise untouched terms are copied, each
+//                  touched term is multiplied out by the bound values, and
+//                  the result is normalized once.
+//
 // Exprs are immutable values; all operations return new Exprs.
 #pragma once
 
@@ -102,6 +115,7 @@ class Monomial {
 
  private:
   friend class Expr;
+  friend struct ExprTestAccess;
   Rational coeff_ = Rational(0);
   std::vector<SymbolFactor> symbols_;       // sorted by id, powers >= 1
   std::shared_ptr<const Expr> pow2_;        // nullptr when absent
@@ -116,6 +130,9 @@ class Expr {
   [[nodiscard]] static Expr constant(std::int64_t value);
   [[nodiscard]] static Expr constant(Rational value);
   [[nodiscard]] static Expr symbol(SymbolId id);
+  /// The one-term Expr `m` (zero when its coefficient is). `m` must be in
+  /// normal form, e.g. a term of another Expr.
+  [[nodiscard]] static Expr monomial(const Monomial& m);
   /// 2^exponent. The exponent's integer constant part is folded into the
   /// coefficient; pow2 of a pure constant becomes a rational constant.
   [[nodiscard]] static Expr pow2(const Expr& exponent);
@@ -176,8 +193,15 @@ class Expr {
 
  private:
   friend class Monomial;
-  void addMonomial(Monomial m);
+  friend struct ExprTestAccess;  // defined by the tests' reference kernels
   void normalizeSort();
+  /// a + b, or a - b when `negateB`: one merge of the two sorted term lists.
+  static Expr merge(const Expr& a, const Expr& b, bool negateB);
+  /// True if a symbol satisfying `pred` occurs (pow2 exponents included).
+  template <typename Pred>
+  bool mentions(const Pred& pred) const;
+  template <typename Bound>
+  Expr substituteWith(const Bound& bound) const;
   [[nodiscard]] static std::optional<Monomial> divideMonomial(const Monomial& a,
                                                               const Monomial& b);
   static Monomial mulMonomial(const Monomial& a, const Monomial& b);

@@ -477,7 +477,14 @@ bool ProofMemoContext::claimOrWait(Op op, const InternedExpr& e) {
     inflight_.push_back(key);
     return true;
   }
+  // Only the wait path is counted and timed; the count goes up before the
+  // wait, so a parked waiter is already visible.
+  static obs::Counter& waits = obs::metrics().counter("ad.intern.claim_waits");
+  static obs::Counter& waitUs = obs::metrics().counter("ad.intern.claim_wait_us");
+  waits.add(1);
+  const std::int64_t start = obs::Profiler::nowUs();
   inflightCv_.wait(lk, absent);
+  waitUs.add(obs::Profiler::nowUs() - start);
   return false;
 }
 

@@ -38,7 +38,8 @@
 // Both structures are sharded and mutex-protected (safe under TSan); cache
 // traffic is exported to the ad.metrics.v1 registry as
 // ad.intern.proof_hits / ad.intern.proof_misses / ad.intern.contexts /
-// ad.intern.exprs / ad.intern.bytes, and the contention profiler attributes
+// ad.intern.exprs / ad.intern.bytes / ad.intern.claim_waits /
+// ad.intern.claim_wait_us, and the contention profiler attributes
 // per-shard hits/misses/probe lengths (families "intern.expr",
 // "memo.context", "memo.registry").
 #pragma once
@@ -257,7 +258,9 @@ class ProofMemoContext {
   /// re-probe the table — it can still miss if the owner was interrupted and
   /// published nothing, in which case callers loop and claim for themselves.
   /// Only top-level queries may call this (nested ones compute directly), so
-  /// a claim holder never waits and no circular wait can form.
+  /// a claim holder never waits and no circular wait can form. Each wait
+  /// counts in ad.intern.claim_waits and its duration in
+  /// ad.intern.claim_wait_us.
   [[nodiscard]] bool claimOrWait(Op op, const InternedExpr& e);
   void release(Op op, const InternedExpr& e);
 

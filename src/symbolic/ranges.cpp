@@ -74,16 +74,6 @@ std::optional<Expr> Assumptions::upper(SymbolId id) const {
 
 namespace {
 
-/// Rebuild a monomial as a standalone Expr.
-Expr monomialExpr(const Monomial& m) {
-  Expr e = Expr::constant(m.coeff());
-  for (const auto& f : m.symbols()) {
-    for (int i = 0; i < f.power; ++i) e *= Expr::symbol(f.id);
-  }
-  if (m.hasPow2()) e *= Expr::pow2(m.pow2Exponent());
-  return e;
-}
-
 /// Divide out factors common to every monomial whose positivity is already
 /// known: the pow2 part of the first monomial (pow2 is always > 0, so the
 /// sign is preserved unconditionally) and common nonnegative symbols.
@@ -742,7 +732,7 @@ std::optional<Expr> RangeAnalyzer::boundEliminating(const Expr& e, SymbolId vict
 
   Expr result;
   for (const auto& m : e.terms()) {
-    Expr mono = monomialExpr(m);
+    Expr mono = Expr::monomial(m);
     if (!mono.contains(victim)) {
       result += mono;
       continue;

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <functional>
+#include <optional>
+#include <random>
+
+#include "codes/suite.hpp"
+#include "descriptors/phase_descriptor.hpp"
+#include "reference_oracles.hpp"
 #include "support/diagnostics.hpp"
 #include "symbolic/expr.hpp"
 
@@ -215,6 +223,202 @@ TEST_F(ExprTest, MakeSymbolExprResolvesPow2Params) {
 TEST_F(ExprTest, HasIntegerCoefficients) {
   EXPECT_TRUE((c(2) * sym(I) + c(3)).hasIntegerCoefficients());
   EXPECT_FALSE((Expr::constant(Rational(1, 2)) * sym(I)).hasIntegerCoefficients());
+}
+
+// ---------------------------------------------------------------------------
+// Kernel differential: the merge-based +, - and substitute against the
+// sort-based reference kernels in tests/reference_oracles.*.
+// ---------------------------------------------------------------------------
+
+/// Keys strictly increasing, coefficients nonzero, and every pow2 exponent
+/// nonzero, free of a constant term and itself in normal form.
+::testing::AssertionResult inNormalForm(const Expr& e) {
+  const auto& t = e.terms();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].coeff().isZero()) {
+      return ::testing::AssertionFailure() << "zero coefficient at term " << i;
+    }
+    if (i > 0 && t[i - 1].compareKey(t[i]) >= 0) {
+      return ::testing::AssertionFailure() << "keys not strictly increasing at term " << i;
+    }
+    if (t[i].hasPow2()) {
+      const Expr& x = t[i].pow2Exponent();
+      if (x.isZero() || !x.constantTerm().isZero()) {
+        return ::testing::AssertionFailure() << "pow2 exponent zero or with a constant, term " << i;
+      }
+      if (auto r = inNormalForm(x); !r) return r;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The kernel's result, or nullopt when it throws (a pow2 exponent with a
+/// fractional constant, or an overflowing coefficient).
+std::optional<Expr> attempt(const std::function<Expr()>& kernel) {
+  try {
+    return kernel();
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// Both kernels throw, or both return the same normal form.
+void expectSameKernelResult(const std::function<Expr()>& kernel,
+                            const std::function<Expr()>& reference, const std::string& what) {
+  const std::optional<Expr> got = attempt(kernel);
+  const std::optional<Expr> want = attempt(reference);
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got) return;
+  EXPECT_EQ(got->compare(*want), 0) << what;
+  EXPECT_TRUE(inNormalForm(*got)) << what;
+}
+
+/// Seeded random Exprs: rational coefficients, multi-symbol monomials with
+/// powers up to 3, and up to two pow2 factors per monomial whose exponents
+/// are drawn from a pool of opposite pairs, so some cancel to a constant.
+class RandomExprs {
+ public:
+  RandomExprs(std::uint32_t seed, std::vector<SymbolId> symbols)
+      : rng_(seed), symbols_(std::move(symbols)) {
+    for (std::size_t i = 0; i < symbols_.size(); ++i) {
+      const Expr a = Expr::symbol(symbols_[i]);
+      const Expr b = Expr::symbol(symbols_[(i + 1) % symbols_.size()]);
+      for (const Expr& x : {a, a - b, c(2) * a + b + c(1), a * b - c(3)}) {
+        exponents_.push_back(x);
+        exponents_.push_back(-x);
+      }
+    }
+  }
+
+  int uniform(int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng_); }
+
+  Expr monomial() {
+    int num = uniform(-6, 6);
+    if (num == 0) num = 1;
+    Expr m = Expr::constant(Rational(num, uniform(1, 4)));
+    for (int n = uniform(0, 3); n > 0; --n) {
+      const Expr s = Expr::symbol(symbols_[uniform(0, static_cast<int>(symbols_.size()) - 1)]);
+      for (int k = uniform(1, 3); k > 0; --k) m = m * s;
+    }
+    for (int n = uniform(-1, 2); n > 0; --n) {
+      m = m * Expr::pow2(exponents_[uniform(0, static_cast<int>(exponents_.size()) - 1)]);
+    }
+    return m;
+  }
+
+  Expr expr(int maxTerms = 5) {
+    Expr e;
+    for (int n = uniform(0, maxTerms); n > 0; --n) e = reference::add(e, monomial());
+    return e;
+  }
+
+ private:
+  static Expr c(std::int64_t v) { return Expr::constant(v); }
+  std::mt19937 rng_;
+  std::vector<SymbolId> symbols_;
+  std::vector<Expr> exponents_;
+};
+
+TEST_F(ExprTest, MergeKernelsMatchSortBasedReference) {
+  RandomExprs gen(20260417u, {p, q, I, L, J});
+  for (int round = 0; round < 3000; ++round) {
+    const Expr a = gen.expr();
+    Expr b;
+    switch (round % 4) {
+      case 0: b = a; break;                           // exact cancellation in a - b
+      case 1: b = reference::add(a, gen.expr(2)); break;  // mostly like terms
+      default: b = gen.expr(); break;
+    }
+    const std::string what = "round " + std::to_string(round) + ": a = " + a.str(st) +
+                             ", b = " + b.str(st);
+    ASSERT_TRUE(inNormalForm(a)) << what;
+    expectSameKernelResult([&] { return a + b; }, [&] { return reference::add(a, b); }, what);
+    expectSameKernelResult([&] { return a - b; }, [&] { return reference::subtract(a, b); },
+                           what);
+    expectSameKernelResult([&] { return b - a; }, [&] { return reference::subtract(b, a); },
+                           what);
+    expectSameKernelResult([&] { return a + Expr(); }, [&] { return a; }, what);
+    expectSameKernelResult([&] { return Expr() - a; }, [&] { return -a; }, what);
+  }
+  EXPECT_TRUE((Expr() + Expr()).isZero());
+  EXPECT_TRUE((Expr() - Expr()).isZero());
+}
+
+TEST_F(ExprTest, SubstituteMatchesSortBasedReference) {
+  const std::vector<SymbolId> symbols = {p, q, I, L, J};
+  RandomExprs gen(20260418u, symbols);
+  for (int round = 0; round < 2000; ++round) {
+    const Expr e = gen.expr();
+    const SymbolId s = symbols[static_cast<std::size_t>(gen.uniform(0, 4))];
+    const SymbolId t = symbols[static_cast<std::size_t>(gen.uniform(0, 4))];
+    // Values that shift a symbol (cancelling opposite pow2 exponents) as well
+    // as random polynomials.
+    Expr value;
+    switch (round % 3) {
+      case 0: value = sym(t) + c(gen.uniform(-2, 2)); break;
+      case 1: value = -sym(t); break;
+      default: value = gen.expr(3); break;
+    }
+    const std::map<SymbolId, Expr> one{{s, value}};
+    const std::map<SymbolId, Expr> two{{s, value}, {t, gen.expr(2)}};
+    const std::string what = "round " + std::to_string(round) + ": e = " + e.str(st) +
+                             ", value = " + value.str(st);
+    expectSameKernelResult([&] { return e.substitute(s, value); },
+                           [&] { return reference::substitute(e, one); }, what);
+    expectSameKernelResult([&] { return e.substitute(two); },
+                           [&] { return reference::substitute(e, two); }, what);
+  }
+  const Expr e = sym(I) * sym(J) + Expr::pow2(sym(L));
+  EXPECT_EQ(e.substitute(K, c(3)).compare(e), 0);  // no bound symbol: unchanged
+  EXPECT_EQ(e.substitute(std::map<SymbolId, Expr>{}).compare(e), 0);
+}
+
+TEST(ExprKernelSuite, SubstituteMatchesReferenceOnEverySuiteExpr) {
+  std::size_t compared = 0;
+  for (const auto& info : codes::benchmarkSuite()) {
+    const ir::Program prog = info.build();
+    std::vector<Expr> exprs;
+    for (std::size_t k = 0; k < prog.phases().size(); ++k) {
+      const ir::Phase& phase = prog.phase(k);
+      for (const auto& loop : phase.loops()) {
+        exprs.push_back(loop.lower);
+        exprs.push_back(loop.upper);
+      }
+      for (const auto& ref : phase.refs()) exprs.push_back(ref.subscript);
+      for (const auto& arr : prog.arrays()) {
+        if (!phase.accesses(arr.name)) continue;
+        try {
+          const auto pd = desc::buildPhaseDescriptor(prog, k, arr.name);
+          for (const auto& term : pd.terms()) {
+            for (const auto& d : term.dims) {
+              exprs.push_back(d.delta);
+              exprs.push_back(d.alpha);
+            }
+            for (const Expr& x : {term.tau, term.deltaP, term.seqMin, term.seqMax}) {
+              exprs.push_back(x);
+            }
+          }
+        } catch (const AnalysisError&) {
+          // Outside the representable class: no descriptor entries to check.
+        }
+      }
+    }
+    ASSERT_FALSE(exprs.empty()) << info.name;
+    // Each entry, once per symbol of the code, bound to another entry.
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      for (SymbolId s = 0; s < prog.symbols().size(); ++s) {
+        const Expr& value = exprs[(i + s + 1) % exprs.size()];
+        const std::map<SymbolId, Expr> binding{{s, value}};
+        expectSameKernelResult([&] { return exprs[i].substitute(s, value); },
+                               [&] { return reference::substitute(exprs[i], binding); },
+                               info.name + ": " + exprs[i].str(prog.symbols()) + " with " +
+                                   prog.symbols().name(s) + " := " +
+                                   value.str(prog.symbols()));
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 }  // namespace

@@ -233,6 +233,47 @@ TEST_F(InternTest, InternedAnalyzerEntryPointsMatchExprOnes) {
   }
 }
 
+TEST_F(InternTest, SingleThreadedQueriesNeverWaitOnAClaim) {
+  sym::SymbolTable st;
+  const auto n = st.parameter("N");
+  const auto i = st.index("i");
+  sym::Assumptions assumptions(st);
+  assumptions.setRange(i, c(0), Expr::symbol(n) - c(1));
+  const sym::ProofMemoEnabledGuard on(true);
+  const sym::RangeAnalyzer ra(assumptions);
+  obs::Counter& waits = obs::metrics().counter("ad.intern.claim_waits");
+  obs::Counter& waitUs = obs::metrics().counter("ad.intern.claim_wait_us");
+  const std::int64_t waitsBefore = waits.value();
+  const std::int64_t usBefore = waitUs.value();
+  EXPECT_TRUE(ra.proveNonNegative(Expr::symbol(n) - Expr::symbol(i) - c(1)));
+  EXPECT_TRUE(ra.provePositive(Expr::symbol(n) * c(2) - Expr::symbol(i)));
+  EXPECT_EQ(ra.sign(Expr::symbol(i) - Expr::symbol(n)), -1);
+  EXPECT_EQ(waits.value(), waitsBefore);
+  EXPECT_EQ(waitUs.value(), usBefore);
+}
+
+TEST_F(InternTest, RacingOnAClaimedQueryCountsAWait) {
+  sym::SymbolTable st;
+  const auto n = st.parameter("N");
+  sym::Assumptions assumptions(st);
+  const auto context = sym::ProofMemo::global().context(assumptions);
+  const InternedExpr e = ExprIntern::global().intern(Expr::symbol(n) + c(1));
+  using Op = sym::ProofMemoContext::Op;
+  obs::Counter& waits = obs::metrics().counter("ad.intern.claim_waits");
+  const std::int64_t before = waits.value();
+
+  ASSERT_TRUE(context->claimOrWait(Op::kNonNegative, e));
+  std::atomic<bool> claimedByWaiter{true};
+  std::thread waiter([&] { claimedByWaiter = context->claimOrWait(Op::kNonNegative, e); });
+  // The count goes up before the waiter parks, so this spin ends only once
+  // the second thread is on the wait path.
+  while (waits.value() == before) std::this_thread::yield();
+  context->release(Op::kNonNegative, e);
+  waiter.join();
+  EXPECT_FALSE(claimedByWaiter.load());
+  EXPECT_GE(waits.value(), before + 1);
+}
+
 TEST_F(InternTest, TableStatsReportSlotsAndBytes) {
   sym::SymbolTable st;
   const auto exprs = makeFamily(st, 100);

@@ -1,6 +1,7 @@
 #include "reference_oracles.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -9,7 +10,128 @@
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
 
+namespace ad::sym {
+
+/// Raw access to Expr's normal form, for the sort-based kernels below.
+struct ExprTestAccess {
+  static std::vector<Monomial>& terms(Expr& e) { return e.terms_; }
+  static Rational& coeff(Monomial& m) { return m.coeff_; }
+  static std::vector<SymbolFactor>& symbols(Monomial& m) { return m.symbols_; }
+  static std::shared_ptr<const Expr>& pow2(Monomial& m) { return m.pow2_; }
+};
+
+}  // namespace ad::sym
+
 namespace ad::reference {
+
+namespace {
+
+using sym::Expr;
+using sym::Monomial;
+using Access = sym::ExprTestAccess;
+
+/// Sorts `terms` by key, sums like terms and drops zeros.
+Expr normalized(std::vector<Monomial> terms) {
+  std::sort(terms.begin(), terms.end(),
+            [](const Monomial& a, const Monomial& b) { return a.compareKey(b) < 0; });
+  std::vector<Monomial> out;
+  out.reserve(terms.size());
+  for (auto& m : terms) {
+    if (!out.empty() && out.back().sameKey(m)) {
+      Access::coeff(out.back()) += m.coeff();
+      if (out.back().coeff().isZero()) out.pop_back();
+    } else if (!m.coeff().isZero()) {
+      out.push_back(std::move(m));
+    }
+  }
+  Expr e;
+  Access::terms(e) = std::move(out);
+  return e;
+}
+
+Expr negate(const Expr& e) {
+  Expr r = e;
+  for (auto& m : Access::terms(r)) Access::coeff(m) = -m.coeff();
+  return r;
+}
+
+Monomial multiplyMonomials(const Monomial& a, const Monomial& b) {
+  Monomial r(a.coeff() * b.coeff());
+  auto& out = Access::symbols(r);
+  auto ia = a.symbols().begin();
+  auto ib = b.symbols().begin();
+  while (ia != a.symbols().end() || ib != b.symbols().end()) {
+    if (ib == b.symbols().end() || (ia != a.symbols().end() && ia->id < ib->id)) {
+      out.push_back(*ia++);
+    } else if (ia == a.symbols().end() || ib->id < ia->id) {
+      out.push_back(*ib++);
+    } else {
+      out.push_back(sym::SymbolFactor{ia->id, ia->power + ib->power});
+      ++ia;
+      ++ib;
+    }
+  }
+  if (a.hasPow2() && b.hasPow2()) {
+    Expr sum = add(a.pow2Exponent(), b.pow2Exponent());
+    if (!sum.isZero()) Access::pow2(r) = std::make_shared<const Expr>(std::move(sum));
+  } else if (a.hasPow2()) {
+    Access::pow2(r) = std::make_shared<const Expr>(a.pow2Exponent());
+  } else if (b.hasPow2()) {
+    Access::pow2(r) = std::make_shared<const Expr>(b.pow2Exponent());
+  }
+  return r;
+}
+
+Expr multiply(const Expr& a, const Expr& b) {
+  std::vector<Monomial> terms;
+  for (const auto& ma : a.terms()) {
+    for (const auto& mb : b.terms()) terms.push_back(multiplyMonomials(ma, mb));
+  }
+  return normalized(std::move(terms));
+}
+
+Expr pow2(const Expr& exponent) {
+  const Rational c = exponent.constantTerm();
+  AD_REQUIRE(c.isInteger(), "pow2 exponent with non-integer constant part");
+  const std::int64_t k = c.asInteger();
+  AD_REQUIRE(k >= -62 && k <= 62, "pow2 constant exponent out of representable range");
+  const std::int64_t v = std::int64_t{1} << (k < 0 ? -k : k);
+  const Rational coeff = k >= 0 ? Rational(v) : Rational(1, v);
+  Expr rest = subtract(exponent, Expr::constant(c));
+  if (rest.isZero()) return Expr::constant(coeff);
+  Monomial m(coeff);
+  Access::pow2(m) = std::make_shared<const Expr>(std::move(rest));
+  Expr e;
+  Access::terms(e).push_back(std::move(m));
+  return e;
+}
+
+}  // namespace
+
+Expr add(const Expr& a, const Expr& b) {
+  std::vector<Monomial> terms = a.terms();
+  terms.insert(terms.end(), b.terms().begin(), b.terms().end());
+  return normalized(std::move(terms));
+}
+
+Expr subtract(const Expr& a, const Expr& b) { return add(a, negate(b)); }
+
+Expr substitute(const Expr& e, const std::map<sym::SymbolId, Expr>& bindings) {
+  Expr result;
+  for (const auto& m : e.terms()) {
+    Expr term = Expr::constant(m.coeff());
+    for (const auto& f : m.symbols()) {
+      const auto it = bindings.find(f.id);
+      const Expr base = it != bindings.end() ? it->second : Expr::symbol(f.id);
+      Expr power = Expr::constant(1);
+      for (int i = 0; i < f.power; ++i) power = multiply(power, base);
+      term = multiply(term, power);
+    }
+    if (m.hasPow2()) term = multiply(term, pow2(substitute(m.pow2Exponent(), bindings)));
+    result = add(result, term);
+  }
+  return result;
+}
 
 void forEachAccess(const ir::Program& program, const ir::Phase& phase,
                    const ir::Bindings& params,

@@ -1,4 +1,4 @@
-// Element-enumerating reference oracles.
+// Element-enumerating reference oracles, and the sort-based Expr kernels.
 //
 // dsm::simulate counts accesses from arithmetic progressions,
 // comm::generateGlobal / verifiesRedistribution walk owner runs,
@@ -7,16 +7,31 @@
 // functions here do the same work the obvious way — one access, one element
 // at a time, every subscript evaluated — and exist only so the tests can
 // compare the two field by field.
+//
+// Expr's +, - and substitute merge canonical term lists in one pass; the
+// kernels here build the same sums the obvious way — concatenate the term
+// lists, sort them, combine like terms — so expr_test can compare the two.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 
 #include "comm/schedule.hpp"
 #include "dsm/machine.hpp"
+#include "symbolic/expr.hpp"
 
 namespace ad::reference {
+
+/// a + b: both term lists concatenated, sorted and like terms combined.
+[[nodiscard]] sym::Expr add(const sym::Expr& a, const sym::Expr& b);
+/// a + (-b), with -b materialised.
+[[nodiscard]] sym::Expr subtract(const sym::Expr& a, const sym::Expr& b);
+/// Every monomial rebuilt as coeff * value^power * ... * pow2(substituted
+/// exponent) from sort-based products and summed one monomial at a time.
+[[nodiscard]] sym::Expr substitute(const sym::Expr& e,
+                                   const std::map<sym::SymbolId, sym::Expr>& bindings);
 
 /// ir::forEachAccess without strength reduction: walks the nest with
 /// ir::forEachIteration and evaluates every subscript with Expr::evaluate at
