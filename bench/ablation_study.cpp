@@ -82,8 +82,7 @@ int main() {
     const std::int64_t size = 1 << 14;
     const std::int64_t H = 8;
     const auto sched = comm::generateGlobal("X", size, from, to, H);
-    std::int64_t runs = 0;
-    for (const auto& m : sched.messages()) runs += static_cast<std::int64_t>(m.ranges.size());
+    const auto runs = static_cast<std::int64_t>(sched.ranges().size());
     dsm::MachineParams machine;
     const double aggregated = sched.time(machine);
     // Without aggregation each contiguous run pays its own startup.

@@ -3,17 +3,21 @@
 //
 // Both legs run the identical workload — the six-code suite analyzed at
 // H in {1, 4, 8} through the batched engine at 8 requested workers, cold
-// proof memo per repetition — three repetitions each, best-of taken (the
-// benches run on shared CI machines; the minimum is the least noisy
-// location estimate). The only difference between the legs is
-// obs::profiler().enable().
+// proof memo per repetition. The only difference between the legs is
+// obs::profiler().enable(). The legs run in 101 off/on pairs, alternating
+// which leg goes first, and the overhead is the median of the pairs' on/off
+// ratios: one leg takes tens of ms at 8 workers, so a burst of load on a
+// shared host can slow any single leg by tens of percent, and a best-of per
+// leg compares two different moments; a pair's two legs share their moment,
+// and the median ignores the pairs a burst split.
 //
 // Emits BENCH_contention.json (schema ad.bench.contention.v1):
-//   { "reps": 3, "off_ms": ..., "on_ms": ..., "overhead_pct": ...,
+//   { "reps": 101, "off_ms": ..., "on_ms": ..., "overhead_pct": ...,
 //     "profile": {ad.profile.v1 of the last profiled rep} }
+// where reps counts the pairs and off_ms / on_ms are the legs' medians.
 //
 // Acceptance (checked here, nonzero exit on failure):
-//   - profiler overhead < 5% on the six-code suite,
+//   - median paired profiler overhead < 5% on the six-code suite,
 //   - the profiled leg produced non-empty per-thread rows.
 #include <algorithm>
 #include <chrono>
@@ -73,43 +77,67 @@ double runOnce(const Workload& w) {
   return ms;
 }
 
+double median(std::vector<double> xs) {
+  if (xs.empty()) return -1.0;
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+}
+
 }  // namespace
 
 int main() {
   using namespace ad;
-  bench::Reporter r("Contention profiler overhead (six-code suite, jobs=8, best of 3)");
+  constexpr int kPairs = 101;
+  bench::Reporter r("Contention profiler overhead (six-code suite, jobs=8, median of " +
+                    std::to_string(kPairs) + " paired ratios)");
 
   const Workload w = makeWorkload();
-  constexpr int kReps = 3;
 
-  // Interleave off/on repetitions so machine-level drift (thermal, noisy
-  // neighbors) hits both legs alike.
-  double offBest = -1.0;
-  double onBest = -1.0;
+  std::vector<double> offMs;
+  std::vector<double> onMs;
+  std::vector<double> ratios;
   std::string profileJson;
   bool allOk = true;
   sym::ProofMemoEnabledGuard memoOn(true);
-  for (int rep = 0; rep < kReps; ++rep) {
-    obs::profiler().disable();
-    const double offMs = runOnce(w);
-    allOk = allOk && offMs >= 0.0;
-    if (offMs >= 0.0 && (offBest < 0.0 || offMs < offBest)) offBest = offMs;
-
-    obs::profiler().reset();
-    obs::profiler().enable();
-    const double onMs = runOnce(w);
-    obs::profiler().disable();
-    allOk = allOk && onMs >= 0.0;
-    if (onMs >= 0.0 && (onBest < 0.0 || onMs < onBest)) onBest = onMs;
-    profileJson = obs::profiler().summary();
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double off = -1.0;
+    double on = -1.0;
+    const auto runOff = [&] {
+      obs::profiler().disable();
+      off = runOnce(w);
+    };
+    const auto runOn = [&] {
+      obs::profiler().reset();
+      obs::profiler().enable();
+      on = runOnce(w);
+      obs::profiler().disable();
+      profileJson = obs::profiler().summary();
+    };
+    // Alternate the leading leg so drift within a pair favours neither.
+    if (pair % 2 == 0) {
+      runOff();
+      runOn();
+    } else {
+      runOn();
+      runOff();
+    }
+    allOk = allOk && off > 0.0 && on >= 0.0;
+    if (off > 0.0 && on >= 0.0) {
+      offMs.push_back(off);
+      onMs.push_back(on);
+      ratios.push_back(on / off);
+    }
   }
   r.checkTrue("all repetitions analyzed the full batch", allOk);
 
-  const double overheadPct = (onBest / offBest - 1.0) * 100.0;
+  const double offMedian = median(offMs);
+  const double onMedian = median(onMs);
+  const double overheadPct = (median(ratios) - 1.0) * 100.0;
   {
     std::ostringstream line;
-    line << "profiler off: " << offBest << " ms, on: " << onBest << " ms  (overhead "
-         << overheadPct << "%)";
+    line << "profiler off: " << offMedian << " ms, on: " << onMedian
+         << " ms (leg medians); median paired overhead " << overheadPct << "%";
     r.note(line.str());
   }
   r.checkTrue("profiler overhead < 5% (got " + std::to_string(overheadPct) + "%)",
@@ -119,8 +147,8 @@ int main() {
 
   std::ostringstream json;
   json << "{\n  \"schema\": \"ad.bench.contention.v1\",\n";
-  json << "  \"reps\": " << kReps << ",\n";
-  json << "  \"off_ms\": " << offBest << ",\n  \"on_ms\": " << onBest << ",\n";
+  json << "  \"reps\": " << kPairs << ",\n";
+  json << "  \"off_ms\": " << offMedian << ",\n  \"on_ms\": " << onMedian << ",\n";
   json << "  \"overhead_pct\": " << overheadPct << ",\n";
   json << "  \"profile\": " << (profileJson.empty() ? "{}" : profileJson) << "\n}\n";
   if (!bench::writeTextFile("BENCH_contention.json", json.str())) return EXIT_FAILURE;

@@ -61,7 +61,9 @@ asan() {
   # pool boundaries, budget-truncated searches); AddressSanitizer +
   # UndefinedBehaviorSanitizer keep those paths honest. The parser fuzz runs
   # here too — mutated input is where lifetime bugs hide. expr_test drives
-  # the Expr kernels (in-place compaction, list merges) with random inputs.
+  # the Expr kernels (in-place compaction, list merges) with random inputs;
+  # dsm_test drives the flat comm schedules' offsets and the H x H pair
+  # tables up to H = 1024.
   echo "=== asan: robustness tests under ASan+UBSan ==="
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -69,7 +71,7 @@ asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   local tests=(status_test fault_test cli_test parser_fuzz_test \
                degradation_test thread_pool_test frontend_test service_test \
-               expr_test)
+               expr_test dsm_test)
   cmake --build build-asan -j "$jobs" --target "${tests[@]}"
   for t in "${tests[@]}"; do
     ./build-asan/tests/"$t"

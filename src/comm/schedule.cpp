@@ -5,22 +5,31 @@
 #include <sstream>
 #include <tuple>
 
-#include "dsm/access_count.hpp"
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::comm {
 
-std::int64_t Message::words() const {
+CommSchedule::CommSchedule(std::string array, Pattern pattern,
+                           const std::vector<Message>& messages)
+    : array_(std::move(array)), pattern_(pattern) {
+  messages_.reserve(messages.size());
+  for (const auto& m : messages) {
+    messages_.push_back(MessageHeader{m.src, m.dst, ranges_.size(), m.ranges.size()});
+    ranges_.insert(ranges_.end(), m.ranges.begin(), m.ranges.end());
+  }
+}
+
+std::int64_t CommSchedule::words(const MessageHeader& m) const {
   std::int64_t n = 0;
-  for (const auto& r : ranges) n += r.words();
+  for (const auto& r : ranges(m)) n += r.words();
   return n;
 }
 
 std::int64_t CommSchedule::totalWords() const {
   std::int64_t n = 0;
-  for (const auto& m : messages_) n += m.words();
+  for (const auto& r : ranges_) n += r.words();
   return n;
 }
 
@@ -30,7 +39,7 @@ double CommSchedule::time(const dsm::MachineParams& machine) const {
   std::map<std::int64_t, double> perSource;
   for (const auto& m : messages_) {
     perSource[m.src] +=
-        machine.putLatency + static_cast<double>(m.words()) * machine.perWord;
+        machine.putLatency + static_cast<double>(words(m)) * machine.perWord;
   }
   double worst = 0.0;
   for (const auto& [src, t] : perSource) worst = std::max(worst, t);
@@ -42,60 +51,67 @@ std::string CommSchedule::str() const {
   os << (pattern_ == Pattern::kGlobal ? "global" : "frontier") << " communication for "
      << array_ << " (" << messages_.size() << " messages, " << totalWords() << " words)\n";
   for (const auto& m : messages_) {
-    os << "  PE " << m.src << " -> PE " << m.dst << " (" << m.words() << " words):";
-    const std::size_t shown = std::min<std::size_t>(4, m.ranges.size());
-    for (std::size_t i = 0; i < shown; ++i) {
-      os << " put " << array_ << "[" << m.ranges[i].begin << ".." << m.ranges[i].end << ")";
+    os << "  PE " << m.src << " -> PE " << m.dst << " (" << words(m) << " words):";
+    const std::size_t shown = std::min<std::size_t>(4, m.count);
+    for (const auto& r : ranges(m).first(shown)) {
+      os << " put " << array_ << "[" << r.begin << ".." << r.end << ")";
     }
-    if (m.ranges.size() > shown) os << " ... (" << m.ranges.size() - shown << " more ranges)";
+    if (m.count > shown) os << " ... (" << m.count - shown << " more ranges)";
     os << "\n";
   }
   return os.str();
 }
 
-namespace {
-
-/// Aggregates ranges arriving in address order into one message per
-/// (src, dst) pair. A dense H x H table maps each pair to its message, so a
-/// range costs O(1); reading the table in order puts the messages in pair order.
+/// Aggregates ranges, arriving in address order within each (src, dst) pair,
+/// into one message per pair. Ranges go to one flat list, and a dense H x H
+/// table holds each pair's last range, so a range costs O(1) and one that
+/// touches its pair's last range extends it. finish() places the ranges in
+/// pair order with one counting pass.
 class Aggregator {
  public:
   explicit Aggregator(std::int64_t processors)
-      : h_(processors), index_(static_cast<std::size_t>(checkedMul(processors, processors)), -1) {}
+      : h_(processors), last_(static_cast<std::size_t>(checkedMul(processors, processors)), -1) {}
 
-  /// Appends [begin, end) to the (src, dst) message, coalescing it with the
-  /// message's last range when they touch.
   void append(std::int64_t src, std::int64_t dst, std::int64_t begin, std::int64_t end) {
-    std::int32_t& i = index_[static_cast<std::size_t>(src * h_ + dst)];
-    if (i < 0) {
-      i = static_cast<std::int32_t>(messages_.size());
-      messages_.push_back(Message{src, dst, {}});
-    }
-    auto& ranges = messages_[static_cast<std::size_t>(i)].ranges;
-    if (!ranges.empty() && ranges.back().end == begin) {
-      ranges.back().end = end;
+    const auto pair = static_cast<std::size_t>(src * h_ + dst);
+    std::int64_t& last = last_[pair];
+    if (last >= 0 && runs_[static_cast<std::size_t>(last)].range.end == begin) {
+      runs_[static_cast<std::size_t>(last)].range.end = end;
     } else {
-      ranges.push_back(Range{begin, end});
+      last = static_cast<std::int64_t>(runs_.size());
+      runs_.push_back(Run{pair, Range{begin, end}});
     }
   }
 
   /// One message per (src, dst) pair, in pair order.
-  std::vector<Message> finish() && {
-    std::vector<Message> out;
-    out.reserve(messages_.size());
-    for (const std::int32_t i : index_) {
-      if (i >= 0) out.push_back(std::move(messages_[static_cast<std::size_t>(i)]));
+  CommSchedule finish(const std::string& array, Pattern pattern) && {
+    // The table turns into each pair's range count, then its first slot.
+    std::fill(last_.begin(), last_.end(), 0);
+    for (const Run& r : runs_) ++last_[r.pair];
+    std::vector<MessageHeader> messages;
+    std::size_t offset = 0;
+    for (std::size_t pair = 0; pair < last_.size(); ++pair) {
+      const auto count = static_cast<std::size_t>(last_[pair]);
+      if (count == 0) continue;
+      const auto p = static_cast<std::int64_t>(pair);
+      messages.push_back(MessageHeader{p / h_, p % h_, offset, count});
+      last_[pair] = static_cast<std::int64_t>(offset);
+      offset += count;
     }
-    return out;
+    std::vector<Range> ranges(runs_.size());
+    for (const Run& r : runs_) ranges[static_cast<std::size_t>(last_[r.pair]++)] = r.range;
+    return CommSchedule(array, pattern, std::move(messages), std::move(ranges));
   }
 
  private:
+  struct Run {
+    std::size_t pair;
+    Range range;
+  };
   std::int64_t h_;
-  std::vector<std::int32_t> index_;
-  std::vector<Message> messages_;
+  std::vector<std::int64_t> last_;
+  std::vector<Run> runs_;
 };
-
-}  // namespace
 
 CommSchedule generateGlobal(const std::string& array, std::int64_t size,
                             const dsm::DataDistribution& from, const dsm::DataDistribution& to,
@@ -109,7 +125,7 @@ CommSchedule generateGlobal(const std::string& array, std::int64_t size,
                            std::int64_t dst) {
                          if (src != dst) messages.append(src, dst, begin, end);
                        });
-  return CommSchedule(array, Pattern::kGlobal, std::move(messages).finish());
+  return std::move(messages).finish(array, Pattern::kGlobal);
 }
 
 CommSchedule generateFrontier(const std::string& array, std::int64_t size,
@@ -131,47 +147,89 @@ CommSchedule generateFrontier(const std::string& array, std::int64_t size,
     if (src == dst) continue;
     messages.append(src, dst, nextStart, std::min(size, nextStart + overlap));
   }
-  return CommSchedule(array, Pattern::kFrontier, std::move(messages).finish());
+  return std::move(messages).finish(array, Pattern::kFrontier);
 }
 
 bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,
                             const dsm::DataDistribution& from, const dsm::DataDistribution& to,
                             std::int64_t processors) {
-  // Every (non-empty) range must lie in bounds, between distinct processors,
-  // on owner runs whose owners are exactly its endpoints; no element may be
-  // sent twice; and together the ranges must cover as many words as change
-  // owner. Then they cover exactly the moving elements, each once. Ranges of
-  // different (src, dst) pairs hold different elements, so overlaps are only
-  // checked within a pair, in address order — already the order of a
-  // generated schedule, so the sort is usually skipped.
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>> sent;
-  std::int64_t words = 0;
+  // The schedule is correct exactly when each (src, dst) pair's non-empty
+  // ranges, in address order, tile the elements whose owner changes from src
+  // to dst. First reject any non-empty range out of bounds, self-put or naming
+  // a processor outside [0, H), and note whether the schedule is grouped as
+  // generateGlobal emits it: non-empty messages in strictly increasing pair
+  // order, each with non-empty ranges in address order.
+  const std::int64_t h = processors;
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(checkedMul(h, h)), -1);  // pair -> cursor
+  bool grouped = true;
+  std::int64_t lastPair = -1;
   support::ExpiryPoll poll;
   for (const auto& m : schedule.messages()) {
-    for (const auto& r : m.ranges) {
+    const auto rs = schedule.ranges(m);
+    for (std::size_t i = 0; i < rs.size(); ++i) {
       poll.tick();
-      if (r.end <= r.begin) continue;  // moves nothing
-      if (r.begin < 0 || r.end > size || m.src == m.dst) return false;
-      bool endpoints = true;
-      dsm::forEachOwnerRun(from, to, processors, r.begin, r.end,
-                           [&](std::int64_t, std::int64_t, std::int64_t src, std::int64_t dst) {
-                             endpoints = endpoints && src == m.src && dst == m.dst;
-                           });
-      if (!endpoints) return false;
-      sent.emplace_back(m.src, m.dst, r.begin, r.end);
-      words += r.words();
+      if (rs[i].end <= rs[i].begin) {  // moves nothing
+        grouped = false;
+        continue;
+      }
+      if (rs[i].begin < 0 || rs[i].end > size || m.src == m.dst || m.src < 0 || m.src >= h ||
+          m.dst < 0 || m.dst >= h) {
+        return false;
+      }
+      grouped = grouped && (i == 0 || rs[i - 1].begin <= rs[i].begin);
     }
+    if (!grouped || rs.empty()) continue;  // a grouped message's endpoints are checked
+    grouped = lastPair < m.src * h + m.dst;
+    lastPair = m.src * h + m.dst;
   }
-  if (!std::is_sorted(sent.begin(), sent.end())) std::sort(sent.begin(), sent.end());
-  for (std::size_t i = 1; i < sent.size(); ++i) {
-    const auto& [src, dst, begin, end] = sent[i];
-    const auto& [prevSrc, prevDst, prevBegin, prevEnd] = sent[i - 1];
-    if (src == prevSrc && dst == prevDst && begin < prevEnd) return false;
+  if (!grouped) {
+    // Regroup the non-empty ranges by pair, in address order, and check that.
+    std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>> pieces;
+    for (const auto& m : schedule.messages()) {
+      for (const Range& r : schedule.ranges(m)) {
+        if (r.begin < r.end) pieces.emplace_back(m.src, m.dst, r.begin, r.end);
+      }
+    }
+    std::sort(pieces.begin(), pieces.end());
+    Aggregator regrouped(h);
+    for (const auto& [src, dst, begin, end] : pieces) regrouped.append(src, dst, begin, end);
+    return verifiesRedistribution(
+        std::move(regrouped).finish(schedule.array(), schedule.pattern()), size, from, to, h);
   }
-  std::int64_t moving = 0;
-  std::int64_t messages = 0;
-  dsm::countRedistribution(from, to, size, processors, moving, messages);
-  return words == moving;
+
+  // Per pair, its message's first unsent range and the address that range has
+  // got to.
+  struct Cursor {
+    std::size_t next, stop;
+    std::int64_t reached;
+  };
+  const auto ranges = schedule.ranges();
+  std::vector<Cursor> cursors;
+  for (const auto& m : schedule.messages()) {
+    if (m.count == 0) continue;
+    slot[static_cast<std::size_t>(m.src * h + m.dst)] = static_cast<std::int32_t>(cursors.size());
+    cursors.push_back(Cursor{m.offset, m.offset + m.count, ranges[m.offset].begin});
+  }
+
+  // One walk: each moving run must continue its pair's first unsent range
+  // where that range has got to; at the end every range must be used up.
+  bool ok = true;
+  dsm::forEachOwnerRun(
+      from, to, h, 0, size,
+      [&](std::int64_t a, std::int64_t end, std::int64_t src, std::int64_t dst) {
+        if (src == dst || !ok) return;
+        const std::int32_t i = slot[static_cast<std::size_t>(src * h + dst)];
+        ok = i >= 0;
+        while (ok && a < end) {
+          Cursor& c = cursors[static_cast<std::size_t>(i)];
+          ok = c.next < c.stop && c.reached == a;
+          if (!ok) return;
+          a = c.reached = std::min(ranges[c.next].end, end);
+          if (a == ranges[c.next].end && ++c.next < c.stop) c.reached = ranges[c.next].begin;
+        }
+      });
+  return ok && std::all_of(cursors.begin(), cursors.end(),
+                           [](const Cursor& c) { return c.next == c.stop; });
 }
 
 }  // namespace ad::comm

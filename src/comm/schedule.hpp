@@ -10,9 +10,17 @@
 //     processors' chunks.
 // Message aggregation packs all element ranges with the same (source,
 // destination) pair into one message.
+//
+// A schedule is flat: one list of ranges in message order, and per message a
+// header (src, dst, offset, count) naming its slice of that list, so building
+// one allocates nothing per message. A redistribution schedule is correct
+// exactly when, for each (src, dst) pair, the pair's non-empty ranges in
+// address order tile the elements whose owner changes from src to dst; the
+// verifier checks that in one owner-run walk.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,26 +36,41 @@ struct Range {
   [[nodiscard]] std::int64_t words() const noexcept { return end - begin; }
 };
 
-/// One aggregated put: everything processor `src` sends to `dst`.
+/// One aggregated put as built by hand: everything processor `src` sends to
+/// `dst`.
 struct Message {
   std::int64_t src = 0;
   std::int64_t dst = 0;
   std::vector<Range> ranges;
+};
 
-  [[nodiscard]] std::int64_t words() const;
+/// One message of a schedule: `count` ranges from `offset` on in the
+/// schedule's range list.
+struct MessageHeader {
+  std::int64_t src = 0;
+  std::int64_t dst = 0;
+  std::size_t offset = 0;
+  std::size_t count = 0;
 };
 
 enum class Pattern { kGlobal, kFrontier };
 
 class CommSchedule {
  public:
-  CommSchedule(std::string array, Pattern pattern, std::vector<Message> messages)
-      : array_(std::move(array)), pattern_(pattern), messages_(std::move(messages)) {}
+  /// Flattens hand-built messages, keeping their order.
+  CommSchedule(std::string array, Pattern pattern, const std::vector<Message>& messages);
 
   [[nodiscard]] const std::string& array() const noexcept { return array_; }
   [[nodiscard]] Pattern pattern() const noexcept { return pattern_; }
-  [[nodiscard]] const std::vector<Message>& messages() const noexcept { return messages_; }
+  [[nodiscard]] const std::vector<MessageHeader>& messages() const noexcept { return messages_; }
+  /// Every message's ranges, in message order.
+  [[nodiscard]] std::span<const Range> ranges() const noexcept { return ranges_; }
+  /// The ranges of one of this schedule's messages.
+  [[nodiscard]] std::span<const Range> ranges(const MessageHeader& m) const noexcept {
+    return ranges().subspan(m.offset, m.count);
+  }
   [[nodiscard]] std::size_t messageCount() const noexcept { return messages_.size(); }
+  [[nodiscard]] std::int64_t words(const MessageHeader& m) const;
   [[nodiscard]] std::int64_t totalWords() const;
 
   /// Estimated execution time (aggregated puts in parallel across sources).
@@ -57,9 +80,16 @@ class CommSchedule {
   [[nodiscard]] std::string str() const;
 
  private:
+  friend class Aggregator;  // builds the flat layout directly
+  CommSchedule(std::string array, Pattern pattern, std::vector<MessageHeader> messages,
+               std::vector<Range> ranges)
+      : array_(std::move(array)), pattern_(pattern), messages_(std::move(messages)),
+        ranges_(std::move(ranges)) {}
+
   std::string array_;
   Pattern pattern_;
-  std::vector<Message> messages_;
+  std::vector<MessageHeader> messages_;
+  std::vector<Range> ranges_;
 };
 
 /// Global redistribution of `size` elements from distribution `from` to `to`.
@@ -77,7 +107,11 @@ class CommSchedule {
                                             std::int64_t overlap, std::int64_t processors);
 
 /// Verifies that `schedule` moves exactly the elements whose owner changes
-/// between `from` and `to`, each exactly once, with correct endpoints.
+/// between `from` and `to`, each exactly once, with correct endpoints: one
+/// owner-run walk over [0, size) after a pass over the ranges. Messages may
+/// come in any order, a pair may be split across messages and a range cut
+/// into touching pieces; only a schedule not grouped like generateGlobal's
+/// output is sorted first.
 [[nodiscard]] bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,
                                           const dsm::DataDistribution& from,
                                           const dsm::DataDistribution& to,

@@ -86,20 +86,54 @@ struct DataDistribution {
   }
 };
 
+/// Steps one distribution's constant-owner runs in address order: `owner` owns
+/// every address from the current run's start up to `runEnd`. A BLOCK-CYCLIC
+/// step adds one block and moves to the next processor, without a division;
+/// folded kinds step through owner() / ownerRunEnd(). Construction checks
+/// their requirements (an owner-bearing distribution, begin >= 0), which a
+/// BLOCK-CYCLIC step never rechecks.
+struct OwnerCursor {
+  OwnerCursor(const DataDistribution& dist, std::int64_t processors, std::int64_t begin)
+      : dist(dist), processors(processors), runEnd(dist.ownerRunEnd(begin)),
+        owner(dist.owner(begin, processors)) {}
+
+  /// Moves to the run starting at `runEnd`.
+  void advance() {
+    if (dist.kind == DataDistribution::Kind::kBlockCyclic) {
+      runEnd += dist.block;
+      owner = owner + 1 == processors ? 0 : owner + 1;
+    } else {
+      owner = dist.owner(runEnd, processors);
+      runEnd = dist.ownerRunEnd(runEnd);
+    }
+  }
+
+  const DataDistribution& dist;
+  std::int64_t processors;
+  std::int64_t runEnd;
+  std::int64_t owner;
+};
+
 /// The owner-run walker: visits [begin, end) in maximal runs on which both
 /// `from` and `to` keep one owner, as fn(runBegin, runEnd, fromOwner,
 /// toOwner), in address order. Redistribution counting, schedule generation
 /// and schedule verification all walk owners through it, so each costs
-/// O(runs) rather than O(elements). Polls cancellation and the deadline.
+/// O(runs) rather than O(elements): a few ns per run when both endpoints are
+/// BLOCK-CYCLIC, two out-of-line calls per folded step otherwise. Polls
+/// cancellation and the deadline.
 template <typename Fn>
 void forEachOwnerRun(const DataDistribution& from, const DataDistribution& to,
                      std::int64_t processors, std::int64_t begin, std::int64_t end, Fn&& fn) {
+  OwnerCursor f(from, processors, begin);
+  OwnerCursor t(to, processors, begin);
   support::ExpiryPoll poll;
   for (std::int64_t a = begin; a < end;) {
     poll.tick();
-    const std::int64_t next = std::min({from.ownerRunEnd(a), to.ownerRunEnd(a), end});
-    fn(a, next, from.owner(a, processors), to.owner(a, processors));
+    const std::int64_t next = std::min({f.runEnd, t.runEnd, end});
+    fn(a, next, f.owner, t.owner);
     a = next;
+    if (f.runEnd == a) f.advance();
+    if (t.runEnd == a) t.advance();
   }
 }
 

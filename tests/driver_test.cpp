@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "codes/suite.hpp"
@@ -64,6 +65,112 @@ TEST_F(PipelineTest, SchedulesVerifyAndMatchRedistributions) {
     EXPECT_GT(s.totalWords(), 0);
     EXPECT_GT(s.messageCount(), 0u);
   }
+}
+
+/// Each pipeline schedule against the cost model's global redistribution for
+/// the same array and phase: the comm layer emits exactly the words and
+/// messages dsm::countPlan charges, and a schedule moving nothing has no entry.
+/// Returns how many schedules matched an entry.
+std::size_t expectSchedulesMatchRedistributions(const ir::Program& program,
+                                         const PipelineConfig& config,
+                                         const std::string& what) {
+  const auto result = analyzeAndSimulate(program, config);
+  std::map<std::pair<std::string, std::size_t>, const dsm::RedistributionStats*> counted;
+  for (const auto& r : result.planned.redistributions) {
+    if (!r.frontier) counted[{r.array, r.beforePhase}] = &r;
+  }
+  std::size_t next = 0;
+  std::size_t matched = 0;
+  for (const auto& [array, dists] : result.plan.data) {
+    for (std::size_t k = 1; k < dists.size(); ++k) {
+      if (dists[k - 1] == dists[k] || !dists[k - 1].hasOwner() || !dists[k].hasOwner() ||
+          !dsm::redistributionMovesData(program, array, k)) {
+        continue;
+      }
+      const std::string where = what + " " + array + " entering phase " + std::to_string(k);
+      if (next == result.schedules.size()) {
+        ADD_FAILURE() << where << ": no schedule";
+        return matched;
+      }
+      const comm::CommSchedule& schedule = result.schedules[next++];
+      EXPECT_EQ(schedule.array(), array) << where;
+      const auto it = counted.find({array, k});
+      if (schedule.totalWords() == 0) {
+        EXPECT_EQ(it, counted.end()) << where;
+        continue;
+      }
+      if (it == counted.end()) {
+        ADD_FAILURE() << where << ": no redistribution entry";
+        continue;
+      }
+      EXPECT_EQ(schedule.totalWords(), it->second->wordsMoved) << where;
+      EXPECT_EQ(static_cast<std::int64_t>(schedule.messageCount()), it->second->messages)
+          << where;
+      ++matched;
+    }
+  }
+  EXPECT_EQ(next, result.schedules.size()) << what;
+  EXPECT_EQ(matched, counted.size()) << what;
+  return matched;
+}
+
+/// The request benchmark's generated stencil (one offset family, variant 1):
+/// three phases over N*N arrays, phase k reading Ak through a rotated slice of
+/// the offsets and writing A(k+1).
+std::string stencilSource(const std::vector<std::string>& offsets) {
+  std::string src = "param N\n";
+  for (int a = 0; a <= 3; ++a) src += "array A" + std::to_string(a) + "(N*N)\n";
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::size_t width = 1 + (1 + k) % offsets.size();
+    src += "phase S" + std::to_string(k) + " {\n  doall i = 1, N - 2 {\n    do j = 1, N - 2 {\n";
+    for (std::size_t o = 0; o <= width; ++o) {
+      src += "      read A" + std::to_string(k) + "(" + offsets[(1 + k + o) % offsets.size()] +
+             ")\n";
+    }
+    src += "      write A" + std::to_string(k + 1) + "(N*i + j)\n    }\n  }\n";
+    if (k % 2 == 0) src += "  work 2.0\n";
+    src += "}\n";
+  }
+  return src;
+}
+
+TEST(CrossLayer, SchedulesCarryTheWordsAndMessagesTheCostModelCharges) {
+  std::size_t suiteMatched = 0;
+  for (const auto& info : codes::benchmarkSuite()) {
+    const ir::Program program = info.build();
+    for (const auto* params : {&info.smallParams, &info.simParams}) {
+      PipelineConfig config;
+      config.params = codes::bindParams(program, *params);
+      config.processors = 8;
+      suiteMatched += expectSchedulesMatchRedistributions(program, config, info.name);
+    }
+  }
+  EXPECT_GT(suiteMatched, 0u);
+  // The request benchmark's simulated shapes: TFFT2 P = Q = 32, 64 at H = 64,
+  // and stencil offset families 4 and 5 at N = 64, 128, 256 on 16 processors.
+  std::size_t sweepMatched = 0;
+  const ir::Program tfft2 = codes::makeTFFT2();
+  for (const std::int64_t pq : {32, 64}) {
+    PipelineConfig config;
+    config.params = codes::bindParams(tfft2, {{"P", pq}, {"Q", pq}});
+    config.processors = 64;
+    sweepMatched +=
+        expectSchedulesMatchRedistributions(tfft2, config, "tfft2 " + std::to_string(pq));
+  }
+  const std::vector<std::vector<std::string>> families = {
+      {"N*i + j", "N*i + j - 1", "N*i + j + 1", "N*i - N + j", "N*i + N + j"},
+      {"N*i + 2*j", "N*i + 2*j + 1"}};
+  for (const auto& offsets : families) {
+    const ir::Program program = frontend::parseProgram(stencilSource(offsets));
+    for (const std::int64_t n : {64, 128, 256}) {
+      PipelineConfig config;
+      config.params = codes::bindParams(program, {{"N", n}});
+      config.processors = 16;
+      sweepMatched += expectSchedulesMatchRedistributions(
+          program, config, offsets.back() + " N=" + std::to_string(n));
+    }
+  }
+  EXPECT_EQ(sweepMatched, 11u);  // the request benchmark's comm.schedules
 }
 
 TEST_F(PipelineTest, EfficiencyScalesAcrossProcessors) {

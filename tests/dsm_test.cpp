@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -179,8 +180,9 @@ TEST(CommSchedule, MessagesAreAggregatedPerPair) {
   EXPECT_LE(sched.messageCount(), static_cast<std::size_t>(H * (H - 1)));
   // Aggregation coalesces contiguous runs.
   for (const auto& m : sched.messages()) {
-    for (std::size_t i = 1; i < m.ranges.size(); ++i) {
-      EXPECT_GT(m.ranges[i].begin, m.ranges[i - 1].end);  // strictly separated
+    const auto ranges = sched.ranges(m);
+    for (std::size_t i = 1; i < ranges.size(); ++i) {
+      EXPECT_GT(ranges[i].begin, ranges[i - 1].end);  // strictly separated
     }
   }
   EXPECT_GT(sched.time(MachineParams{}), 0.0);
@@ -194,7 +196,7 @@ TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {
   EXPECT_EQ(sched.totalWords(), 9 * 2);
   for (const auto& m : sched.messages()) {
     EXPECT_NE(m.src, m.dst);
-    for (const auto& r : m.ranges) {
+    for (const auto& r : sched.ranges(m)) {
       EXPECT_EQ(r.begin % 10, 0);  // overlap regions start at block starts
       EXPECT_LE(r.words(), 2);
     }
@@ -229,6 +231,49 @@ std::string describe(const DataDistribution& d) {
              : "cyclic(" + std::to_string(d.block) + ")";
 }
 
+TEST(OwnerCursor, StepsMatchOwnerAndOwnerRunEndAtEveryRunStart) {
+  // BLOCK-CYCLIC and folded distributions (folds of both parities, shorter
+  // and longer than the walked span), starting mid-run, at H up to 1024.
+  std::uint64_t rng = 0x0C0450;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const DataDistribution d = randomDistribution(rng);
+    const auto H = 1 + static_cast<std::int64_t>(nextRand(rng) % (iter % 2 == 0 ? 8 : 1024));
+    const auto begin = static_cast<std::int64_t>(nextRand(rng) % 5000);
+    const auto end = begin + static_cast<std::int64_t>(nextRand(rng) % 300);
+    const std::string what = describe(d) + " H=" + std::to_string(H) +
+                             " from " + std::to_string(begin);
+    OwnerCursor cursor(d, H, begin);
+    for (std::int64_t a = begin; a < end; a = cursor.runEnd, cursor.advance()) {
+      ASSERT_EQ(cursor.owner, d.owner(a, H)) << what << " at " << a;
+      ASSERT_EQ(cursor.runEnd, d.ownerRunEnd(a)) << what << " at " << a;
+    }
+    // The walker over two cursors splits at every run end of either side.
+    const DataDistribution other = randomDistribution(rng);
+    std::int64_t a = begin;
+    forEachOwnerRun(d, other, H, begin, end,
+                    [&](std::int64_t runBegin, std::int64_t runEnd, std::int64_t src,
+                        std::int64_t dst) {
+                      EXPECT_EQ(runBegin, a) << what;
+                      EXPECT_EQ(runEnd, std::min({d.ownerRunEnd(a), other.ownerRunEnd(a), end}))
+                          << what;
+                      EXPECT_EQ(src, d.owner(a, H)) << what;
+                      EXPECT_EQ(dst, other.owner(a, H)) << what;
+                      a = runEnd;
+                    });
+    EXPECT_EQ(a, std::max(begin, end)) << what;
+  }
+}
+
+/// A schedule's messages as hand-built ones, in the same order.
+std::vector<comm::Message> toMessages(const comm::CommSchedule& schedule) {
+  std::vector<comm::Message> out;
+  for (const auto& m : schedule.messages()) {
+    const auto ranges = schedule.ranges(m);
+    out.push_back(comm::Message{m.src, m.dst, {ranges.begin(), ranges.end()}});
+  }
+  return out;
+}
+
 /// Same messages, in the same order, with the same ranges.
 void expectSameSchedule(const comm::CommSchedule& got, const comm::CommSchedule& want,
                         const std::string& what) {
@@ -239,10 +284,12 @@ void expectSameSchedule(const comm::CommSchedule& got, const comm::CommSchedule&
     const auto& w = want.messages()[i];
     EXPECT_EQ(g.src, w.src) << what;
     EXPECT_EQ(g.dst, w.dst) << what;
-    ASSERT_EQ(g.ranges.size(), w.ranges.size()) << what << " message " << i;
-    for (std::size_t r = 0; r < w.ranges.size(); ++r) {
-      EXPECT_EQ(g.ranges[r].begin, w.ranges[r].begin) << what;
-      EXPECT_EQ(g.ranges[r].end, w.ranges[r].end) << what;
+    const auto gr = got.ranges(g);
+    const auto wr = want.ranges(w);
+    ASSERT_EQ(gr.size(), wr.size()) << what << " message " << i;
+    for (std::size_t r = 0; r < wr.size(); ++r) {
+      EXPECT_EQ(gr[r].begin, wr[r].begin) << what;
+      EXPECT_EQ(gr[r].end, wr[r].end) << what;
     }
   }
 }
@@ -293,6 +340,23 @@ TEST(CommSchedule, PairTableBuildersMatchElementwiseReferenceUpToH1024) {
   }
 }
 
+/// Both verifiers' verdicts on hand-built messages, each as given and with
+/// the message order reversed: a generated schedule's order takes the
+/// verifier's in-place path, a reversed one (two or more messages) its
+/// sorted path. Returns how many schedules were checked.
+int expectVerdict(bool accepted, std::vector<comm::Message> messages, std::int64_t size,
+                  const DataDistribution& from, const DataDistribution& to, std::int64_t H,
+                  const std::string& what) {
+  for (const bool reversed : {false, true}) {
+    if (reversed) std::reverse(messages.begin(), messages.end());
+    const comm::CommSchedule schedule("X", comm::Pattern::kGlobal, messages);
+    const std::string how = what + (reversed ? " (reversed)" : "");
+    EXPECT_EQ(reference::verifiesRedistribution(schedule, size, from, to, H), accepted) << how;
+    EXPECT_EQ(comm::verifiesRedistribution(schedule, size, from, to, H), accepted) << how;
+  }
+  return 2;
+}
+
 TEST(CommSchedule, VerificationRejectsWhatTheElementwiseReferenceRejects) {
   std::uint64_t rng = 0xBADC0DE;
   int corrupted = 0;
@@ -327,46 +391,125 @@ TEST(CommSchedule, VerificationRejectsWhatTheElementwiseReferenceRejects) {
          }},
     };
     for (const auto& [name, corrupt] : corruptions) {
-      std::vector<comm::Message> messages = valid.messages();
+      std::vector<comm::Message> messages = toMessages(valid);
       corrupt(messages[m], size, H);
-      const comm::CommSchedule bad("X", comm::Pattern::kGlobal, std::move(messages));
-      EXPECT_FALSE(reference::verifiesRedistribution(bad, size, from, to, H))
-          << name << ": " << what;
-      EXPECT_FALSE(comm::verifiesRedistribution(bad, size, from, to, H)) << name << ": " << what;
-      ++corrupted;
+      corrupted += expectVerdict(false, std::move(messages), size, from, to, H,
+                                 std::string(name) + ": " + what);
     }
     // A whole message sent twice: every range is owner-correct, but each
     // element is covered twice.
-    std::vector<comm::Message> doubled = valid.messages();
+    std::vector<comm::Message> doubled = toMessages(valid);
     doubled.push_back(doubled[m]);
-    const comm::CommSchedule twice("X", comm::Pattern::kGlobal, std::move(doubled));
-    EXPECT_FALSE(reference::verifiesRedistribution(twice, size, from, to, H)) << what;
-    EXPECT_FALSE(comm::verifiesRedistribution(twice, size, from, to, H)) << what;
+    corrupted += expectVerdict(false, std::move(doubled), size, from, to, H, "twice: " + what);
 
     // An overlap that hides a gap: drop one range and resend as many words
     // from another, so the word total still matches.
     for (const auto& msg : valid.messages()) {
-      if (msg.ranges.size() < 2 || msg.ranges[1].words() < msg.ranges[0].words()) continue;
-      std::vector<comm::Message> shifted = valid.messages();
+      const auto sent = valid.ranges(msg);
+      if (sent.size() < 2 || sent[1].words() < sent[0].words()) continue;
+      std::vector<comm::Message> shifted = toMessages(valid);
       auto& ranges = shifted[static_cast<std::size_t>(&msg - valid.messages().data())].ranges;
       const comm::Range resent{ranges[1].begin, ranges[1].begin + ranges[0].words()};
       ranges.erase(ranges.begin());
       ranges.push_back(resent);
-      const comm::CommSchedule hidden("X", comm::Pattern::kGlobal, std::move(shifted));
-      EXPECT_FALSE(reference::verifiesRedistribution(hidden, size, from, to, H)) << what;
-      EXPECT_FALSE(comm::verifiesRedistribution(hidden, size, from, to, H)) << what;
-      ++corrupted;
+      corrupted += expectVerdict(false, std::move(shifted), size, from, to, H, "hidden: " + what);
       break;
     }
 
     // An empty range moves nothing: both accept it.
-    std::vector<comm::Message> padded = valid.messages();
+    std::vector<comm::Message> padded = toMessages(valid);
     padded[m].ranges.push_back(comm::Range{size + 5, size + 5});
-    const comm::CommSchedule harmless("X", comm::Pattern::kGlobal, std::move(padded));
-    EXPECT_TRUE(reference::verifiesRedistribution(harmless, size, from, to, H)) << what;
-    EXPECT_TRUE(comm::verifiesRedistribution(harmless, size, from, to, H)) << what;
+    expectVerdict(true, std::move(padded), size, from, to, H, "padded: " + what);
   }
   EXPECT_GT(corrupted, 600);
+}
+
+/// Reshapings that keep every pair's tiling: a pair split across two
+/// messages, one message's ranges in reverse order, and one range cut into
+/// two touching ranges.
+std::vector<std::pair<std::string, std::vector<comm::Message>>> reshapings(
+    const comm::CommSchedule& valid, std::size_t m) {
+  std::vector<std::pair<std::string, std::vector<comm::Message>>> out;
+  std::vector<comm::Message> split = toMessages(valid);
+  auto& first = split[m].ranges;
+  if (first.size() >= 2) {
+    std::vector<comm::Message> reversed = toMessages(valid);
+    std::reverse(reversed[m].ranges.begin(), reversed[m].ranges.end());
+    out.emplace_back("reversed ranges", std::move(reversed));
+    const auto half = first.begin() + static_cast<std::ptrdiff_t>(first.size() / 2);
+    comm::Message second{split[m].src, split[m].dst, {half, first.end()}};
+    first.erase(half, first.end());
+    split.push_back(std::move(second));
+    out.emplace_back("split pair", std::move(split));
+  }
+  std::vector<comm::Message> cut = toMessages(valid);
+  for (auto& msg : cut) {
+    const auto wide = std::find_if(msg.ranges.begin(), msg.ranges.end(),
+                                   [](const comm::Range& r) { return r.words() >= 2; });
+    if (wide == msg.ranges.end()) continue;
+    const std::int64_t mid = wide->begin + wide->words() / 2;
+    const comm::Range tail{mid, wide->end};
+    wide->end = mid;
+    msg.ranges.insert(wide + 1, tail);
+    out.emplace_back("cut range", std::move(cut));
+    break;
+  }
+  return out;
+}
+
+TEST(CommSchedule, VerificationAcceptsReshapedSchedules) {
+  std::uint64_t rng = 0x5A4E5;
+  int reshaped = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const DataDistribution from = randomDistribution(rng);
+    const DataDistribution to = randomDistribution(rng);
+    const auto size = 1 + static_cast<std::int64_t>(nextRand(rng) % 200);
+    const auto H = 2 + static_cast<std::int64_t>(nextRand(rng) % 7);
+    const auto valid = comm::generateGlobal("X", size, from, to, H);
+    if (valid.messageCount() == 0) continue;
+    const std::string what = describe(from) + " -> " + describe(to) +
+                             " size=" + std::to_string(size) + " H=" + std::to_string(H);
+    const auto m = static_cast<std::size_t>(nextRand(rng) % valid.messageCount());
+    // The generated messages, permuted (reversed inside expectVerdict).
+    reshaped += expectVerdict(true, toMessages(valid), size, from, to, H, "permuted: " + what);
+    for (auto& [name, messages] : reshapings(valid, m)) {
+      reshaped += expectVerdict(true, std::move(messages), size, from, to, H, name + ": " + what);
+    }
+  }
+  EXPECT_GT(reshaped, 1000);
+
+  // At the service's processor limit, where a CYCLIC(1) <-> BLOCK exchange
+  // gives thousands of pairs a message; the corruptions still fail there.
+  // CYCLIC(2) -> CYCLIC(4H + 3) gives pairs two ranges of two words.
+  const std::int64_t H = 1024;
+  const std::int64_t size = 8 * H + 5;
+  const DataDistribution cyclic = DataDistribution::blockCyclic(1);
+  const DataDistribution block = DataDistribution::blocked(size, H);
+  int reshapedAtLimit = 0;
+  for (const auto& [from, to] :
+       {std::pair(cyclic, block), std::pair(block, cyclic),
+        std::pair(DataDistribution::blockCyclic(2), DataDistribution::blockCyclic(4 * H + 3))}) {
+    const std::string what = describe(from) + " -> " + describe(to) + " H=1024";
+    const auto valid = comm::generateGlobal("X", size, from, to, H);
+    ASSERT_GT(valid.messageCount(), 1000u) << what;
+    const auto& messages = valid.messages();
+    const auto m = static_cast<std::size_t>(
+        std::max_element(messages.begin(), messages.end(),
+                         [](const auto& a, const auto& b) { return a.count < b.count; }) -
+        messages.begin());
+    expectVerdict(true, toMessages(valid), size, from, to, H, "permuted: " + what);
+    for (auto& [name, messages] : reshapings(valid, m)) {
+      expectVerdict(true, std::move(messages), size, from, to, H, name + ": " + what);
+      ++reshapedAtLimit;
+    }
+    std::vector<comm::Message> dropped = toMessages(valid);
+    dropped[m].ranges.pop_back();
+    expectVerdict(false, std::move(dropped), size, from, to, H, "dropped range: " + what);
+    std::vector<comm::Message> misrouted = toMessages(valid);
+    misrouted[m].dst = (misrouted[m].dst + 1) % H;
+    expectVerdict(false, std::move(misrouted), size, from, to, H, "wrong dst: " + what);
+  }
+  EXPECT_GE(reshapedAtLimit, 3);  // the pair split, the reversal and the range cut
 }
 
 TEST(CommSchedule, LongWalksPollCancellationAndDeadline) {

@@ -308,7 +308,7 @@ bool verifiesRedistribution(const comm::CommSchedule& schedule, std::int64_t siz
                             std::int64_t processors) {
   std::vector<int> covered(static_cast<std::size_t>(size), 0);
   for (const auto& m : schedule.messages()) {
-    for (const auto& r : m.ranges) {
+    for (const auto& r : schedule.ranges(m)) {
       for (std::int64_t a = r.begin; a < r.end; ++a) {
         if (a < 0 || a >= size) return false;
         if (from.owner(a, processors) != m.src) return false;
