@@ -63,7 +63,9 @@ asan() {
   # here too — mutated input is where lifetime bugs hide. expr_test drives
   # the Expr kernels (in-place compaction, list merges) with random inputs;
   # dsm_test drives the flat comm schedules' offsets and the H x H pair
-  # tables up to H = 1024.
+  # tables up to H = 1024; cost_model_test and symval_test drive the
+  # counting core's mirror-segment and rotated-set offsets and the
+  # progression counts on checked 64-bit values.
   echo "=== asan: robustness tests under ASan+UBSan ==="
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -71,7 +73,7 @@ asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   local tests=(status_test fault_test cli_test parser_fuzz_test \
                degradation_test thread_pool_test frontend_test service_test \
-               expr_test dsm_test)
+               expr_test dsm_test cost_model_test symval_test)
   cmake --build build-asan -j "$jobs" --target "${tests[@]}"
   for t in "${tests[@]}"; do
     ./build-asan/tests/"$t"
@@ -178,15 +180,19 @@ symval() {
   ./build/examples/tfft2_pipeline 8 8 4 --validate=both >/dev/null
   # Work, not time: a simulated, symbolically validated request counts the
   # derived plan once for the cost model and the validator together, and the
-  # naive baseline once more.
+  # naive baseline once more. Its folded CYCLIC(1) loops count one ownership
+  # period per mirror segment: 3844 runs (19712 by whole fold periods).
   ./build/examples/tfft2_pipeline 64 64 64 --validate=symbolic \
     --metrics-out=metrics.json >/dev/null
   python3 - <<'EOF'
 import json
 
-passes = json.load(open("metrics.json"))["counters"]["ad.dsm.count_passes"]
+counters = json.load(open("metrics.json"))["counters"]
+passes = counters["ad.dsm.count_passes"]
 assert passes == 2, f"tfft2 64/64/64 --validate=symbolic made {passes} count passes, want 2"
-print("symval count passes ok: 2")
+runs = counters["ad.dsm.count_runs"]
+assert runs == 3844, f"tfft2 64/64/64 --validate=symbolic counted {runs} runs, want 3844"
+print("symval count passes ok: 2; count runs ok: 3844")
 EOF
   ./build/bench/symbolic_validation
   python3 - <<'EOF'

@@ -67,13 +67,8 @@ std::int64_t countResiduesIn(std::int64_t a, std::int64_t s, std::int64_t n, std
                              std::int64_t lo, std::int64_t hi) {
   AD_REQUIRE(0 <= lo && lo <= hi && hi <= m, "countResiduesIn interval out of range");
   if (n == 0 || lo == hi) return 0;
-  // below(c) = #{ j : (a + s*j) mod m < c }.
-  const auto below = [&](std::int64_t c) {
-    if (c == 0) return std::int64_t{0};
-    if (c == m) return n;
-    return floorSum(a, s, n, m) - floorSum(a - c, s, n, m);
-  };
-  return below(hi) - below(lo);
+  // [x mod m in [lo, hi)] = floor((x - lo) / m) - floor((x - hi) / m).
+  return floorSum(checkedSub(a, lo), s, n, m) - floorSum(checkedSub(a, hi), s, n, m);
 }
 
 ArithmeticProgression ArithmeticProgression::make(std::int64_t base, std::int64_t stride,
@@ -143,12 +138,34 @@ bool PeriodicIntervalSet::contains(std::int64_t addr) const {
 }
 
 std::int64_t PeriodicIntervalSet::countAP(const ArithmeticProgression& ap) const {
-  if (ap.count == 0) return 0;
+  if (ap.count == 0 || intervals_.empty()) return 0;
   if (coversEverything()) return ap.total();
   if (ap.stride == 0) return contains(ap.base) ? ap.total() : 0;
+  const std::int64_t last = checkedAdd(ap.base, checkedMul(ap.stride, ap.count - 1));
   std::int64_t inSet = 0;
-  for (const auto& [lo, hi] : intervals_) {
-    inSet += countResiduesIn(ap.base, ap.stride, ap.count, period_, lo, hi);
+  if (checkedSub(last, ap.base) / 2 < period_) {
+    // The span covers at most two periods (three windows): count the points
+    // in each interval it overlaps directly, from the first one on.
+    std::int64_t window = checkedMul(floorDiv(ap.base, period_), period_);
+    auto it = std::upper_bound(intervals_.begin(), intervals_.end(), ap.base - window,
+                               [](std::int64_t r, const auto& iv) { return r < iv.second; });
+    for (;; ++it) {
+      if (it == intervals_.end()) {
+        window = checkedAdd(window, period_);
+        it = intervals_.begin();
+      }
+      const std::int64_t lo = checkedAdd(window, it->first);
+      if (lo > last) break;
+      // j with base + stride * j in [lo, hi), clipped to [0, count).
+      const std::int64_t first = std::max<std::int64_t>(0, ceilDiv(lo - ap.base, ap.stride));
+      const std::int64_t end = std::min(
+          ap.count, ceilDiv(checkedAdd(window, it->second) - ap.base, ap.stride));
+      inSet += std::max<std::int64_t>(0, end - first);
+    }
+  } else {
+    for (const auto& [lo, hi] : intervals_) {
+      inSet += countResiduesIn(ap.base, ap.stride, ap.count, period_, lo, hi);
+    }
   }
   return checkedMul(inSet, ap.repeat);
 }

@@ -7,7 +7,8 @@
 // the distribution (block * processors for BLOCK-CYCLIC, the mirror period
 // for folded storage). Each interval query is answered by the Euclidean
 // floor-sum, so a count over N accesses costs O(log) integer operations
-// instead of N classifications.
+// instead of N classifications; a progression spanning at most two periods
+// is counted by two divisions per interval it overlaps.
 //
 // Everything here is exact 64-bit integer arithmetic (128-bit internally);
 // there is no approximation anywhere — these counts are compared
@@ -27,8 +28,8 @@ namespace ad::sym {
                                     std::int64_t m);
 
 /// #{ j in [0, n) : (a + s*j) mod m  in [lo, hi) }, Euclidean mod,
-/// 0 <= lo <= hi <= m. Built from two floorSum differences via the identity
-/// [x mod m < c] = floor(x/m) - floor((x-c)/m).
+/// 0 <= lo <= hi <= m. Two floorSums, by the identity
+/// [x mod m in [lo, hi)] = floor((x-lo)/m) - floor((x-hi)/m).
 [[nodiscard]] std::int64_t countResiduesIn(std::int64_t a, std::int64_t s, std::int64_t n,
                                            std::int64_t m, std::int64_t lo, std::int64_t hi);
 
@@ -72,7 +73,9 @@ class PeriodicIntervalSet {
   [[nodiscard]] bool contains(std::int64_t addr) const;
 
   /// Exact number of accesses of `ap` whose residues lie in the set
-  /// (multiplicity included).
+  /// (multiplicity included). A progression spanning at most two periods is
+  /// counted interval by interval from the first one it overlaps (found by
+  /// binary search); a longer one costs two floorSums per interval.
   [[nodiscard]] std::int64_t countAP(const ArithmeticProgression& ap) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "reference_oracles.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -246,6 +247,58 @@ dsm::SimulationResult simulate(const ir::Program& program, const ir::Bindings& p
     result.phases.push_back(std::move(ps));
   }
   return result;
+}
+
+std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program, const ir::Bindings& params,
+                                           const dsm::ExecutionPlan& plan,
+                                           std::int64_t processors, std::int64_t wordBytes) {
+  AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
+  const auto h = static_cast<std::size_t>(processors);
+  std::vector<dsm::PhaseTally> tallies;
+  for (std::size_t k = 0; k < program.phases().size(); ++k) {
+    const ir::Phase& phase = program.phase(k);
+    dsm::PhaseTally tally;
+    std::map<std::string, std::size_t> slotOf;
+    for (const auto& r : phase.refs()) {
+      const auto [it, fresh] = slotOf.emplace(r.array, tally.arrays.size());
+      if (fresh) {
+        dsm::ArrayTally a;
+        a.array = r.array;
+        a.peAccesses.assign(h, 0);
+        a.peRemote.assign(h, 0);
+        tally.arrays.push_back(std::move(a));
+      }
+      ++tally.arrays[it->second].refs;
+    }
+    const dsm::IterationDistribution& sched = plan.iteration[k];
+    reference::forEachAccess(
+        program, phase, params, [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+          const std::int64_t pe =
+              phase.hasParallelLoop() ? sched.executor(acc.parallelIter, processors) : 0;
+          bool local = true;
+          if (!phase.isPrivatized(acc.ref->array)) {
+            std::int64_t halo = 0;
+            if (acc.ref->kind == ir::AccessKind::kRead) {
+              if (auto hit = plan.halo.find(acc.ref->array); hit != plan.halo.end()) {
+                halo = hit->second[k];
+              }
+            }
+            local = plan.data.at(acc.ref->array)[k].isLocal(acc.address, pe, processors, halo);
+          }
+          dsm::ArrayTally& a = tally.arrays[slotOf.at(acc.ref->array)];
+          const auto p = static_cast<std::size_t>(pe);
+          ++a.peAccesses[p];
+          if (local) {
+            ++a.counts.local;
+          } else {
+            ++a.counts.remote;
+            a.counts.remoteBytes += wordBytes;
+            ++a.peRemote[p];
+          }
+        });
+    tallies.push_back(std::move(tally));
+  }
+  return tallies;
 }
 
 namespace {

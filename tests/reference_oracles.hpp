@@ -17,8 +17,10 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "comm/schedule.hpp"
+#include "dsm/access_count.hpp"
 #include "dsm/machine.hpp"
 #include "symbolic/expr.hpp"
 
@@ -47,6 +49,16 @@ void forEachAccess(const ir::Program& program, const ir::Phase& phase,
                                              const ir::Bindings& params,
                                              const dsm::MachineParams& machine,
                                              const dsm::ExecutionPlan& plan);
+
+/// dsm::countPlan's per-(phase, array, processor) access tallies, one
+/// access at a time: every access classified with DataDistribution::isLocal
+/// on the processor executing it. Arrays in first-reference order, as the
+/// counting core lists them; `wordBytes` bytes charged per remote access.
+[[nodiscard]] std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program,
+                                                         const ir::Bindings& params,
+                                                         const dsm::ExecutionPlan& plan,
+                                                         std::int64_t processors,
+                                                         std::int64_t wordBytes = 8);
 
 /// One (src, dst, element) tuple per moving element, sorted and coalesced.
 [[nodiscard]] comm::CommSchedule generateGlobal(const std::string& array, std::int64_t size,

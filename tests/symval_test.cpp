@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codes/suite.hpp"
@@ -17,6 +18,7 @@
 #include "locality/symbolic_validate.hpp"
 #include "sim/trace_sim.hpp"
 #include "support/budget.hpp"
+#include "support/checked_int.hpp"
 #include "support/fault.hpp"
 #include "symbolic/interval_set.hpp"
 
@@ -379,6 +381,113 @@ TEST(Symval, FoldedLocalIntervalsMatchIsLocalElementwise) {
             }
             EXPECT_EQ(wrong, 0) << "block=" << block << " fold=" << fold << " halo=" << halo
                                 << " P=" << processors << " pe=" << pe;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// `ap`'s accesses whose addresses `set` contains, one address at a time.
+std::int64_t bruteCount(const sym::PeriodicIntervalSet& set, const sym::ArithmeticProgression& ap) {
+  std::int64_t n = 0;
+  for (std::int64_t j = 0; j < ap.count; ++j) n += set.contains(ap.base + ap.stride * j) ? 1 : 0;
+  return n * ap.repeat;
+}
+
+TEST(Symval, ShortSpanCountAPMatchesBruteForce) {
+  // Progressions spanning at most two periods are counted interval by
+  // interval from a binary search; the boundary (a span of exactly two
+  // periods) and longer spans take the floor sums. Negative bases, strides
+  // past the period, and folded sets with many intervals.
+  std::uint64_t rng = 0x5407;
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::int64_t block = 1 + static_cast<std::int64_t>(nextRand(rng) % 4);
+    const std::int64_t processors = 1 + static_cast<std::int64_t>(nextRand(rng) % 6);
+    const std::int64_t pe = static_cast<std::int64_t>(nextRand(rng) % processors);
+    const std::int64_t halo = static_cast<std::int64_t>(nextRand(rng) % 3);
+    const std::int64_t fold = 1 + static_cast<std::int64_t>(nextRand(rng) % 50);
+    const sym::PeriodicIntervalSet set =
+        iter % 2 == 0 ? sym::localIntervals(block, processors, pe, halo)
+                      : *sym::foldedLocalIntervals(block, fold, processors, pe, halo);
+    const std::int64_t period = set.period();
+    const std::int64_t base = static_cast<std::int64_t>(nextRand(rng) % 400) - 250;
+    std::int64_t stride = 1 + static_cast<std::int64_t>(nextRand(rng) % (3 * period));
+    std::int64_t count = 0;
+    switch (iter % 3) {
+      case 0:  // a span of exactly two periods, or one address less
+        stride = 1 + static_cast<std::int64_t>(nextRand(rng) % 2);
+        count = (2 * period - static_cast<std::int64_t>(nextRand(rng) % 2)) / stride + 1;
+        break;
+      case 1:  // inside two periods, the stride possibly past one period
+        count = 1 + (2 * period - 1) / stride;
+        count = 1 + static_cast<std::int64_t>(nextRand(rng) % static_cast<std::uint64_t>(count));
+        break;
+      default:  // anything up to a few periods
+        count = 1 + static_cast<std::int64_t>(nextRand(rng) % 40);
+    }
+    const auto ap = sym::ArithmeticProgression::make(
+        base, stride, count, 1 + static_cast<std::int64_t>(nextRand(rng) % 3));
+    EXPECT_EQ(set.countAP(ap), bruteCount(set, ap))
+        << "base=" << ap.base << " stride=" << ap.stride << " count=" << ap.count
+        << " span=" << ap.stride * (ap.count - 1) << " period=" << period
+        << " intervals=" << set.intervals().size();
+  }
+}
+
+TEST(Symval, CountResiduesInMatchesBruteForceAtTheEnds) {
+  std::uint64_t rng = 0xE9D5;
+  for (int iter = 0; iter < 500; ++iter) {
+    const std::int64_t m = 1 + static_cast<std::int64_t>(nextRand(rng) % 30);
+    const std::int64_t a = static_cast<std::int64_t>(nextRand(rng) % 200) - 100;
+    const std::int64_t s = static_cast<std::int64_t>(nextRand(rng) % 80) - 40;
+    const std::int64_t n = static_cast<std::int64_t>(nextRand(rng) % 50);
+    const std::int64_t mid = static_cast<std::int64_t>(nextRand(rng) % (m + 1));
+    for (const auto& [lo, hi] : {std::pair{std::int64_t{0}, mid}, std::pair{mid, m},
+                                 std::pair{std::int64_t{0}, m}}) {
+      std::int64_t brute = 0;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::int64_t r = euclidMod(a + s * j, m);
+        brute += lo <= r && r < hi ? 1 : 0;
+      }
+      EXPECT_EQ(sym::countResiduesIn(a, s, n, m, lo, hi), brute)
+          << "a=" << a << " s=" << s << " n=" << n << " m=" << m << " [" << lo << ", " << hi
+          << ")";
+    }
+  }
+}
+
+TEST(Symval, LocalitySetsAreProcessorZerosRotated) {
+  // The counting core keeps one BLOCK-CYCLIC set per (block, halo): pe's set
+  // is pe 0's shifted by pe * block, and on each monotone piece of a fold an
+  // address classifies as pe 0's set does at sigma(a) - pe * block.
+  for (std::int64_t block = 1; block <= 4; ++block) {
+    for (const std::int64_t processors : {1, 3, 8}) {
+      for (const std::int64_t halo : {0, 1, 5}) {
+        const sym::PeriodicIntervalSet zero = sym::localIntervals(block, processors, 0, halo);
+        const std::int64_t period = zero.period();
+        for (std::int64_t pe = 0; pe < processors; ++pe) {
+          const sym::PeriodicIntervalSet own = sym::localIntervals(block, processors, pe, halo);
+          std::int64_t wrong = 0;
+          for (std::int64_t addr = 0; addr < 2 * period; ++addr) {
+            wrong += own.contains(addr) != zero.contains(addr - pe * block) ? 1 : 0;
+          }
+          EXPECT_EQ(wrong, 0) << "block=" << block << " P=" << processors << " pe=" << pe
+                              << " halo=" << halo;
+          for (const std::int64_t fold : {std::int64_t{1}, std::int64_t{2}, std::int64_t{7}, 2 * period, 2 * period + 1}) {
+            const auto dist = dsm::DataDistribution::foldedBlockCyclic(block, fold);
+            std::int64_t wrongFolded = 0;
+            for (std::int64_t addr = 0; addr < 2 * fold; ++addr) {
+              const std::int64_t q = addr / fold;
+              const std::int64_t sigma =
+                  addr - q * fold <= fold / 2 ? addr - q * fold : (q + 1) * fold - addr;
+              wrongFolded += zero.contains(sigma - pe * block) !=
+                                     dist.isLocal(addr, pe, processors, halo)
+                                 ? 1
+                                 : 0;
+            }
+            EXPECT_EQ(wrongFolded, 0) << "block=" << block << " fold=" << fold
+                                      << " P=" << processors << " pe=" << pe << " halo=" << halo;
           }
         }
       }
