@@ -31,18 +31,15 @@
 // "legacy_ms" is the pre-batching engine (proof memo disabled, no pool, one
 // config at a time); it is reported, with each leg's vs_legacy ratio, but
 // never gated: it runs the same algebra, so it speeds up with the prover.
-// Each leg also reports the in-flight proof waits of its fastest run
-// (ad.intern.claim_waits / ad.intern.claim_wait_us).
 //
 // The diagnostic jobs=8 leg runs with the contention profiler and tracer
 // enabled and reports where its wall-clock went: per-stage span totals
-// (lcg.build, ilp.solve, ...) and the ad.profile.v1 per-thread work/wait
+// (pipeline.lcg, pipeline.ilp_solve, ...) and the ad.profile.v1 per-thread work/wait
 // split are printed and embedded in the artifact.
 //
 // Emits BENCH_analysis.json (schema ad.bench.analysis.v3):
 //   { "workload": {...}, "legacy_ms": ..., "serial_ms": ...,
-//     "runs": [{"jobs": J, "ms": ..., "parallel_speedup": ..., "vs_legacy": ...,
-//               "claim_waits": ..., "claim_wait_us": ...} ...],
+//     "runs": [{"jobs": J, "ms": ..., "parallel_speedup": ..., "vs_legacy": ...} ...],
 //     "warm": {"jobs": 8, "ms": ..., "warm_speedup": ...},
 //     "work": {"proof_hits": ..., "proof_misses": ..., "phase_hits": ...,
 //              "phase_misses": ..., "comm_schedules": ..., "comm_messages": ...,
@@ -197,19 +194,15 @@ int main() {
   }
   r.note("legacy engine (reported, not gated): " + std::to_string(legacyMs) + " ms");
 
-  obs::Counter& claimWaits = obs::metrics().counter("ad.intern.claim_waits");
-  obs::Counter& claimWaitUs = obs::metrics().counter("ad.intern.claim_wait_us");
   obs::Counter& proofHits = obs::metrics().counter("ad.intern.proof_hits");
   obs::Counter& proofMisses = obs::metrics().counter("ad.intern.proof_misses");
   obs::Counter& phaseHits = obs::metrics().counter("ad.loc.phase_hits");
   obs::Counter& phaseMisses = obs::metrics().counter("ad.loc.phase_misses");
 
-  // One batch run: wall time, in-flight proof waits and work counts. jobs=0
+  // One batch run: wall time and work counts. jobs=0
   // analyzes the items one after another on this thread, without a pool.
   struct Run {
     double ms = 0.0;
-    std::int64_t claimWaits = 0;
-    std::int64_t claimWaitUs = 0;
     std::vector<std::pair<std::string, std::int64_t>> work;
   };
   const auto runBatch = [&](std::size_t jobs, bool cold, const std::string& label) {
@@ -218,8 +211,6 @@ int main() {
       sym::ProofMemo::global().clear();  // each cold run earns its own caches
       loc::clearPhaseArrayMemo();
     }
-    const std::int64_t waits0 = claimWaits.value();
-    const std::int64_t waitUs0 = claimWaitUs.value();
     const std::int64_t hits0 = proofHits.value();
     const std::int64_t misses0 = proofMisses.value();
     const std::int64_t phaseHits0 = phaseHits.value();
@@ -235,8 +226,6 @@ int main() {
     }
     Run run;
     run.ms = msSince(start);
-    run.claimWaits = claimWaits.value() - waits0;
-    run.claimWaitUs = claimWaitUs.value() - waitUs0;
     std::int64_t schedules = 0;
     std::int64_t messages = 0;
     std::int64_t words = 0;
@@ -290,8 +279,7 @@ int main() {
     const Run& best = legs.back().best;
     std::ostringstream line;
     line << "jobs=" << jobs << ": " << best.ms << " ms  (x" << legs[0].best.ms / best.ms
-         << " over jobs=1; " << best.claimWaits << " claim waits, " << best.claimWaitUs
-         << " us parked)";
+         << " over jobs=1)";
     r.note(line.str());
   }
 
@@ -379,8 +367,7 @@ int main() {
     const Run& run = legs[i].best;
     json << "    {\"jobs\": " << legs[i].jobs << ", \"ms\": " << run.ms
          << ", \"parallel_speedup\": " << legs[0].best.ms / run.ms
-         << ", \"vs_legacy\": " << legacyMs / run.ms << ", \"claim_waits\": " << run.claimWaits
-         << ", \"claim_wait_us\": " << run.claimWaitUs << "}"
+         << ", \"vs_legacy\": " << legacyMs / run.ms << "}"
          << (i + 1 < legs.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"warm\": {\"jobs\": 8, \"ms\": " << warm.ms

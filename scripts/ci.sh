@@ -262,7 +262,7 @@ need_spans = {
     "pipeline.analyze_and_simulate", "pipeline.lcg", "pipeline.ilp_build",
     "pipeline.ilp_solve", "pipeline.plan", "pipeline.comm",
     "pipeline.dsm_model", "pipeline.trace_sim", "pipeline.validate",
-    "lcg.build", "ilp.solve", "dsm.simulate", "sim.trace",
+    "dsm.simulate", "sim.trace",
 }
 missing = need_spans - names
 assert not missing, f"trace.json missing spans: {sorted(missing)}"

@@ -16,6 +16,39 @@
 
 namespace ad::dsm {
 
+std::optional<sym::PeriodicIntervalSet> foldedLocalIntervals(const DataDistribution& dist,
+                                                             std::int64_t processors,
+                                                             std::int64_t pe, std::int64_t halo,
+                                                             std::size_t maxIntervals) {
+  const sym::PeriodicIntervalSet canonical = sym::localIntervals(dist.block, processors, pe, halo);
+  const std::int64_t M = canonical.period();
+  const std::size_t expansions = static_cast<std::size_t>(ceilDiv(dist.fold, M)) *
+                                 std::max<std::size_t>(1, canonical.intervals().size());
+  if (expansions > maxIntervals) return std::nullopt;
+
+  std::vector<std::pair<std::int64_t, std::int64_t>> pieces;  // raw (start, len)
+  // Walk the monotone pieces of the first mirror period, [0, fold). Each
+  // reflects onto canonical addresses [clo, chi]; every canonical interval
+  // inside them maps back through the reflection.
+  for (std::int64_t start = 0; start < dist.fold;) {
+    const DataDistribution::FoldPiece piece = dist.foldPiece(start);
+    start = piece.end + 1;
+    const std::int64_t clo = std::min(piece.reflect(piece.start), piece.reflect(piece.end));
+    const std::int64_t chi = std::max(piece.reflect(piece.start), piece.reflect(piece.end));
+    for (std::int64_t window = 0; window <= chi; window += M) {
+      for (const auto& [lo, hi] : canonical.intervals()) {
+        const std::int64_t s = std::max(window + lo, clo);
+        const std::int64_t e = std::min(window + hi, chi + 1);
+        if (s >= e) continue;
+        pieces.emplace_back(piece.sign > 0 ? s - piece.offset : piece.offset - (e - 1), e - s);
+      }
+    }
+  }
+  sym::PeriodicIntervalSet raw(dist.fold);
+  raw.addWrapped(pieces);
+  return raw;
+}
+
 namespace {
 
 using sym::ArithmeticProgression;
@@ -242,7 +275,7 @@ class LocalSets {
     }
     const auto p = static_cast<std::size_t>(pe);
     if (built_[p] == 0) {
-      folded_[p] = sym::foldedLocalIntervals(dist_.block, dist_.fold, processors_, pe, halo_);
+      folded_[p] = foldedLocalIntervals(dist_, processors_, pe, halo_);
       built_[p] = 1;
     }
     return {folded_[p] ? &*folded_[p] : nullptr, 1, 0};

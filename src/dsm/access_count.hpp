@@ -34,10 +34,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dsm/validate.hpp"
+#include "symbolic/interval_set.hpp"
 
 namespace ad::dsm {
 
@@ -86,6 +88,16 @@ struct PlanCounts {
   std::vector<PhaseTally> tallies;                ///< each phase's accesses
   double wallSeconds = 0.0;                       ///< host time of the pass
 };
+
+/// Processor `pe`'s locality set under a folded distribution (`dist` is
+/// kFoldedBlockCyclic): exactly the addresses dist.isLocal(a, pe, processors,
+/// halo) accepts, as a periodic set with period dist.fold. Each monotone
+/// piece of the fold (DataDistribution::foldPiece) maps the BLOCK-CYCLIC set
+/// back through its reflection. nullopt when the expansion would exceed
+/// `maxIntervals` intervals (the caller degrades to enumeration).
+[[nodiscard]] std::optional<sym::PeriodicIntervalSet> foldedLocalIntervals(
+    const DataDistribution& dist, std::int64_t processors, std::int64_t pe, std::int64_t halo,
+    std::size_t maxIntervals = 1 << 20);
 
 /// Counts a program's accesses and communication under one plan: per phase,
 /// the global redistributions (k > 0) and frontier refreshes entering it,

@@ -203,7 +203,6 @@ struct Relation {
 }  // namespace
 
 Solution Model::solve() const {
-  obs::Span span("ilp.solve");
   obs::Counter& infeasible = obs::metrics().counter("ad.ilp.infeasible_solves");
   const std::size_t n = vars_.size();
   Solution sol;

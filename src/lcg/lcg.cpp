@@ -118,7 +118,6 @@ namespace {
 /// `*firstError`; the returned LCG is then meaningless.
 LCG buildLCGImpl(const ir::Program& program, const std::map<sym::SymbolId, std::int64_t>& params,
                  std::int64_t processors, support::ThreadPool* pool, Status* firstError) {
-  obs::Span span("lcg.build");
   const auto& arrays = program.arrays();
   // One slot per declared array, filled independently (possibly in parallel);
   // pruning and tallying happen after the join, in declaration order, so the

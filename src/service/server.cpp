@@ -95,7 +95,7 @@ Server::~Server() {
   // Join the workers here, while every member is still alive: members
   // destruct in reverse declaration order, which would tear down drainCv_
   // before pool_ — and a worker can still be inside finish()'s
-  // drainCv_.notify_all() after shutdown() observed inflight_ empty.
+  // drainCv_.notify_all() after shutdown() observed pending_ empty.
   pool_.reset();
 }
 
@@ -195,7 +195,7 @@ RequestHandlePtr Server::submit(Request request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     item->seq = nextSeq_++;
-    inflight_.emplace(item->seq, item);
+    pending_.emplace(item->seq, item);
   }
   pool_->submit([this, item] { runRequest(item); });
   return handle;
@@ -208,7 +208,7 @@ bool Server::cancelById(const std::string& id) {
   std::shared_ptr<Admitted> victim;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [seq, item] : inflight_) {
+    for (const auto& [seq, item] : pending_) {
       if (item->request.id == id) {
         victim = item;
         break;
@@ -373,7 +373,7 @@ void Server::finish(const Admitted& item, Response response) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(item.seq);
+    pending_.erase(item.seq);
   }
   const std::int64_t admitted = admitted_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   obs::metrics().gauge("ad.service.inflight").set(admitted);
@@ -464,12 +464,12 @@ void Server::shutdown() {
   std::unique_lock<std::mutex> lock(mu_);
   // Phase 1: let in-flight requests finish on their own within the grace
   // window. drainCv_ is signalled on every completion.
-  drainCv_.wait_until(lock, grace, [this] { return inflight_.empty(); });
+  drainCv_.wait_until(lock, grace, [this] { return pending_.empty(); });
   // Phase 2: cancel stragglers. The per-step cancel poll plus the pipeline's
   // stage boundaries bound how long each can keep running, so the final wait
   // is unconditional — every request WILL be answered (kCancelled at worst).
-  for (const auto& [seq, item] : inflight_) item->handle->cancel();
-  drainCv_.wait(lock, [this] { return inflight_.empty(); });
+  for (const auto& [seq, item] : pending_) item->handle->cancel();
+  drainCv_.wait(lock, [this] { return pending_.empty(); });
 }
 
 }  // namespace ad::service

@@ -139,9 +139,10 @@ class Server {
   std::unique_ptr<support::ThreadPool> pool_;
   std::atomic<bool> draining_{false};
 
-  mutable std::mutex mu_;                   ///< guards inflight_ and drainCv_
+  mutable std::mutex mu_;                   ///< guards pending_ and drainCv_
   std::condition_variable drainCv_;         ///< signalled as requests finish
-  std::unordered_map<std::uint64_t, std::shared_ptr<Admitted>> inflight_;
+  /// Admitted requests not yet finished, by sequence number.
+  std::unordered_map<std::uint64_t, std::shared_ptr<Admitted>> pending_;
   std::uint64_t nextSeq_ = 1;
 
   std::atomic<std::int64_t> admitted_{0};   ///< queued + running

@@ -1,7 +1,7 @@
 #include "symbolic/intern.hpp"
 
-#include <algorithm>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -391,72 +391,59 @@ void ProofMemoContext::OpPtrTable<Value>::grow() {
   }
 }
 
-std::optional<bool> ProofMemoContext::lookupBool(Op op, const InternedExpr& e) {
+template <typename T>
+auto& ProofMemoContext::tableFor(Shard& shard) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return shard.bools;
+  } else if constexpr (std::is_same_v<T, std::optional<int>>) {
+    return shard.signs;
+  } else {
+    static_assert(std::is_same_v<T, std::optional<Expr>>);
+    return shard.exprs;
+  }
+}
+
+template <typename T>
+std::optional<T> ProofMemoContext::lookup(Op op, const InternedExpr& e) {
   const std::size_t idx = shardIndexFor(e);
   Shard& shard = shards_[idx];
   obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
   std::size_t steps = 0;
-  if (const bool* v = shard.bools.find(op, e, steps)) {
-    noteMemoProbe(idx, true, steps);
+  const auto* v = tableFor<T>(shard).find(op, e, steps);
+  noteMemoProbe(idx, v != nullptr, steps);
+  if (v == nullptr) return std::nullopt;
+  if constexpr (std::is_same_v<T, std::optional<Expr>>) {
+    // Found; copy out of the interned value node (inner nullopt: no bound).
+    return v->has_value() ? T(*v->value()) : T();
+  } else {
     return *v;
   }
-  noteMemoProbe(idx, false, steps);
-  return std::nullopt;
 }
 
-void ProofMemoContext::storeBool(Op op, const InternedExpr& e, bool value) {
+template <typename T>
+void ProofMemoContext::store(Op op, const InternedExpr& e, const T& value) {
+  auto stored = [&] {
+    if constexpr (std::is_same_v<T, std::optional<Expr>>) {
+      // Bound results recur across queries; interning the value (outside the
+      // shard lock — the arena has its own) dedupes their storage.
+      return value ? std::optional<InternedExpr>(ExprIntern::global().intern(*value))
+                   : std::nullopt;
+    } else {
+      return value;
+    }
+  }();
   const std::size_t idx = shardIndexFor(e);
   Shard& shard = shards_[idx];
   obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
-  shard.bools.insert(op, e, value);
+  tableFor<T>(shard).insert(op, e, std::move(stored));
 }
 
-std::optional<std::optional<int>> ProofMemoContext::lookupSign(const InternedExpr& e) {
-  const std::size_t idx = shardIndexFor(e);
-  Shard& shard = shards_[idx];
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
-  std::size_t steps = 0;
-  if (const std::optional<int>* v = shard.signs.find(Op::kSign, e, steps)) {
-    noteMemoProbe(idx, true, steps);
-    return *v;
-  }
-  noteMemoProbe(idx, false, steps);
-  return std::nullopt;
-}
-
-void ProofMemoContext::storeSign(const InternedExpr& e, std::optional<int> value) {
-  const std::size_t idx = shardIndexFor(e);
-  Shard& shard = shards_[idx];
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
-  shard.signs.insert(Op::kSign, e, value);
-}
-
-std::optional<std::optional<Expr>> ProofMemoContext::lookupExpr(Op op, const InternedExpr& e) {
-  const std::size_t idx = shardIndexFor(e);
-  Shard& shard = shards_[idx];
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
-  std::size_t steps = 0;
-  if (const std::optional<InternedExpr>* v = shard.exprs.find(op, e, steps)) {
-    noteMemoProbe(idx, true, steps);
-    std::optional<std::optional<Expr>> out;
-    out.emplace();                      // found; inner stays nullopt for "no bound"
-    if (*v) out->emplace(*(**v));       // copy out of the interned value node
-    return out;
-  }
-  noteMemoProbe(idx, false, steps);
-  return std::nullopt;
-}
-
-void ProofMemoContext::storeExpr(Op op, const InternedExpr& e, const std::optional<Expr>& value) {
-  // Bound results recur across queries; interning the value (outside the
-  // shard lock — the arena has its own) dedupes their storage.
-  std::optional<InternedExpr> stored;
-  if (value) stored = ExprIntern::global().intern(*value);
-  const std::size_t idx = shardIndexFor(e);
-  Shard& shard = shards_[idx];
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
-  shard.exprs.insert(op, e, stored);
-}
+template std::optional<bool> ProofMemoContext::lookup(Op, const InternedExpr&);
+template std::optional<std::optional<int>> ProofMemoContext::lookup(Op, const InternedExpr&);
+template std::optional<std::optional<Expr>> ProofMemoContext::lookup(Op, const InternedExpr&);
+template void ProofMemoContext::store(Op, const InternedExpr&, const bool&);
+template void ProofMemoContext::store(Op, const InternedExpr&, const std::optional<int>&);
+template void ProofMemoContext::store(Op, const InternedExpr&, const std::optional<Expr>&);
 
 std::size_t ProofMemoContext::entries() const {
   std::size_t n = 0;
@@ -465,36 +452,6 @@ std::size_t ProofMemoContext::entries() const {
     n += shard.bools.count + shard.signs.count + shard.exprs.count;
   }
   return n;
-}
-
-bool ProofMemoContext::claimOrWait(Op op, const InternedExpr& e) {
-  const auto key = std::make_pair(op, e.node_);
-  std::unique_lock<std::mutex> lk(inflightMu_);
-  const auto absent = [&] {
-    return std::find(inflight_.begin(), inflight_.end(), key) == inflight_.end();
-  };
-  if (absent()) {
-    inflight_.push_back(key);
-    return true;
-  }
-  // Only the wait path is counted and timed; the count goes up before the
-  // wait, so a parked waiter is already visible.
-  static obs::Counter& waits = obs::metrics().counter("ad.intern.claim_waits");
-  static obs::Counter& waitUs = obs::metrics().counter("ad.intern.claim_wait_us");
-  waits.add(1);
-  const std::int64_t start = obs::Profiler::nowUs();
-  inflightCv_.wait(lk, absent);
-  waitUs.add(obs::Profiler::nowUs() - start);
-  return false;
-}
-
-void ProofMemoContext::release(Op op, const InternedExpr& e) {
-  const auto key = std::make_pair(op, e.node_);
-  {
-    std::lock_guard<std::mutex> lk(inflightMu_);
-    inflight_.erase(std::remove(inflight_.begin(), inflight_.end(), key), inflight_.end());
-  }
-  inflightCv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------

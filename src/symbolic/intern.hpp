@@ -38,14 +38,12 @@
 // Both structures are sharded and mutex-protected (safe under TSan); cache
 // traffic is exported to the ad.metrics.v1 registry as
 // ad.intern.proof_hits / ad.intern.proof_misses / ad.intern.contexts /
-// ad.intern.exprs / ad.intern.bytes / ad.intern.claim_waits /
-// ad.intern.claim_wait_us, and the contention profiler attributes
+// ad.intern.exprs / ad.intern.bytes, and the contention profiler attributes
 // per-shard hits/misses/probe lengths (families "intern.expr",
 // "memo.context", "memo.registry").
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -239,30 +237,19 @@ class ProofMemoContext {
     kLowerBound,     ///< lowerBoundExpr(e)
   };
 
-  [[nodiscard]] std::optional<bool> lookupBool(Op op, const InternedExpr& e);
-  void storeBool(Op op, const InternedExpr& e, bool value);
-  [[nodiscard]] std::optional<std::optional<int>> lookupSign(const InternedExpr& e);
-  void storeSign(const InternedExpr& e, std::optional<int> value);
-  [[nodiscard]] std::optional<std::optional<Expr>> lookupExpr(Op op, const InternedExpr& e);
-  void storeExpr(Op op, const InternedExpr& e, const std::optional<Expr>& value);
+  /// The cached answer to `op` on `e`, if any. T is the query's answer type:
+  /// bool (kNonNegative, kPositive, kIntegerValued), std::optional<int>
+  /// (kSign) or std::optional<Expr> (kUpperBound, kLowerBound); an inner
+  /// nullopt is a cached "unknown".
+  template <typename T>
+  [[nodiscard]] std::optional<T> lookup(Op op, const InternedExpr& e);
+  /// Publishes an answer. Two threads that miss together both compute and
+  /// both store; answers are pure functions of (context, query), so the
+  /// first writer's value is kept and the second is identical.
+  template <typename T>
+  void store(Op op, const InternedExpr& e, const T& value);
 
   [[nodiscard]] std::size_t entries() const;
-
-  /// In-flight computation registry: dedupes *concurrent* computes of the
-  /// same (op, node) query, which the lookup-then-store protocol alone cannot
-  /// (two threads that miss together both pay the full proof search — on the
-  /// batch engine's cold leg a single expensive repeat can dominate the
-  /// wall). claimOrWait() returns true when the caller now owns the compute;
-  /// it must release() when done, *after* publishing the result. A false
-  /// return means another thread held the claim and has since released it:
-  /// re-probe the table — it can still miss if the owner was interrupted and
-  /// published nothing, in which case callers loop and claim for themselves.
-  /// Only top-level queries may call this (nested ones compute directly), so
-  /// a claim holder never waits and no circular wait can form. Each wait
-  /// counts in ad.intern.claim_waits and its duration in
-  /// ad.intern.claim_wait_us.
-  [[nodiscard]] bool claimOrWait(Op op, const InternedExpr& e);
-  void release(Op op, const InternedExpr& e);
 
  private:
   // 32 shards, cache-line aligned (the profiler's per-shard lock-wait
@@ -304,11 +291,9 @@ class ProofMemoContext {
   };
   Shard shards_[kShards];
 
-  // In-flight claims. A plain vector: it holds at most one entry per thread
-  // actively computing in this context, so linear scans beat any hashing.
-  std::mutex inflightMu_;
-  std::condition_variable inflightCv_;
-  std::vector<std::pair<Op, const detail::InternNode*>> inflight_;
+  /// The shard table holding answers of type T.
+  template <typename T>
+  static auto& tableFor(Shard& shard);
 };
 
 class ProofMemo {

@@ -184,41 +184,4 @@ PeriodicIntervalSet localIntervals(std::int64_t block, std::int64_t processors, 
   return set;
 }
 
-std::optional<PeriodicIntervalSet> foldedLocalIntervals(std::int64_t block, std::int64_t fold,
-                                                        std::int64_t processors, std::int64_t pe,
-                                                        std::int64_t halo,
-                                                        std::size_t maxIntervals) {
-  AD_REQUIRE(fold >= 1, "folded distribution needs a positive fold");
-  const PeriodicIntervalSet canonical = localIntervals(block, processors, pe, halo);
-  const std::int64_t M = canonical.period();
-  const std::int64_t half = fold / 2;  // sigma(m) = m for m <= half, fold - m above
-  const std::size_t expansions =
-      static_cast<std::size_t>(ceilDiv(fold, M)) * std::max<std::size_t>(1, canonical.intervals().size());
-  if (expansions > maxIntervals) return std::nullopt;
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> pieces;  // (start, len)
-  // Ascending piece: raw residues m in [0, half] classify as sigma(m) = m.
-  for (std::int64_t start = 0; start <= half; start += M) {
-    for (const auto& [lo, hi] : canonical.intervals()) {
-      const std::int64_t s = start + lo;
-      const std::int64_t e = std::min(start + hi, half + 1);
-      if (s <= half && s < e) pieces.emplace_back(s, e - s);
-    }
-  }
-  // Descending piece: m in (half, fold) classifies as sigma(m) = fold - m,
-  // which ranges over [1, fold - half). An interval [clo, chi) of canonical
-  // addresses reflects to raw residues [fold - chi + 1, fold - clo + 1).
-  const std::int64_t cLimit = fold - half;  // canonical values 1 .. cLimit-1 occur
-  for (std::int64_t start = 0; start < cLimit; start += M) {
-    for (const auto& [lo, hi] : canonical.intervals()) {
-      const std::int64_t clo = std::max<std::int64_t>(start + lo, 1);
-      const std::int64_t chi = std::min(start + hi, cLimit);
-      if (clo < chi) pieces.emplace_back(fold - chi + 1, chi - clo);
-    }
-  }
-  PeriodicIntervalSet raw(fold);
-  raw.addWrapped(pieces);
-  return raw;
-}
-
 }  // namespace ad::sym

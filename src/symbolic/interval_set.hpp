@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -91,15 +90,5 @@ class PeriodicIntervalSet {
 /// periodic set with period block * processors.
 [[nodiscard]] PeriodicIntervalSet localIntervals(std::int64_t block, std::int64_t processors,
                                                  std::int64_t pe, std::int64_t halo);
-
-/// The same locality set for a folded ("reverse") distribution: addresses are
-/// first reflected by sigma(a) = min(a mod fold, fold - a mod fold), then
-/// classified BLOCK-CYCLIC. The result is periodic with period `fold`. The
-/// construction expands the canonical set over [0, fold/2]; nullopt when that
-/// expansion would exceed `maxIntervals` (the caller degrades to
-/// enumeration).
-[[nodiscard]] std::optional<PeriodicIntervalSet> foldedLocalIntervals(
-    std::int64_t block, std::int64_t fold, std::int64_t processors, std::int64_t pe,
-    std::int64_t halo, std::size_t maxIntervals = 1 << 20);
 
 }  // namespace ad::sym

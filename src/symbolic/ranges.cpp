@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "support/budget.hpp"
@@ -19,11 +20,6 @@ namespace {
 /// shared proof memo, where they would make *later*, unbudgeted runs
 /// conservative too.
 thread_local bool tlProverInterrupted = false;
-// Depth of public prover queries on this thread. Nonzero means we are inside
-// another query's computation; such nested queries must never block on the
-// in-flight claim registry (a claim holder that waited could close a
-// cross-thread cycle), so they compute directly on a shared-table miss.
-thread_local int tlQueryDepth = 0;
 
 /// Charges the current budget for one prover step. False means "stop and
 /// answer Unknown".
@@ -475,14 +471,12 @@ bool RangeAnalyzer::provePosImpl(const Expr& e, int depth) const {
 // compares, no structural tree walks. The Expr overloads delegate; callers
 // holding a handle skip the re-intern entirely.
 
-bool RangeAnalyzer::proveNonNegative(const Expr& e) const {
-  if (!memo_) return proveNNImpl(e, maxDepth());
-  return proveNonNegative(ExprIntern::global().intern(e));
-}
-
-bool RangeAnalyzer::proveNonNegative(const InternedExpr& e) const {
-  if (!memo_) return proveNNImpl(*e, maxDepth());
-  if (auto hit = memo_->lookupBool(ProofMemoContext::Op::kNonNegative, e)) {
+template <auto kOp, typename Compute>
+auto RangeAnalyzer::memoized(const InternedExpr& e, Compute&& compute,
+                             const MemoSteps& steps) const {
+  using T = std::invoke_result_t<Compute&>;
+  if (!memo_) return compute();
+  if (auto hit = memo_->lookup<T>(kOp, e)) {
     ProofMemo::global().recordHit();
     return *hit;
   }
@@ -492,39 +486,37 @@ bool RangeAnalyzer::proveNonNegative(const InternedExpr& e) const {
   // answer. A hit back-fills this context so its next probe stays first
   // level; a computed result is published to both levels.
   const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  // Disproof by witness: settles refutable claims for the price of one
-  // evaluation instead of an exhausted proof search.
-  if (disproveByWitness(*e, /*strictWitness=*/true)) {
-    memo_->storeBool(ProofMemoContext::Op::kNonNegative, e, false);
-    slice->storeBool(ProofMemoContext::Op::kNonNegative, e, false);
-    return false;
-  }
-  bool claimed = false;
-  for (;;) {
-    if (auto shared = slice->lookupBool(ProofMemoContext::Op::kNonNegative, e)) {
-      memo_->storeBool(ProofMemoContext::Op::kNonNegative, e, *shared);
-      return *shared;
+  const auto publish = [&](const T& value) {
+    memo_->store(kOp, e, value);
+    slice->store(kOp, e, value);
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    // Disproof by witness: settles refutable claims for the price of one
+    // evaluation instead of an exhausted proof search.
+    if (steps.strictWitness && disproveByWitness(*e, *steps.strictWitness)) {
+      publish(false);
+      return false;
     }
-    if (tlQueryDepth > 0) break;  // nested: compute directly, never wait
-    if (slice->claimOrWait(ProofMemoContext::Op::kNonNegative, e)) {
-      claimed = true;
-      break;
-    }
-    // The claim holder finished while we waited: re-probe (it can still miss
-    // if the holder was interrupted and published nothing — then we claim).
   }
-  resetScratch();
+  if (auto shared = slice->lookup<T>(kOp, e)) {
+    memo_->store(kOp, e, *shared);
+    return *shared;
+  }
+  if (steps.resetScratch) resetScratch();
   const bool outer = beginQuery();
-  ++tlQueryDepth;
-  const bool result = proveNNImpl(*e, maxDepth());
-  --tlQueryDepth;
-  const bool interrupted = queryInterrupted(outer);
-  if (!interrupted) {
-    memo_->storeBool(ProofMemoContext::Op::kNonNegative, e, result);
-    slice->storeBool(ProofMemoContext::Op::kNonNegative, e, result);
-  }
-  if (claimed) slice->release(ProofMemoContext::Op::kNonNegative, e);
+  T result = compute();
+  if (!queryInterrupted(outer)) publish(result);
   return result;
+}
+
+bool RangeAnalyzer::proveNonNegative(const Expr& e) const {
+  if (!memo_) return proveNNImpl(e, maxDepth());
+  return proveNonNegative(ExprIntern::global().intern(e));
+}
+
+bool RangeAnalyzer::proveNonNegative(const InternedExpr& e) const {
+  return memoized<ProofMemoContext::Op::kNonNegative>(
+      e, [&] { return proveNNImpl(*e, maxDepth()); }, {.strictWitness = true});
 }
 
 bool RangeAnalyzer::proveNonPositive(const Expr& e) const { return proveNonNegative(-e); }
@@ -535,50 +527,8 @@ bool RangeAnalyzer::provePositive(const Expr& e) const {
 }
 
 bool RangeAnalyzer::provePositive(const InternedExpr& e) const {
-  if (!memo_) return provePosImpl(*e, maxDepth());
-  if (auto hit = memo_->lookupBool(ProofMemoContext::Op::kPositive, e)) {
-    ProofMemo::global().recordHit();
-    return *hit;
-  }
-  ProofMemo::global().recordMiss();
-  // Second level: the context-free slice memo — another assumptions set
-  // that agrees on every symbol this query can read may already hold the
-  // answer. A hit back-fills this context so its next probe stays first
-  // level; a computed result is published to both levels.
-  const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  // Disproof by witness: settles refutable claims for the price of one
-  // evaluation instead of an exhausted proof search.
-  if (disproveByWitness(*e, /*strictWitness=*/false)) {
-    memo_->storeBool(ProofMemoContext::Op::kPositive, e, false);
-    slice->storeBool(ProofMemoContext::Op::kPositive, e, false);
-    return false;
-  }
-  bool claimed = false;
-  for (;;) {
-    if (auto shared = slice->lookupBool(ProofMemoContext::Op::kPositive, e)) {
-      memo_->storeBool(ProofMemoContext::Op::kPositive, e, *shared);
-      return *shared;
-    }
-    if (tlQueryDepth > 0) break;  // nested: compute directly, never wait
-    if (slice->claimOrWait(ProofMemoContext::Op::kPositive, e)) {
-      claimed = true;
-      break;
-    }
-    // The claim holder finished while we waited: re-probe (it can still miss
-    // if the holder was interrupted and published nothing — then we claim).
-  }
-  resetScratch();
-  const bool outer = beginQuery();
-  ++tlQueryDepth;
-  const bool result = provePosImpl(*e, maxDepth());
-  --tlQueryDepth;
-  const bool interrupted = queryInterrupted(outer);
-  if (!interrupted) {
-    memo_->storeBool(ProofMemoContext::Op::kPositive, e, result);
-    slice->storeBool(ProofMemoContext::Op::kPositive, e, result);
-  }
-  if (claimed) slice->release(ProofMemoContext::Op::kPositive, e);
-  return result;
+  return memoized<ProofMemoContext::Op::kPositive>(
+      e, [&] { return provePosImpl(*e, maxDepth()); }, {.strictWitness = false});
 }
 
 bool RangeAnalyzer::proveNegative(const Expr& e) const { return provePositive(-e); }
@@ -598,41 +548,7 @@ std::optional<int> RangeAnalyzer::sign(const Expr& e) const {
 }
 
 std::optional<int> RangeAnalyzer::sign(const InternedExpr& e) const {
-  if (!memo_) return signImpl(*e, maxDepth());
-  if (auto hit = memo_->lookupSign(e)) {
-    ProofMemo::global().recordHit();
-    return *hit;
-  }
-  ProofMemo::global().recordMiss();
-  // Second level: the context-free slice memo — another assumptions set
-  // that agrees on every symbol this query can read may already hold the
-  // answer. A hit back-fills this context so its next probe stays first
-  // level; a computed result is published to both levels.
-  const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  bool claimed = false;
-  for (;;) {
-    if (auto shared = slice->lookupSign(e)) {
-      memo_->storeSign(e, *shared);
-      return *shared;
-    }
-    if (tlQueryDepth > 0) break;  // nested: compute directly, never wait
-    if (slice->claimOrWait(ProofMemoContext::Op::kSign, e)) {
-      claimed = true;
-      break;
-    }
-  }
-  resetScratch();
-  const bool outer = beginQuery();
-  ++tlQueryDepth;
-  const std::optional<int> result = signImpl(*e, maxDepth());
-  --tlQueryDepth;
-  const bool interrupted = queryInterrupted(outer);
-  if (!interrupted) {
-    memo_->storeSign(e, result);
-    slice->storeSign(e, result);
-  }
-  if (claimed) slice->release(ProofMemoContext::Op::kSign, e);
-  return result;
+  return memoized<ProofMemoContext::Op::kSign>(e, [&] { return signImpl(*e, maxDepth()); }, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -645,41 +561,8 @@ std::optional<Expr> RangeAnalyzer::upperBoundExpr(const Expr& e) const {
 }
 
 std::optional<Expr> RangeAnalyzer::upperBoundExpr(const InternedExpr& e) const {
-  if (!memo_) return bound(*e, Mode::kUpper, /*indicesOnly=*/true, maxDepth());
-  if (auto hit = memo_->lookupExpr(ProofMemoContext::Op::kUpperBound, e)) {
-    ProofMemo::global().recordHit();
-    return *hit;
-  }
-  ProofMemo::global().recordMiss();
-  // Second level: the context-free slice memo — another assumptions set
-  // that agrees on every symbol this query can read may already hold the
-  // answer. A hit back-fills this context so its next probe stays first
-  // level; a computed result is published to both levels.
-  const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  bool claimed = false;
-  for (;;) {
-    if (auto shared = slice->lookupExpr(ProofMemoContext::Op::kUpperBound, e)) {
-      memo_->storeExpr(ProofMemoContext::Op::kUpperBound, e, *shared);
-      return *shared;
-    }
-    if (tlQueryDepth > 0) break;  // nested: compute directly, never wait
-    if (slice->claimOrWait(ProofMemoContext::Op::kUpperBound, e)) {
-      claimed = true;
-      break;
-    }
-  }
-  resetScratch();
-  const bool outer = beginQuery();
-  ++tlQueryDepth;
-  const std::optional<Expr> result = bound(*e, Mode::kUpper, /*indicesOnly=*/true, maxDepth());
-  --tlQueryDepth;
-  const bool interrupted = queryInterrupted(outer);
-  if (!interrupted) {
-    memo_->storeExpr(ProofMemoContext::Op::kUpperBound, e, result);
-    slice->storeExpr(ProofMemoContext::Op::kUpperBound, e, result);
-  }
-  if (claimed) slice->release(ProofMemoContext::Op::kUpperBound, e);
-  return result;
+  return memoized<ProofMemoContext::Op::kUpperBound>(
+      e, [&] { return bound(*e, Mode::kUpper, /*indicesOnly=*/true, maxDepth()); }, {});
 }
 
 std::optional<Expr> RangeAnalyzer::lowerBoundExpr(const Expr& e) const {
@@ -688,41 +571,8 @@ std::optional<Expr> RangeAnalyzer::lowerBoundExpr(const Expr& e) const {
 }
 
 std::optional<Expr> RangeAnalyzer::lowerBoundExpr(const InternedExpr& e) const {
-  if (!memo_) return bound(*e, Mode::kLower, /*indicesOnly=*/true, maxDepth());
-  if (auto hit = memo_->lookupExpr(ProofMemoContext::Op::kLowerBound, e)) {
-    ProofMemo::global().recordHit();
-    return *hit;
-  }
-  ProofMemo::global().recordMiss();
-  // Second level: the context-free slice memo — another assumptions set
-  // that agrees on every symbol this query can read may already hold the
-  // answer. A hit back-fills this context so its next probe stays first
-  // level; a computed result is published to both levels.
-  const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  bool claimed = false;
-  for (;;) {
-    if (auto shared = slice->lookupExpr(ProofMemoContext::Op::kLowerBound, e)) {
-      memo_->storeExpr(ProofMemoContext::Op::kLowerBound, e, *shared);
-      return *shared;
-    }
-    if (tlQueryDepth > 0) break;  // nested: compute directly, never wait
-    if (slice->claimOrWait(ProofMemoContext::Op::kLowerBound, e)) {
-      claimed = true;
-      break;
-    }
-  }
-  resetScratch();
-  const bool outer = beginQuery();
-  ++tlQueryDepth;
-  const std::optional<Expr> result = bound(*e, Mode::kLower, /*indicesOnly=*/true, maxDepth());
-  --tlQueryDepth;
-  const bool interrupted = queryInterrupted(outer);
-  if (!interrupted) {
-    memo_->storeExpr(ProofMemoContext::Op::kLowerBound, e, result);
-    slice->storeExpr(ProofMemoContext::Op::kLowerBound, e, result);
-  }
-  if (claimed) slice->release(ProofMemoContext::Op::kLowerBound, e);
-  return result;
+  return memoized<ProofMemoContext::Op::kLowerBound>(
+      e, [&] { return bound(*e, Mode::kLower, /*indicesOnly=*/true, maxDepth()); }, {});
 }
 
 std::optional<Expr> RangeAnalyzer::boundEliminating(const Expr& e, SymbolId victim, Mode mode,
@@ -843,42 +693,8 @@ bool RangeAnalyzer::proveIntegerValued(const Expr& e) const {
 }
 
 bool RangeAnalyzer::proveIntegerValued(const InternedExpr& e) const {
-  if (!memo_) return integerValuedImpl(*e);
-  if (auto hit = memo_->lookupBool(ProofMemoContext::Op::kIntegerValued, e)) {
-    ProofMemo::global().recordHit();
-    return *hit;
-  }
-  ProofMemo::global().recordMiss();
-  // Second level: the context-free slice memo — another assumptions set
-  // that agrees on every symbol this query can read may already hold the
-  // answer. A hit back-fills this context so its next probe stays first
-  // level; a computed result is published to both levels.
-  const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  bool claimed = false;
-  for (;;) {
-    if (auto shared = slice->lookupBool(ProofMemoContext::Op::kIntegerValued, e)) {
-      memo_->storeBool(ProofMemoContext::Op::kIntegerValued, e, *shared);
-      return *shared;
-    }
-    if (tlQueryDepth > 0) break;  // nested: compute directly, never wait
-    if (slice->claimOrWait(ProofMemoContext::Op::kIntegerValued, e)) {
-      claimed = true;
-      break;
-    }
-  }
-  // No resetScratch here: the impl only issues public proveNonNegative
-  // queries, each of which is itself a memo probe.
-  const bool outer = beginQuery();
-  ++tlQueryDepth;
-  const bool result = integerValuedImpl(*e);
-  --tlQueryDepth;
-  const bool interrupted = queryInterrupted(outer);
-  if (!interrupted) {
-    memo_->storeBool(ProofMemoContext::Op::kIntegerValued, e, result);
-    slice->storeBool(ProofMemoContext::Op::kIntegerValued, e, result);
-  }
-  if (claimed) slice->release(ProofMemoContext::Op::kIntegerValued, e);
-  return result;
+  return memoized<ProofMemoContext::Op::kIntegerValued>(
+      e, [&] { return integerValuedImpl(*e); }, {.strictWitness = std::nullopt, .resetScratch = false});
 }
 
 bool RangeAnalyzer::integerValuedImpl(const Expr& e) const {

@@ -149,12 +149,32 @@ class RangeAnalyzer {
   /// installed, kMaxDepth otherwise.
   [[nodiscard]] static int maxDepth();
 
+  /// Where an entry point departs from the plain memo protocol (memoized).
+  struct MemoSteps {
+    /// Disprove by witness between the two memo levels (bool queries only):
+    /// true refutes e >= 0, false refutes e > 0; nullopt skips the step.
+    std::optional<bool> strictWitness;
+    /// Clear the scratch caches before computing. proveIntegerValued skips
+    /// it: its impl only issues public queries, each a memo probe itself.
+    bool resetScratch = true;
+  };
   /// Disproof by witness evaluation: true when a verified feasible integer
   /// point has e < 0 (strictWitness, refuting e >= 0) or e <= 0 (refuting
   /// e > 0). The prover is sound, so a disproved claim is exactly one the
   /// full search would also answer false — this is a shortcut, never a
   /// change of verdict. Used on shared-memo misses before the search runs.
   [[nodiscard]] bool disproveByWitness(const Expr& e, bool strictWitness) const;
+  /// The memo protocol every interned entry point shares. Probes this
+  /// context's memo (first level), then the slice memo (second level,
+  /// ProofMemo::sliceContext), back-filling the first level on a slice hit;
+  /// on a miss at both, runs `compute` under beginQuery/queryInterrupted and
+  /// publishes the answer to both levels unless the query was interrupted.
+  /// With the memo detached it only runs `compute`. Two threads that miss
+  /// together both compute; answers are pure, so either one's is kept.
+  /// `kOp` is the ProofMemoContext::Op of the query.
+  template <auto kOp, typename Compute>
+  [[nodiscard]] auto memoized(const InternedExpr& e, Compute&& compute,
+                              const MemoSteps& steps) const;
   /// Marks the start of a public query; returns (and clears) the thread's
   /// "interrupted" flag so nested public queries compose.
   static bool beginQuery();

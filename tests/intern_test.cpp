@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "support/budget.hpp"
 #include "symbolic/intern.hpp"
 #include "symbolic/ranges.hpp"
 
@@ -233,47 +237,6 @@ TEST_F(InternTest, InternedAnalyzerEntryPointsMatchExprOnes) {
   }
 }
 
-TEST_F(InternTest, SingleThreadedQueriesNeverWaitOnAClaim) {
-  sym::SymbolTable st;
-  const auto n = st.parameter("N");
-  const auto i = st.index("i");
-  sym::Assumptions assumptions(st);
-  assumptions.setRange(i, c(0), Expr::symbol(n) - c(1));
-  const sym::ProofMemoEnabledGuard on(true);
-  const sym::RangeAnalyzer ra(assumptions);
-  obs::Counter& waits = obs::metrics().counter("ad.intern.claim_waits");
-  obs::Counter& waitUs = obs::metrics().counter("ad.intern.claim_wait_us");
-  const std::int64_t waitsBefore = waits.value();
-  const std::int64_t usBefore = waitUs.value();
-  EXPECT_TRUE(ra.proveNonNegative(Expr::symbol(n) - Expr::symbol(i) - c(1)));
-  EXPECT_TRUE(ra.provePositive(Expr::symbol(n) * c(2) - Expr::symbol(i)));
-  EXPECT_EQ(ra.sign(Expr::symbol(i) - Expr::symbol(n)), -1);
-  EXPECT_EQ(waits.value(), waitsBefore);
-  EXPECT_EQ(waitUs.value(), usBefore);
-}
-
-TEST_F(InternTest, RacingOnAClaimedQueryCountsAWait) {
-  sym::SymbolTable st;
-  const auto n = st.parameter("N");
-  sym::Assumptions assumptions(st);
-  const auto context = sym::ProofMemo::global().context(assumptions);
-  const InternedExpr e = ExprIntern::global().intern(Expr::symbol(n) + c(1));
-  using Op = sym::ProofMemoContext::Op;
-  obs::Counter& waits = obs::metrics().counter("ad.intern.claim_waits");
-  const std::int64_t before = waits.value();
-
-  ASSERT_TRUE(context->claimOrWait(Op::kNonNegative, e));
-  std::atomic<bool> claimedByWaiter{true};
-  std::thread waiter([&] { claimedByWaiter = context->claimOrWait(Op::kNonNegative, e); });
-  // The count goes up before the waiter parks, so this spin ends only once
-  // the second thread is on the wait path.
-  while (waits.value() == before) std::this_thread::yield();
-  context->release(Op::kNonNegative, e);
-  waiter.join();
-  EXPECT_FALSE(claimedByWaiter.load());
-  EXPECT_GE(waits.value(), before + 1);
-}
-
 TEST_F(InternTest, TableStatsReportSlotsAndBytes) {
   sym::SymbolTable st;
   const auto exprs = makeFamily(st, 100);
@@ -378,10 +341,94 @@ TEST_F(InternTest, SliceMemoAnswersMatchAcrossContexts) {
   }
 }
 
+TEST_F(InternTest, EveryEntryPointIsServedByTheSliceMemoAcrossContexts) {
+  // Two analyzers whose assumptions differ only in M, which no query below
+  // reads: distinct first-level contexts sharing one slice per query.
+  sym::SymbolTable st;
+  const auto n = st.parameter("N");
+  const auto m = st.parameter("M");
+  const auto i = st.index("i");
+  const Expr N = Expr::symbol(n);
+  const Expr I = Expr::symbol(i);
+  sym::Assumptions a(st);
+  a.setRange(i, c(0), N - c(1));
+  a.setRange(m, c(1), c(64));
+  sym::Assumptions b = a;
+  b.setRange(m, c(2), c(128));
+
+  const sym::ProofMemoEnabledGuard on(true);
+  const sym::RangeAnalyzer ra(a);
+  const sym::RangeAnalyzer rb(b);
+  ASSERT_NE(a.memoKey().text, b.memoKey().text);
+
+  // Every answer is rendered as text so one loop covers the three types.
+  using Ask = std::function<std::string(const sym::RangeAnalyzer&, const InternedExpr&)>;
+  const auto text = [&st](const std::optional<Expr>& v) { return v ? v->str(st) : "none"; };
+  struct Case {
+    const char* name;
+    Expr query;
+    Ask ask;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      {"proveNonNegative", N - I - c(1),
+       [](const auto& r, const auto& h) { return std::to_string(r.proveNonNegative(h)); }, "1"},
+      {"provePositive", c(2) * N - I,
+       [](const auto& r, const auto& h) { return std::to_string(r.provePositive(h)); }, "1"},
+      {"sign", I - N,
+       [](const auto& r, const auto& h) {
+         const auto s = r.sign(h);
+         return s ? std::to_string(*s) : "none";
+       },
+       "-1"},
+      {"upperBoundExpr", I + N,
+       [&](const auto& r, const auto& h) { return text(r.upperBoundExpr(h)); },
+       (c(2) * N - c(1)).str(st)},
+      {"lowerBoundExpr", c(3) * I + N,
+       [&](const auto& r, const auto& h) { return text(r.lowerBoundExpr(h)); }, N.str(st)},
+      {"proveIntegerValued", Expr::constant(Rational(1, 2)) * Expr::pow2(I + c(1)),
+       [](const auto& r, const auto& h) { return std::to_string(r.proveIntegerValued(h)); },
+       "1"},
+  };
+  sym::ProofMemo& memo = sym::ProofMemo::global();
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    const InternedExpr h = ExprIntern::global().intern(k.query);
+
+    // First call: a first-level miss that computes (proveIntegerValued's
+    // nested proveNonNegative query misses too).
+    const auto s0 = memo.stats();
+    EXPECT_EQ(k.ask(ra, h), k.expected);
+    const auto s1 = memo.stats();
+    EXPECT_EQ(s1.hits, s0.hits);
+    EXPECT_GE(s1.misses, s0.misses + 1);
+
+    // Second analyzer: one first-level miss, served by the slice level. A
+    // cancelled budget interrupts any proof search, so the right answer
+    // here cannot have been computed.
+    {
+      support::Budget cancelled(support::BudgetLimits{},
+                                std::make_shared<std::atomic<bool>>(true));
+      const support::BudgetScope scope(&cancelled);
+      EXPECT_EQ(k.ask(rb, h), k.expected);
+    }
+    const auto s2 = memo.stats();
+    EXPECT_EQ(s2.hits, s1.hits);
+    EXPECT_EQ(s2.misses, s1.misses + 1);
+
+    // The slice hit back-filled rb's context: a repeat is a first-level hit.
+    EXPECT_EQ(k.ask(rb, h), k.expected);
+    const auto s3 = memo.stats();
+    EXPECT_EQ(s3.hits, s2.hits + 1);
+    EXPECT_EQ(s3.misses, s2.misses);
+  }
+}
+
 TEST_F(InternTest, ConcurrentIdenticalQueriesAgreeAndTerminate) {
   // Hammers one fresh query from many threads through distinct contexts that
-  // share a slice: the in-flight claim registry must dedupe the computes
-  // without deadlock, and every thread must see the same verdict.
+  // share a slice: threads that miss together each compute and publish, and
+  // since answers are pure functions of (slice, query) every racing compute
+  // must reach the same verdict, whichever one the table keeps.
   sym::SymbolTable st;
   const auto n = st.parameter("N");
   const auto m = st.parameter("M");

@@ -340,7 +340,7 @@ TEST(Symval, PropertyFoldedCountAPMatchesBruteForce) {
                               (1 + static_cast<std::int64_t>(nextRand(rng) % 3));
     const auto dist = dsm::DataDistribution::foldedBlockCyclic(block, fold);
 
-    const auto set = sym::foldedLocalIntervals(block, fold, processors, pe, halo);
+    const auto set = dsm::foldedLocalIntervals(dist, processors, pe, halo);
     ASSERT_TRUE(set.has_value());
     const auto ap = sym::ArithmeticProgression::make(
         300 + static_cast<std::int64_t>(nextRand(rng) % 96),
@@ -373,7 +373,7 @@ TEST(Symval, FoldedLocalIntervalsMatchIsLocalElementwise) {
       for (const std::int64_t halo : {0, 1, 3}) {
         for (const std::int64_t processors : {1, 4, 64}) {
           for (std::int64_t pe = 0; pe < processors; ++pe) {
-            const auto set = sym::foldedLocalIntervals(block, fold, processors, pe, halo);
+            const auto set = dsm::foldedLocalIntervals(dist, processors, pe, halo);
             ASSERT_TRUE(set.has_value());
             std::int64_t wrong = 0;
             for (std::int64_t addr = 0; addr < 2 * fold; ++addr) {
@@ -409,7 +409,9 @@ TEST(Symval, ShortSpanCountAPMatchesBruteForce) {
     const std::int64_t fold = 1 + static_cast<std::int64_t>(nextRand(rng) % 50);
     const sym::PeriodicIntervalSet set =
         iter % 2 == 0 ? sym::localIntervals(block, processors, pe, halo)
-                      : *sym::foldedLocalIntervals(block, fold, processors, pe, halo);
+                      : *dsm::foldedLocalIntervals(
+                            dsm::DataDistribution::foldedBlockCyclic(block, fold), processors,
+                            pe, halo);
     const std::int64_t period = set.period();
     const std::int64_t base = static_cast<std::int64_t>(nextRand(rng) % 400) - 250;
     std::int64_t stride = 1 + static_cast<std::int64_t>(nextRand(rng) % (3 * period));
