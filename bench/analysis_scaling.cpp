@@ -23,11 +23,11 @@
 //   - warm_speedup = best cold jobs=8 time / best warm jobs=8 time (the warm
 //     legs rerun against the cold leg's caches: the gap is the cost of cache
 //     misses, the warm time the floor of non-memoizable per-config work);
-//   - work = proof-memo and phase-memo hits and misses and communication
-//     schedule, message and word counts of a cold serial pass (each item in
-//     turn on this thread, memo on, no pool: the jobs=1 work, without the
-//     joining thread's races; the bench checks that every serial pass
-//     repeats them exactly).
+//   - work = proof-memo and phase-memo hits and misses, the proof-memo
+//     context count, and communication schedule, message and word counts
+//     of a cold serial pass (each item in turn on this thread, memo on, no
+//     pool: the jobs=1 work, without the joining thread's races; the bench
+//     checks that every serial pass repeats them exactly).
 // "legacy_ms" is the pre-batching engine (proof memo disabled, no pool, one
 // config at a time); it is reported, with each leg's vs_legacy ratio, but
 // never gated: it runs the same algebra, so it speeds up with the prover.
@@ -43,7 +43,7 @@
 //     "warm": {"jobs": 8, "ms": ..., "warm_speedup": ...},
 //     "work": {"proof_hits": ..., "proof_misses": ..., "phase_hits": ...,
 //              "phase_misses": ..., "comm_schedules": ..., "comm_messages": ...,
-//              "comm_words": ...},
+//              "comm_words": ..., "proof_contexts": ...},
 //     "tfft2": {"hits": ..., "misses": ..., "hit_rate": ...},
 //     "stages": [{"name": ..., "count": ..., "total_us": ...} ...],
 //     "profile": {ad.profile.v1} }
@@ -246,7 +246,10 @@ int main() {
                 {"phase_misses", phaseMisses.value() - phaseMisses0},
                 {"comm_schedules", schedules},
                 {"comm_messages", messages},
-                {"comm_words", words}};
+                {"comm_words", words},
+                // Cold runs clear the memo first, so this is the run's own
+                // context count: one per distinct assumptions set.
+                {"proof_contexts", sym::ProofMemo::global().stats().contexts}};
     return run;
   };
   // The fastest of kReps runs; `repeatable` is cleared if their work differs.

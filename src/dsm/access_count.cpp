@@ -384,7 +384,7 @@ void AccessCounter::add(ArrayTally& out, std::int64_t pe, std::int64_t total,
   const std::int64_t remote = total - local;
   out.counts.local += local;
   out.counts.remote += remote;
-  out.counts.remoteBytes += remote * options_.wordBytes;
+  out.counts.remoteBytes += remote * kWordBytes;
   out.peAccesses[static_cast<std::size_t>(pe)] += total;
   out.peRemote[static_cast<std::size_t>(pe)] += remote;
 }

@@ -69,7 +69,6 @@ struct PhaseCommunication {
 
 struct CountOptions {
   std::int64_t processors = 1;
-  std::int64_t wordBytes = 8;  ///< bytes charged per remote access
   /// Charge the thread's budget one step per collapse step, as the validator
   /// does: once the budget is exhausted, regions fall back to enumeration.
   /// Off, the counts never touch the request's budget; the same loops poll

@@ -35,6 +35,10 @@
 
 namespace ad::dsm {
 
+/// Bytes per array element: what every remote-byte tally charges per remote
+/// access or moved element.
+inline constexpr std::int64_t kWordBytes = 8;
+
 struct MachineParams {
   std::int64_t processors = 8;
   double localAccess = 1.0;     ///< cycles per local array access

@@ -280,17 +280,4 @@ LocalityValidationReport validateLocality(const lcg::LCG& lcg, const ExecutionPl
   return report;
 }
 
-Expected<LocalityValidationReport> validateLocalityChecked(const lcg::LCG& lcg,
-                                                           const ExecutionPlan& plan,
-                                                           const ObservedTrace& trace,
-                                                           const ir::Bindings& params,
-                                                           std::int64_t processors) {
-  try {
-    ErrorContext stage("stage", "validate");
-    return validateLocality(lcg, plan, trace, params, processors);
-  } catch (...) {
-    return statusFromCurrentException();
-  }
-}
-
 }  // namespace ad::dsm

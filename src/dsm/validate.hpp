@@ -121,10 +121,4 @@ struct LocalityValidationReport {
                                                         const ir::Bindings& params,
                                                         std::int64_t processors);
 
-/// Boundary variant: catches everything (contract violations included) and
-/// returns it as a structured Status instead of unwinding into the caller.
-[[nodiscard]] Expected<LocalityValidationReport> validateLocalityChecked(
-    const lcg::LCG& lcg, const ExecutionPlan& plan, const ObservedTrace& trace,
-    const ir::Bindings& params, std::int64_t processors);
-
 }  // namespace ad::dsm

@@ -44,7 +44,6 @@ std::string SymbolicCounts::str() const {
 dsm::CountOptions countOptions(const SymvalOptions& opts) {
   dsm::CountOptions counting;
   counting.processors = opts.processors;
-  counting.wordBytes = opts.wordBytes;
   counting.chargeBudget = true;
   counting.forceFallback = [] { return AD_FAULT_POINT("symval.region"); };
   return counting;

@@ -35,7 +35,6 @@ namespace ad::loc {
 
 struct SymvalOptions {
   std::int64_t processors = 8;
-  std::int64_t wordBytes = 8;  ///< bytes charged per remote access
 };
 
 /// Result of one closed-form validation run; `observed` has the exact shape

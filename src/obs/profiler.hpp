@@ -17,7 +17,7 @@
 //  - Per-shard lock accounting (ShardStats): the interned-expression arena
 //    and the proof memo time every contended mutex acquisition per shard,
 //    and count hits/misses per shard, so "the memo is hot" becomes "shard 5
-//    of the memo context table eats 80% of the lock-wait".
+//    of the context registry eats 80% of the lock-wait".
 //
 //  - Export: summary() renders a stable-schema "ad.profile.v1" JSON document
 //    (--profile-out); per-thread task activity also lands in the Chrome/
@@ -75,7 +75,7 @@ struct alignas(64) ShardStats {
 /// lookups must be branch-free index math, not registry probes.
 enum class ShardFamily : std::uint8_t {
   kExprIntern = 0,   ///< sym::ExprIntern arena shards
-  kMemoContext,      ///< sym::ProofMemoContext result shards (summed over contexts)
+  kMemoContext,      ///< sym::ProofMemoContext locks, one per context, row = key hash % 32
   kMemoRegistry,     ///< sym::ProofMemo context-table shards
   kPhaseInfo,        ///< loc::analyzePhaseArray result-cache shards
 };

@@ -22,6 +22,13 @@ Value Value::makeInt(std::int64_t i) {
   return v;
 }
 
+Value Value::makeDouble(double d) {
+  Value v;
+  v.kind = Kind::kDouble;
+  v.number = d;
+  return v;
+}
+
 Value Value::makeString(std::string s) {
   Value v;
   v.kind = Kind::kString;
@@ -98,8 +105,8 @@ std::string Value::dump() const {
     case Kind::kBool: return boolean ? "true" : "false";
     case Kind::kInt: return std::to_string(integer);
     case Kind::kDouble: {
-      // Doubles never appear in protocol messages we emit, but dump() must
-      // still round-trip anything parse() produced.
+      // %.17g round-trips every finite double (the simulated efficiencies
+      // of an analyze response); non-finite values have no JSON spelling.
       if (!std::isfinite(number)) return "null";
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.17g", number);

@@ -56,6 +56,7 @@ class Value {
   [[nodiscard]] static Value makeNull() { return Value{}; }
   [[nodiscard]] static Value makeBool(bool b);
   [[nodiscard]] static Value makeInt(std::int64_t v);
+  [[nodiscard]] static Value makeDouble(double d);
   [[nodiscard]] static Value makeString(std::string s);
   [[nodiscard]] static Value makeArray();
   [[nodiscard]] static Value makeObject();

@@ -74,6 +74,21 @@ Status readCount(const json::Value& root, std::string_view key, std::int64_t& ou
   return Status::ok();
 }
 
+/// Fetches an optional number field. dump() prints whole doubles as integers
+/// and non-finite ones as null (read as absent), so all three are accepted.
+Status readNumber(const json::Value& root, std::string_view key, std::optional<double>& out) {
+  const json::Value* v = root.find(key);
+  if (v == nullptr || v->kind == json::Value::Kind::kNull) return Status::ok();
+  if (v->kind == json::Value::Kind::kDouble) {
+    out = v->number;
+  } else if (v->kind == json::Value::Kind::kInt) {
+    out = static_cast<double>(v->integer);
+  } else {
+    return protocolError("field '" + std::string(key) + "' must be a number");
+  }
+  return Status::ok();
+}
+
 Status readString(const json::Value& root, std::string_view key, std::string& out) {
   const json::Value* v = root.find(key);
   if (v == nullptr) return Status::ok();
@@ -165,12 +180,20 @@ std::string serializeResponse(const Response& response) {
   root.add("schema", json::Value::makeString(std::string(kProtocolSchema)));
   root.add("id", json::Value::makeString(response.id));
   root.add("kind", json::Value::makeString(responseKindName(response.kind)));
+  if (response.hasGolden()) {
+    root.add("golden", json::Value::makeString(response.golden));
+    if (response.planEfficiency) {
+      root.add("plan_efficiency", json::Value::makeDouble(*response.planEfficiency));
+    }
+    if (response.naiveEfficiency) {
+      root.add("naive_efficiency", json::Value::makeDouble(*response.naiveEfficiency));
+    }
+  }
   switch (response.kind) {
     case ResponseKind::kOk:
-      root.add("golden", json::Value::makeString(response.golden));
+    case ResponseKind::kCancelled:
       break;
     case ResponseKind::kDegraded: {
-      root.add("golden", json::Value::makeString(response.golden));
       json::Value events = json::Value::makeArray();
       for (const std::string& e : response.degradation) {
         events.array.push_back(json::Value::makeString(e));
@@ -184,8 +207,6 @@ std::string serializeResponse(const Response& response) {
       break;
     case ResponseKind::kShed:
       root.add("retry_after_ms", json::Value::makeInt(response.retryAfterMs));
-      break;
-    case ResponseKind::kCancelled:
       break;
     case ResponseKind::kInfo:
       root.add("info", json::Value::makeString(response.info));
@@ -224,6 +245,12 @@ Expected<Response> parseResponse(std::string_view payload) {
   if (Status s = readCount(root, "retry_after_ms", response.retryAfterMs); !s.isOk()) return s;
   if (Status s = readCount(root, "queue_us", response.queueUs); !s.isOk()) return s;
   if (Status s = readCount(root, "run_us", response.runUs); !s.isOk()) return s;
+  if (Status s = readNumber(root, "plan_efficiency", response.planEfficiency); !s.isOk()) {
+    return s;
+  }
+  if (Status s = readNumber(root, "naive_efficiency", response.naiveEfficiency); !s.isOk()) {
+    return s;
+  }
   if (const json::Value* events = root.find("degradation"); events != nullptr) {
     if (events->kind != json::Value::Kind::kArray) {
       return protocolError("field 'degradation' must be an array");

@@ -18,6 +18,9 @@
 // Responses: {"id":..., "kind":...} plus kind-specific fields:
 //   kind "ok"        golden   — byte-identical to a single-shot CLI run
 //   kind "degraded"  golden + degradation[] — budget ran out, result sound
+//   (ok and degraded add plan_efficiency + naive_efficiency, the DSM cost
+//   model's parallel efficiency of the plan and of the naive BLOCK baseline,
+//   when the request set "simulate":true)
 //   kind "error"     code + error — structured per-request failure
 //   kind "shed"      retry_after_ms — admission control rejected the request;
 //                    retry_after_ms 0 means "do not retry" (server draining)
@@ -30,6 +33,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +76,10 @@ struct Response {
   ResponseKind kind = ResponseKind::kError;
   std::string golden;                   ///< ok/degraded: the golden artifact
   std::vector<std::string> degradation; ///< degraded: the downgrade ledger
+  /// ok/degraded with simulate: PipelineResult::plannedEfficiency() and
+  /// naiveEfficiency(); absent otherwise.
+  std::optional<double> planEfficiency;
+  std::optional<double> naiveEfficiency;
   std::string errorCode;                ///< error: errorCodeName() of the Status
   std::string error;                    ///< error: Status::str()
   std::int64_t retryAfterMs = 0;        ///< shed: backoff hint (0 = don't retry)

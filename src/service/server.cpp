@@ -11,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "service/json.hpp"
 #include "support/fault.hpp"
+#include "symbolic/intern.hpp"
 
 namespace ad::service {
 
@@ -347,6 +348,10 @@ Response Server::analyze(const Admitted& item) {
   } else {
     response.kind = ResponseKind::kOk;
   }
+  if (request.simulate) {
+    response.planEfficiency = result->plannedEfficiency();
+    response.naiveEfficiency = result->naiveEfficiency();
+  }
   return response;
 }
 
@@ -454,6 +459,13 @@ std::string Server::statsJson() const {
   root.add("queue_expired", json::Value::makeInt(s.queueExpired));
   root.add("in_flight", json::Value::makeInt(s.inFlight));
   root.add("draining", json::Value::makeBool(draining()));
+  // The process-wide arena and proof memo every request shares.
+  const sym::ProofMemo::Stats memo = sym::ProofMemo::global().stats();
+  root.add("arena_bytes",
+           json::Value::makeInt(static_cast<std::int64_t>(sym::ExprIntern::global().bytes())));
+  root.add("memo_contexts", json::Value::makeInt(memo.contexts));
+  root.add("memo_hits", json::Value::makeInt(memo.hits));
+  root.add("memo_misses", json::Value::makeInt(memo.misses));
   return root.dump();
 }
 

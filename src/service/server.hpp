@@ -7,8 +7,9 @@
 // runaway, starved, or cancelled request cannot degrade a neighbour — the
 // same isolation analyzeBatch gives batch items, applied across clients.
 // What *is* deliberately shared is the process-global interned-expression
-// arena and ProofMemo: identical slices across requests hit the same cached
-// proofs (the ad.intern.proof_hits rate the soak bench gates on).
+// arena and ProofMemo: requests whose phases carry identical assumptions hit
+// the same cached proofs (the ad.intern.proof_hits rate the soak bench gates
+// on; the stats op reports the arena's bytes and the memo's counts).
 //
 // Admission control: at most `queueCapacity` requests may be admitted
 // (queued + running) at once. Beyond that the server sheds with a

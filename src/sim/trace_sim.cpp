@@ -222,7 +222,7 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
         dsm::ArrayCounts& total = pc.arrays[slotArrays[k][slot]];
         total.local += c.local;
         total.remote += c.remote;
-        total.remoteBytes += c.remote * opts.wordBytes;
+        total.remoteBytes += c.remote * dsm::kWordBytes;
         local += c.local;
         remote += c.remote;
       }
@@ -236,7 +236,7 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
   result.totalAccesses = localTotal + remoteTotal;
   reg.counter("ad.sim.local_accesses").add(localTotal);
   reg.counter("ad.sim.remote_accesses").add(remoteTotal);
-  reg.counter("ad.sim.remote_bytes").add(remoteTotal * opts.wordBytes);
+  reg.counter("ad.sim.remote_bytes").add(remoteTotal * dsm::kWordBytes);
   std::int64_t redistWords = 0;
   std::int64_t frontierWords = 0;
   for (const auto& r : result.observed.redistributions) {

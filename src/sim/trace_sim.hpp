@@ -27,7 +27,6 @@ namespace ad::sim {
 
 struct SimOptions {
   std::int64_t processors = 8;  ///< simulated PEs
-  std::int64_t wordBytes = 8;   ///< bytes per array element (remote-byte tallies)
 };
 
 struct TraceResult {

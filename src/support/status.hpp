@@ -8,7 +8,7 @@
 // phase) assembled while the exception unwinds, so "analysis failed" always
 // says *where*. ad::Expected<T> is the Status-or-value return used by the
 // checked entry points (analyzeAndSimulateChecked, analyzeBatch,
-// buildLCGChecked, validateLocalityChecked).
+// buildLCGChecked).
 //
 // Context capture works through ErrorContext, an RAII frame: its destructor
 // notices it is running because an exception is unwinding past it

@@ -1,6 +1,5 @@
 #include "symbolic/intern.hpp"
 
-#include <set>
 #include <type_traits>
 #include <utility>
 
@@ -58,55 +57,6 @@ std::string serializeAssumptions(const Assumptions& a) {
   std::string out;
   const SymbolTable& table = a.table();
   for (SymbolId id = 0; id < table.size(); ++id) {
-    out += 'k';
-    out += std::to_string(static_cast<int>(table.kind(id)));
-    if (const auto lo = a.lower(id)) {
-      out += 'L';
-      serializeExpr(*lo, out);
-    }
-    if (const auto hi = a.upper(id)) {
-      out += 'U';
-      serializeExpr(*hi, out);
-    }
-    out += '|';
-  }
-  for (const Expr& f : a.facts()) {
-    out += 'F';
-    serializeExpr(f, out);
-  }
-  return out;
-}
-
-std::string serializeAssumptionsSlice(const Assumptions& a, const Expr& e) {
-  // Closure seeds: the query's free symbols and every fact's (the
-  // fact-combination step can rewrite any query against any fact). Then
-  // close over bound expressions: eliminating a symbol substitutes its
-  // bounds, whose symbols the recursion reads next.
-  std::set<SymbolId> closed;
-  std::vector<SymbolId> work = e.freeSymbols();
-  for (const Expr& f : a.facts()) {
-    const auto fs = f.freeSymbols();
-    work.insert(work.end(), fs.begin(), fs.end());
-  }
-  while (!work.empty()) {
-    const SymbolId id = work.back();
-    work.pop_back();
-    if (!closed.insert(id).second) continue;
-    for (const auto& b : {a.lower(id), a.upper(id)}) {
-      if (!b) continue;
-      for (SymbolId s : b->freeSymbols()) {
-        if (closed.count(s) == 0) work.push_back(s);
-      }
-    }
-  }
-  // '@' keeps slice keys disjoint from full-assumptions keys in the shared
-  // context registry (full keys never start with it). Symbol ids are
-  // explicit here — a slice is a sparse subset, not a dense table scan.
-  std::string out = "@";
-  const SymbolTable& table = a.table();
-  for (SymbolId id : closed) {  // std::set: ascending, deterministic
-    out += 's';
-    out += std::to_string(id);
     out += 'k';
     out += std::to_string(static_cast<int>(table.kind(id)));
     if (const auto lo = a.lower(id)) {
@@ -334,7 +284,7 @@ std::uint64_t mixOp(std::uint64_t hash, ProofMemoContext::Op op) {
   return hash ^ ((static_cast<std::uint64_t>(op) + 1) * 0x9e3779b97f4a7c15ULL);
 }
 
-/// Per-shard hit/miss + probe-length attribution for the profiler
+/// Per-context-row hit/miss + probe-length attribution for the profiler
 /// ("memo.context" family); one relaxed load when disabled.
 void noteMemoProbe(std::size_t idx, bool hit, std::size_t steps) {
   obs::Profiler& p = obs::profiler();
@@ -392,25 +342,23 @@ void ProofMemoContext::OpPtrTable<Value>::grow() {
 }
 
 template <typename T>
-auto& ProofMemoContext::tableFor(Shard& shard) {
+auto& ProofMemoContext::tableFor() {
   if constexpr (std::is_same_v<T, bool>) {
-    return shard.bools;
+    return bools_;
   } else if constexpr (std::is_same_v<T, std::optional<int>>) {
-    return shard.signs;
+    return signs_;
   } else {
     static_assert(std::is_same_v<T, std::optional<Expr>>);
-    return shard.exprs;
+    return exprs_;
   }
 }
 
 template <typename T>
 std::optional<T> ProofMemoContext::lookup(Op op, const InternedExpr& e) {
-  const std::size_t idx = shardIndexFor(e);
-  Shard& shard = shards_[idx];
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
+  obs::ShardLock lock(mu_, obs::ShardFamily::kMemoContext, profileRow_);
   std::size_t steps = 0;
-  const auto* v = tableFor<T>(shard).find(op, e, steps);
-  noteMemoProbe(idx, v != nullptr, steps);
+  const auto* v = tableFor<T>().find(op, e, steps);
+  noteMemoProbe(profileRow_, v != nullptr, steps);
   if (v == nullptr) return std::nullopt;
   if constexpr (std::is_same_v<T, std::optional<Expr>>) {
     // Found; copy out of the interned value node (inner nullopt: no bound).
@@ -425,17 +373,15 @@ void ProofMemoContext::store(Op op, const InternedExpr& e, const T& value) {
   auto stored = [&] {
     if constexpr (std::is_same_v<T, std::optional<Expr>>) {
       // Bound results recur across queries; interning the value (outside the
-      // shard lock — the arena has its own) dedupes their storage.
+      // context lock — the arena has its own) dedupes their storage.
       return value ? std::optional<InternedExpr>(ExprIntern::global().intern(*value))
                    : std::nullopt;
     } else {
       return value;
     }
   }();
-  const std::size_t idx = shardIndexFor(e);
-  Shard& shard = shards_[idx];
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoContext, idx);
-  tableFor<T>(shard).insert(op, e, std::move(stored));
+  obs::ShardLock lock(mu_, obs::ShardFamily::kMemoContext, profileRow_);
+  tableFor<T>().insert(op, e, std::move(stored));
 }
 
 template std::optional<bool> ProofMemoContext::lookup(Op, const InternedExpr&);
@@ -444,15 +390,6 @@ template std::optional<std::optional<Expr>> ProofMemoContext::lookup(Op, const I
 template void ProofMemoContext::store(Op, const InternedExpr&, const bool&);
 template void ProofMemoContext::store(Op, const InternedExpr&, const std::optional<int>&);
 template void ProofMemoContext::store(Op, const InternedExpr&, const std::optional<Expr>&);
-
-std::size_t ProofMemoContext::entries() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.bools.count + shard.signs.count + shard.exprs.count;
-  }
-  return n;
-}
 
 // ---------------------------------------------------------------------------
 // ProofMemo
@@ -472,17 +409,7 @@ void ProofMemo::setEnabled(bool on) { gMemoEnabled.store(on, std::memory_order_r
 
 std::shared_ptr<ProofMemoContext> ProofMemo::context(const Assumptions& a) {
   const Assumptions::MemoKey& key = a.memoKey();  // cached: no rebuild, no allocation
-  return contextFor(detail::degenerateHashForced() ? 0 : key.hash, key.text);
-}
-
-std::shared_ptr<ProofMemoContext> ProofMemo::sliceContext(const Assumptions& a, const Expr& e) {
-  // Built per first-level miss, so the slice serialization is off the hit
-  // path entirely; misses are where the closure walk pays for itself.
-  const std::string text = serializeAssumptionsSlice(a, e);
-  return contextFor(detail::degenerateHashForced() ? 0 : fnv1aBytes(text), text);
-}
-
-std::shared_ptr<ProofMemoContext> ProofMemo::contextFor(std::uint64_t h, const std::string& text) {
+  const std::uint64_t h = detail::degenerateHashForced() ? 0 : key.hash;
   const std::size_t idx = static_cast<std::size_t>(h % kShards);
   Shard& shard = shards_[idx];
   const bool profiled = obs::profiler().enabled();
@@ -492,7 +419,7 @@ std::shared_ptr<ProofMemoContext> ProofMemo::contextFor(std::uint64_t h, const s
     ++steps;
     // Hash first: the exact-serialization compare runs only within a hash
     // match, so a hit costs one string compare and zero allocations.
-    if (entry.hash == h && entry.key == text) {
+    if (entry.hash == h && entry.key == key.text) {
       if (profiled) {
         obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, idx);
         stats.hits.fetch_add(1, std::memory_order_relaxed);
@@ -501,7 +428,8 @@ std::shared_ptr<ProofMemoContext> ProofMemo::contextFor(std::uint64_t h, const s
       return entry.ctx;
     }
   }
-  shard.entries.push_back(Entry{h, text, std::make_shared<ProofMemoContext>()});
+  shard.entries.push_back(Entry{
+      h, key.text, std::make_shared<ProofMemoContext>(static_cast<std::size_t>(h % kContextRows))});
   if (profiled) {
     obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, idx);
     stats.misses.fetch_add(1, std::memory_order_relaxed);

@@ -35,12 +35,13 @@
 // hash only degrades probes to linear scans. DegenerateHashGuard forces
 // exactly that in tests.
 //
-// Both structures are sharded and mutex-protected (safe under TSan); cache
-// traffic is exported to the ad.metrics.v1 registry as
-// ad.intern.proof_hits / ad.intern.proof_misses / ad.intern.contexts /
-// ad.intern.exprs / ad.intern.bytes, and the contention profiler attributes
-// per-shard hits/misses/probe lengths (families "intern.expr",
-// "memo.context", "memo.registry").
+// The arena and the context registry are sharded and each memo context has
+// one mutex (all safe under TSan); cache traffic is exported to the
+// ad.metrics.v1 registry as ad.intern.proof_hits / ad.intern.proof_misses /
+// ad.intern.contexts / ad.intern.exprs / ad.intern.bytes, and the contention
+// profiler attributes per-shard (per-context-row for "memo.context")
+// hits/misses/probe lengths (families "intern.expr", "memo.context",
+// "memo.registry").
 #pragma once
 
 #include <atomic>
@@ -68,17 +69,6 @@ void serializeExpr(const Expr& e, std::string& out);
 /// the registered facts. Equal strings => behaviorally identical provers.
 /// Hot paths should use Assumptions::memoKey(), which caches this.
 [[nodiscard]] std::string serializeAssumptions(const Assumptions& a);
-
-/// Serialization of the assumptions *slice* a query on `e` can read: the
-/// transitive closure of `e`'s and every fact's free symbols through their
-/// effective bound expressions (substitution surfaces exactly those), each
-/// with its kind and bounds, plus the facts themselves (fact combination can
-/// involve any of them). Every path through the RangeAnalyzer's recursion
-/// reads assumptions only inside this closure, so two assumption sets with
-/// equal slices are indistinguishable to the prover *for queries on `e`* —
-/// their answers are interchangeable even when the full serializations
-/// differ (other arrays' bounds, other loops' symbols).
-[[nodiscard]] std::string serializeAssumptionsSlice(const Assumptions& a, const Expr& e);
 
 namespace detail {
 
@@ -225,7 +215,7 @@ class DegenerateHashGuard {
 /// Memoized RangeAnalyzer answers for one assumptions context, keyed by
 /// (op, interned pointer): open-addressing tables whose probes are one
 /// cached-hash read plus pointer compares — no structural Expr::compare on
-/// any path. Thread-safe.
+/// any path. Thread-safe: one mutex guards the three tables.
 class ProofMemoContext {
  public:
   enum class Op : std::uint8_t {
@@ -236,6 +226,10 @@ class ProofMemoContext {
     kUpperBound,     ///< upperBoundExpr(e)
     kLowerBound,     ///< lowerBoundExpr(e)
   };
+
+  /// `profileRow` is the profiler "memo.context" row this context's lock
+  /// and probes are attributed to (ProofMemo picks its key hash % 32).
+  explicit ProofMemoContext(std::size_t profileRow) : profileRow_(profileRow) {}
 
   /// The cached answer to `op` on `e`, if any. T is the query's answer type:
   /// bool (kNonNegative, kPositive, kIntegerValued), std::optional<int>
@@ -249,14 +243,7 @@ class ProofMemoContext {
   template <typename T>
   void store(Op op, const InternedExpr& e, const T& value);
 
-  [[nodiscard]] std::size_t entries() const;
-
  private:
-  // 32 shards, cache-line aligned (the profiler's per-shard lock-wait
-  // numbers drove both; see the PR-6 notes in docs/PERF.md). Shard index i
-  // of every context aggregates into profiler family "memo.context" row i.
-  static constexpr std::size_t kShards = 32;
-
   /// One open-addressing table keyed by (op, node pointer). Linear probing,
   /// no deletion (clear() drops whole contexts), growth at 70% occupancy.
   /// Under the degenerate-hash hook every key probes the same cluster and
@@ -276,24 +263,18 @@ class ProofMemoContext {
     void grow();
   };
 
-  [[nodiscard]] std::size_t shardIndexFor(const InternedExpr& e) const {
-    return e.hash() % kShards;
-  }
-
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    OpPtrTable<bool> bools;
-    OpPtrTable<std::optional<int>> signs;
-    // Bound results are themselves interned: values recur across queries
-    // (the same bound expression answers many inputs), so the arena shares
-    // their storage. Inner nullopt = "no bound provable", cached as such.
-    OpPtrTable<std::optional<InternedExpr>> exprs;
-  };
-  Shard shards_[kShards];
-
-  /// The shard table holding answers of type T.
+  /// The table holding answers of type T.
   template <typename T>
-  static auto& tableFor(Shard& shard);
+  auto& tableFor();
+
+  const std::size_t profileRow_;
+  std::mutex mu_;
+  OpPtrTable<bool> bools_;
+  OpPtrTable<std::optional<int>> signs_;
+  // Bound results are themselves interned: values recur across queries (the
+  // same bound expression answers many inputs), so the arena shares their
+  // storage. Inner nullopt = "no bound provable", cached as such.
+  OpPtrTable<std::optional<InternedExpr>> exprs_;
 };
 
 class ProofMemo {
@@ -309,18 +290,6 @@ class ProofMemo {
   /// Probes by the Assumptions' cached key hash; the hit path allocates
   /// nothing and compares the cached serialization only within a bucket.
   [[nodiscard]] std::shared_ptr<ProofMemoContext> context(const Assumptions& a);
-
-  /// The context-free sharing layer: the cache for the assumptions *slice* a
-  /// query on `e` can read (serializeAssumptionsSlice). Assumption sets
-  /// whose full serializations differ — other arrays' bounds, other phases'
-  /// loops — still share one slice context whenever the difference is
-  /// invisible to `e`, so a verdict derived under one phase answers the same
-  /// query under every phase that agrees on the relevant symbols. Probed as
-  /// the second level on per-context misses (RangeAnalyzer back-fills the
-  /// first level on a hit); the batch engine's cold legs spend most of their
-  /// prover time on exactly such cross-context repeats.
-  [[nodiscard]] std::shared_ptr<ProofMemoContext> sliceContext(const Assumptions& a,
-                                                               const Expr& e);
 
   struct Stats {
     std::int64_t hits = 0;
@@ -349,16 +318,13 @@ class ProofMemo {
   // lock of the 8-thread run before the split). Buckets are keyed by the
   // Assumptions' cached hash; entries disambiguate by exact serialization.
   static constexpr std::size_t kShards = 16;
+  /// Rows of profiler family "memo.context" that contexts spread over.
+  static constexpr std::size_t kContextRows = 32;
   struct Entry {
     std::uint64_t hash = 0;
     std::string key;
     std::shared_ptr<ProofMemoContext> ctx;
   };
-
-  /// Shared registry probe for full-assumptions and slice keys (the two key
-  /// namespaces are disjoint: slice serializations start with '@').
-  [[nodiscard]] std::shared_ptr<ProofMemoContext> contextFor(std::uint64_t hash,
-                                                             const std::string& text);
   struct alignas(64) Shard {
     mutable std::mutex mu;
     // Scanned linearly, comparing the cached hash first and the exact

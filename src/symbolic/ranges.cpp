@@ -173,8 +173,7 @@ class WitnessEvaluator {
   /// The value of `e` at a verified feasible integer point, or nullopt when
   /// no such point could be constructed. The point covers the transitive
   /// closure of free(e) and the facts' free symbols through the assumed
-  /// bounds — exactly the symbols the proof search can read (the same
-  /// closure that defines the slice-memo key).
+  /// bounds — exactly the symbols the proof search can read.
   [[nodiscard]] std::optional<Rational> valueAtFeasiblePoint(const Expr& e) {
     std::vector<SymbolId> work = e.freeSymbols();
     for (const Expr& f : a_.facts()) {
@@ -481,31 +480,18 @@ auto RangeAnalyzer::memoized(const InternedExpr& e, Compute&& compute,
     return *hit;
   }
   ProofMemo::global().recordMiss();
-  // Second level: the context-free slice memo — another assumptions set
-  // that agrees on every symbol this query can read may already hold the
-  // answer. A hit back-fills this context so its next probe stays first
-  // level; a computed result is published to both levels.
-  const auto slice = ProofMemo::global().sliceContext(*asm_, *e);
-  const auto publish = [&](const T& value) {
-    memo_->store(kOp, e, value);
-    slice->store(kOp, e, value);
-  };
   if constexpr (std::is_same_v<T, bool>) {
     // Disproof by witness: settles refutable claims for the price of one
     // evaluation instead of an exhausted proof search.
     if (steps.strictWitness && disproveByWitness(*e, *steps.strictWitness)) {
-      publish(false);
+      memo_->store(kOp, e, false);
       return false;
     }
-  }
-  if (auto shared = slice->lookup<T>(kOp, e)) {
-    memo_->store(kOp, e, *shared);
-    return *shared;
   }
   if (steps.resetScratch) resetScratch();
   const bool outer = beginQuery();
   T result = compute();
-  if (!queryInterrupted(outer)) publish(result);
+  if (!queryInterrupted(outer)) memo_->store(kOp, e, result);
   return result;
 }
 
@@ -530,8 +516,6 @@ bool RangeAnalyzer::provePositive(const InternedExpr& e) const {
   return memoized<ProofMemoContext::Op::kPositive>(
       e, [&] { return provePosImpl(*e, maxDepth()); }, {.strictWitness = false});
 }
-
-bool RangeAnalyzer::proveNegative(const Expr& e) const { return provePositive(-e); }
 
 std::optional<int> RangeAnalyzer::signImpl(const Expr& e, int depth) const {
   if (auto c = e.asConstant()) return c->sign();

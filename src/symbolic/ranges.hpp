@@ -111,16 +111,12 @@ class RangeAnalyzer {
   [[nodiscard]] bool proveNonNegative(const Expr& e) const;
   [[nodiscard]] bool proveNonPositive(const Expr& e) const;
   [[nodiscard]] bool provePositive(const Expr& e) const;
-  [[nodiscard]] bool proveNegative(const Expr& e) const;
 
   /// a <= b provable?
   [[nodiscard]] bool proveLE(const Expr& a, const Expr& b) const {
     return proveNonNegative(b - a);
   }
   [[nodiscard]] bool proveLT(const Expr& a, const Expr& b) const { return provePositive(b - a); }
-  /// Provably equal on the whole domain (normal forms identical, which is the
-  /// only equality the algebra certifies).
-  [[nodiscard]] bool proveEQ(const Expr& a, const Expr& b) const { return a == b; }
 
   /// True if `e` provably takes integer values at every integer point of the
   /// domain: integer-coefficient monomials, and fractional powers of two are
@@ -151,8 +147,8 @@ class RangeAnalyzer {
 
   /// Where an entry point departs from the plain memo protocol (memoized).
   struct MemoSteps {
-    /// Disprove by witness between the two memo levels (bool queries only):
-    /// true refutes e >= 0, false refutes e > 0; nullopt skips the step.
+    /// Disprove by witness after a memo miss, before computing (bool queries
+    /// only): true refutes e >= 0, false refutes e > 0; nullopt skips it.
     std::optional<bool> strictWitness;
     /// Clear the scratch caches before computing. proveIntegerValued skips
     /// it: its impl only issues public queries, each a memo probe itself.
@@ -165,12 +161,11 @@ class RangeAnalyzer {
   /// change of verdict. Used on shared-memo misses before the search runs.
   [[nodiscard]] bool disproveByWitness(const Expr& e, bool strictWitness) const;
   /// The memo protocol every interned entry point shares. Probes this
-  /// context's memo (first level), then the slice memo (second level,
-  /// ProofMemo::sliceContext), back-filling the first level on a slice hit;
-  /// on a miss at both, runs `compute` under beginQuery/queryInterrupted and
-  /// publishes the answer to both levels unless the query was interrupted.
-  /// With the memo detached it only runs `compute`. Two threads that miss
-  /// together both compute; answers are pure, so either one's is kept.
+  /// context's memo; on a miss, tries disproof by witness (MemoSteps), then
+  /// runs `compute` under beginQuery/queryInterrupted and publishes the
+  /// answer to this context unless the query was interrupted. With the memo
+  /// detached it only runs `compute`. Two threads that miss together both
+  /// compute; answers are pure, so either one's is kept.
   /// `kOp` is the ProofMemoContext::Op of the query.
   template <auto kOp, typename Compute>
   [[nodiscard]] auto memoized(const InternedExpr& e, Compute&& compute,

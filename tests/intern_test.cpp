@@ -249,60 +249,10 @@ TEST_F(InternTest, TableStatsReportSlotsAndBytes) {
 }
 
 
-TEST_F(InternTest, SliceSerializationRestrictsToQueryClosure) {
-  sym::SymbolTable st;
-  const auto n = st.parameter("N");
-  const auto m = st.parameter("M");
-  const auto i = st.index("i");
-  sym::Assumptions a(st);
-  a.setRange(i, c(0), Expr::symbol(n) - c(1));
-  a.setRange(m, c(1), c(64));
-
-  const Expr e = Expr::symbol(i) - Expr::symbol(n);
-  const std::string slice = sym::serializeAssumptionsSlice(a, e);
-  EXPECT_EQ(slice.front(), '@');  // namespace disjoint from full-key entries
-
-  // M is invisible to a query over {i, N}: changing it keeps the slice.
-  sym::Assumptions b = a;
-  b.setRange(m, c(2), c(128));
-  EXPECT_EQ(sym::serializeAssumptionsSlice(b, e), slice);
-  // Changing a bound inside the closure changes the slice.
-  sym::Assumptions d = a;
-  d.setUpper(i, Expr::symbol(n));
-  EXPECT_NE(sym::serializeAssumptionsSlice(d, e), slice);
-  // Facts always belong to the slice (the search may combine any of them).
-  sym::Assumptions f = a;
-  f.addFact(Expr::symbol(n) - c(3));
-  EXPECT_NE(sym::serializeAssumptionsSlice(f, e), slice);
-}
-
-TEST_F(InternTest, SliceContextSharedAcrossAgreeingAssumptions) {
-  sym::SymbolTable st;
-  const auto n = st.parameter("N");
-  const auto m = st.parameter("M");
-  const auto i = st.index("i");
-  sym::Assumptions a(st);
-  a.setRange(i, c(0), Expr::symbol(n) - c(1));
-  a.setRange(m, c(1), c(64));
-  sym::Assumptions b = a;
-  b.setRange(m, c(2), c(128));  // full keys differ, slices agree
-
-  const sym::ProofMemoEnabledGuard on(true);
-  const Expr e = Expr::symbol(i) - Expr::symbol(n);
-  ASSERT_NE(a.memoKey().text, b.memoKey().text);
-  EXPECT_EQ(sym::ProofMemo::global().sliceContext(a, e).get(),
-            sym::ProofMemo::global().sliceContext(b, e).get());
-
-  sym::Assumptions d = a;
-  d.setUpper(i, Expr::symbol(n));
-  EXPECT_NE(sym::ProofMemo::global().sliceContext(d, e).get(),
-            sym::ProofMemo::global().sliceContext(a, e).get());
-}
-
-TEST_F(InternTest, SliceMemoAnswersMatchAcrossContexts) {
-  // A verdict derived under one assumptions set must answer the same query
-  // under another set that agrees on every symbol the query can read — and
-  // must equal what the memo-free engine computes from scratch.
+TEST_F(InternTest, MemoAnswersMatchAcrossContexts) {
+  // Two assumption sets that differ only in a symbol the queries never read
+  // are distinct memo contexts; each must answer every query exactly as the
+  // memo-free engine computes it from scratch.
   sym::SymbolTable st;
   const auto n = st.parameter("N");
   const auto m = st.parameter("M");
@@ -334,16 +284,13 @@ TEST_F(InternTest, SliceMemoAnswersMatchAcrossContexts) {
     const sym::RangeAnalyzer ra(a);
     EXPECT_EQ(ra.proveNonNegative(e), legacyNN) << e.str(st);
     EXPECT_EQ(ra.provePositive(e), legacyPos) << e.str(st);
-    // Second context: the slice layer serves the stored verdicts.
     const sym::RangeAnalyzer rb(b);
     EXPECT_EQ(rb.proveNonNegative(e), legacyNN) << e.str(st);
     EXPECT_EQ(rb.provePositive(e), legacyPos) << e.str(st);
   }
 }
 
-TEST_F(InternTest, EveryEntryPointIsServedByTheSliceMemoAcrossContexts) {
-  // Two analyzers whose assumptions differ only in M, which no query below
-  // reads: distinct first-level contexts sharing one slice per query.
+TEST_F(InternTest, EveryEntryPointRepeatIsServedByItsOwnContext) {
   sym::SymbolTable st;
   const auto n = st.parameter("N");
   const auto m = st.parameter("M");
@@ -354,7 +301,7 @@ TEST_F(InternTest, EveryEntryPointIsServedByTheSliceMemoAcrossContexts) {
   a.setRange(i, c(0), N - c(1));
   a.setRange(m, c(1), c(64));
   sym::Assumptions b = a;
-  b.setRange(m, c(2), c(128));
+  b.setRange(m, c(2), c(128));  // a second context the queries cannot tell apart
 
   const sym::ProofMemoEnabledGuard on(true);
   const sym::RangeAnalyzer ra(a);
@@ -395,43 +342,44 @@ TEST_F(InternTest, EveryEntryPointIsServedByTheSliceMemoAcrossContexts) {
     SCOPED_TRACE(k.name);
     const InternedExpr h = ExprIntern::global().intern(k.query);
 
-    // First call: a first-level miss that computes (proveIntegerValued's
-    // nested proveNonNegative query misses too).
+    // First call: a miss that computes (proveIntegerValued's nested
+    // proveNonNegative query misses too).
     const auto s0 = memo.stats();
     EXPECT_EQ(k.ask(ra, h), k.expected);
     const auto s1 = memo.stats();
     EXPECT_EQ(s1.hits, s0.hits);
     EXPECT_GE(s1.misses, s0.misses + 1);
 
-    // Second analyzer: one first-level miss, served by the slice level. A
+    // Repeat in the same context: one hit, served from the memo. A
     // cancelled budget interrupts any proof search, so the right answer
     // here cannot have been computed.
     {
       support::Budget cancelled(support::BudgetLimits{},
                                 std::make_shared<std::atomic<bool>>(true));
       const support::BudgetScope scope(&cancelled);
-      EXPECT_EQ(k.ask(rb, h), k.expected);
+      EXPECT_EQ(k.ask(ra, h), k.expected);
     }
     const auto s2 = memo.stats();
-    EXPECT_EQ(s2.hits, s1.hits);
-    EXPECT_EQ(s2.misses, s1.misses + 1);
+    EXPECT_EQ(s2.hits, s1.hits + 1);
+    EXPECT_EQ(s2.misses, s1.misses);
 
-    // The slice hit back-filled rb's context: a repeat is a first-level hit.
+    // Another context shares nothing: it misses and computes the same answer.
     EXPECT_EQ(k.ask(rb, h), k.expected);
     const auto s3 = memo.stats();
-    EXPECT_EQ(s3.hits, s2.hits + 1);
-    EXPECT_EQ(s3.misses, s2.misses);
+    EXPECT_EQ(s3.hits, s2.hits);
+    EXPECT_GE(s3.misses, s2.misses + 1);
   }
 }
 
 TEST_F(InternTest, ConcurrentIdenticalQueriesAgreeAndTerminate) {
-  // Hammers one fresh query from many threads through distinct contexts that
-  // share a slice: threads that miss together each compute and publish, and
-  // since answers are pure functions of (slice, query) every racing compute
-  // must reach the same verdict, whichever one the table keeps.
+  // Hammers one fresh query from many threads through one context (each
+  // thread builds its own equal Assumptions, so they race on the registry
+  // too): threads that miss together each compute and publish under the
+  // context's one lock, and since answers are pure functions of (context,
+  // query) every racing compute must reach the same verdict, whichever one
+  // the table keeps.
   sym::SymbolTable st;
   const auto n = st.parameter("N");
-  const auto m = st.parameter("M");
   const auto i = st.index("i");
   const Expr e = c(-3) * Expr::symbol(n) + Expr::symbol(i) + c(1);
 
@@ -444,20 +392,25 @@ TEST_F(InternTest, ConcurrentIdenticalQueriesAgreeAndTerminate) {
     expected = sym::RangeAnalyzer(a0).provePositive(e);
   }
   constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
   std::atomic<int> agree{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       sym::Assumptions a(st);
       a.setRange(i, c(0), Expr::symbol(n) - c(1));
-      a.setRange(m, c(1), c(1 + t));  // distinct context per thread, same slice
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       const sym::RangeAnalyzer ra(a);
       if (ra.provePositive(e) == expected) agree.fetch_add(1);
     });
   }
+  go.store(true, std::memory_order_release);
   for (auto& th : threads) th.join();
   EXPECT_EQ(agree.load(), kThreads);
+  const auto stats = sym::ProofMemo::global().stats();
+  EXPECT_EQ(stats.contexts, 1);
+  EXPECT_EQ(stats.hits + stats.misses, kThreads);
 }
 
 }  // namespace

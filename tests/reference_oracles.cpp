@@ -251,7 +251,7 @@ dsm::SimulationResult simulate(const ir::Program& program, const ir::Bindings& p
 
 std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program, const ir::Bindings& params,
                                            const dsm::ExecutionPlan& plan,
-                                           std::int64_t processors, std::int64_t wordBytes) {
+                                           std::int64_t processors) {
   AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
   const auto h = static_cast<std::size_t>(processors);
   std::vector<dsm::PhaseTally> tallies;
@@ -292,7 +292,7 @@ std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program, const ir:
             ++a.counts.local;
           } else {
             ++a.counts.remote;
-            a.counts.remoteBytes += wordBytes;
+            a.counts.remoteBytes += dsm::kWordBytes;
             ++a.peRemote[p];
           }
         });

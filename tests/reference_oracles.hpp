@@ -53,12 +53,11 @@ void forEachAccess(const ir::Program& program, const ir::Phase& phase,
 /// dsm::countPlan's per-(phase, array, processor) access tallies, one
 /// access at a time: every access classified with DataDistribution::isLocal
 /// on the processor executing it. Arrays in first-reference order, as the
-/// counting core lists them; `wordBytes` bytes charged per remote access.
+/// counting core lists them; dsm::kWordBytes charged per remote access.
 [[nodiscard]] std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program,
                                                          const ir::Bindings& params,
                                                          const dsm::ExecutionPlan& plan,
-                                                         std::int64_t processors,
-                                                         std::int64_t wordBytes = 8);
+                                                         std::int64_t processors);
 
 /// One (src, dst, element) tuple per moving element, sorted and coalesced.
 [[nodiscard]] comm::CommSchedule generateGlobal(const std::string& array, std::int64_t size,

@@ -32,6 +32,7 @@
 #include "service/server.hpp"
 #include "service/wire.hpp"
 #include "support/fault.hpp"
+#include "symbolic/intern.hpp"
 
 namespace ad {
 namespace {
@@ -197,6 +198,8 @@ TEST(ServiceProtocol, ResponseRoundTripsEveryKind) {
   degraded.kind = ResponseKind::kDegraded;
   degraded.golden = "{\"schema\":\"ad.golden.v1\"}";
   degraded.degradation = {"lcg.edge [X]: label=C (budget.steps)"};
+  degraded.planEfficiency = 1.0;  // a whole double goes on the wire as "1"
+  degraded.naiveEfficiency = 0.1;
   degraded.queueUs = 12;
   degraded.runUs = 345;
   const auto parsed = service::parseResponse(service::serializeResponse(degraded));
@@ -204,6 +207,8 @@ TEST(ServiceProtocol, ResponseRoundTripsEveryKind) {
   EXPECT_EQ(parsed->kind, ResponseKind::kDegraded);
   EXPECT_EQ(parsed->golden, degraded.golden);
   EXPECT_EQ(parsed->degradation, degraded.degradation);
+  EXPECT_EQ(parsed->planEfficiency, degraded.planEfficiency);
+  EXPECT_EQ(parsed->naiveEfficiency, degraded.naiveEfficiency);
   EXPECT_EQ(parsed->queueUs, 12);
   EXPECT_EQ(parsed->runUs, 345);
 
@@ -240,6 +245,7 @@ TEST(ServiceProtocol, RejectsHostileMessages) {
   EXPECT_FALSE(service::parseRequest(R"({"op":"analyze","simulate":"yes"})").has_value());
   EXPECT_FALSE(service::parseResponse(R"({"kind":"gift"})").has_value());
   EXPECT_FALSE(service::parseResponse(R"({"id":"x"})").has_value());
+  EXPECT_FALSE(service::parseResponse(R"({"kind":"ok","plan_efficiency":"high"})").has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +542,68 @@ TEST(ServiceServer, PingAndStatsAnswerInlineEvenWhenBusy) {
   EXPECT_NE(statsResponse.info.find("\"in_flight\":1"), std::string::npos)
       << statsResponse.info;
   EXPECT_EQ(blocker->wait().kind, ResponseKind::kOk);
+}
+
+TEST(ServiceServer, StatsReportTheSharedArenaAndMemo) {
+  service::Server server({.workers = 1});
+  ASSERT_EQ(server.call(analyzeRequest("warm")).kind, ResponseKind::kOk);
+
+  Request stats;
+  stats.op = Op::kStats;
+  const Response statsResponse = server.call(std::move(stats));
+  ASSERT_EQ(statsResponse.kind, ResponseKind::kInfo);
+  const auto info = service::json::parse(statsResponse.info);
+  ASSERT_TRUE(info.has_value()) << info.status().str();
+  // Nothing runs between the analyze and the stats op, so the snapshot is
+  // exactly the process-wide arena and memo state.
+  const sym::ProofMemo::Stats memo = sym::ProofMemo::global().stats();
+  ASSERT_NE(info->find("arena_bytes"), nullptr) << statsResponse.info;
+  EXPECT_EQ(info->find("arena_bytes")->asInt(-1),
+            static_cast<std::int64_t>(sym::ExprIntern::global().bytes()));
+  EXPECT_GT(info->find("arena_bytes")->asInt(-1), 0);
+  ASSERT_NE(info->find("memo_contexts"), nullptr) << statsResponse.info;
+  EXPECT_EQ(info->find("memo_contexts")->asInt(-1), memo.contexts);
+  EXPECT_GE(memo.contexts, 1);
+  ASSERT_NE(info->find("memo_hits"), nullptr) << statsResponse.info;
+  EXPECT_EQ(info->find("memo_hits")->asInt(-1), memo.hits);
+  ASSERT_NE(info->find("memo_misses"), nullptr) << statsResponse.info;
+  EXPECT_EQ(info->find("memo_misses")->asInt(-1), memo.misses);
+  EXPECT_GT(memo.hits + memo.misses, 0);
+}
+
+TEST(ServiceServer, SimulateReturnsTheCostModelEfficiencies) {
+  service::Server server({.workers = 1});
+  Request request = analyzeRequest("sim");
+  request.simulate = true;
+  const Response response = server.call(std::move(request));
+  ASSERT_EQ(response.kind, ResponseKind::kOk) << response.error;
+
+  // The same request in process, with both DSM models run.
+  const ir::Program prog = frontend::parseProgram(kStreamSource);
+  driver::PipelineConfig config;
+  config.params = codes::bindParams(prog, {{"N", 64}});
+  config.processors = 4;
+  const driver::PipelineResult result = driver::analyzeAndSimulate(prog, config);
+  ASSERT_TRUE(response.planEfficiency.has_value());
+  ASSERT_TRUE(response.naiveEfficiency.has_value());
+  EXPECT_EQ(*response.planEfficiency, result.plannedEfficiency());
+  EXPECT_EQ(*response.naiveEfficiency, result.naiveEfficiency());
+  EXPECT_EQ(response.golden, referenceGolden(kStreamSource, {{"N", 64}}, 4));
+
+  // The wire form carries both values exactly.
+  const auto parsed = service::parseResponse(service::serializeResponse(response));
+  ASSERT_TRUE(parsed.has_value()) << parsed.status().str();
+  EXPECT_EQ(parsed->planEfficiency, response.planEfficiency);
+  EXPECT_EQ(parsed->naiveEfficiency, response.naiveEfficiency);
+
+  // Without simulate the fields are absent, on the struct and on the wire.
+  const Response plain = server.call(analyzeRequest("plain"));
+  ASSERT_EQ(plain.kind, ResponseKind::kOk) << plain.error;
+  EXPECT_FALSE(plain.planEfficiency.has_value());
+  EXPECT_FALSE(plain.naiveEfficiency.has_value());
+  const std::string wire = service::serializeResponse(plain);
+  EXPECT_EQ(wire.find("plan_efficiency"), std::string::npos) << wire;
+  EXPECT_EQ(wire.find("naive_efficiency"), std::string::npos) << wire;
 }
 
 TEST(ServiceServer, FaultInHandlerStaysAStructuredPerRequestError) {
