@@ -1,5 +1,5 @@
 // Batched analysis engine scaling on a 130-code workload: the memoized
-// work-stealing engine at 1/2/4/8 worker threads, cold and warm.
+// batched engine at 1/2/4/8 worker threads, cold and warm.
 //
 // Workload: the ten-code benchmark suite (six 1999 codes + the AI/HPC kernel
 // family) analyzed at H in {1, 4, 8} (30 pipeline configs), plus the four

@@ -37,14 +37,16 @@ tsan() {
   # golden_test and symval_test ride along for the kernel family: the batched
   # jobs=8 golden run and the P in {1,4,8} differential validations spawn real
   # worker threads over the kernels' tiled and sliding-window nests.
-  echo "=== tsan: simulator + observability + batched-engine tests under ThreadSanitizer ==="
+  # service_test drives the analysis service, whose admission queue submits
+  # every request to the pool.
+  echo "=== tsan: simulator + observability + batched-engine + service tests under ThreadSanitizer ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j "$jobs" --target \
     sim_test obs_test thread_pool_test determinism_test profiler_test \
-    intern_test golden_test symval_test
+    intern_test golden_test symval_test service_test
   ./build-tsan/tests/sim_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/thread_pool_test
@@ -53,6 +55,7 @@ tsan() {
   ./build-tsan/tests/intern_test
   ./build-tsan/tests/golden_test
   ./build-tsan/tests/symval_test
+  ./build-tsan/tests/service_test
 }
 
 asan() {
@@ -351,7 +354,7 @@ assert profile["schema"] == "ad.profile.v1", profile.get("schema")
 assert profile["threads"], "profile has no per-thread rows"
 for row in profile["threads"]:
     for key in ("name", "tasks", "work_us", "queue_wait_us", "lock_wait_us",
-                "idle_us", "barrier_wait_us", "steals", "helped"):
+                "idle_us", "helped"):
         assert key in row, f"thread row missing {key}: {row}"
 for family in ("intern.expr", "memo.context", "memo.registry", "loc.phase_array"):
     assert family in profile["shards"], f"missing shard family {family}"

@@ -144,7 +144,7 @@ struct BatchItem {
   std::string label;  ///< "code=<label>" context frame on failures
 };
 
-/// Batched engine: analyzes every item on a work-stealing pool with `jobs`
+/// Batched engine: analyzes every item on a shared-queue pool with `jobs`
 /// workers — one task per item, which itself fans out per-array subtasks onto
 /// the same pool. An item that fails yields an Expected carrying the
 /// structured Status (code -> stage -> array context chain) instead of

@@ -70,7 +70,6 @@ void Profiler::reset() {
     t.lockWaitUs.store(0, std::memory_order_relaxed);
     t.idleUs.store(0, std::memory_order_relaxed);
     t.tasks.store(0, std::memory_order_relaxed);
-    t.steals.store(0, std::memory_order_relaxed);
     t.helped.store(0, std::memory_order_relaxed);
   }
   for (auto& family : shards_) {
@@ -101,10 +100,6 @@ std::string Profiler::summary() const {
        << ", \"queue_wait_us\": " << t.queueWaitUs.load(std::memory_order_relaxed)
        << ", \"lock_wait_us\": " << t.lockWaitUs.load(std::memory_order_relaxed)
        << ", \"idle_us\": " << t.idleUs.load(std::memory_order_relaxed)
-       // Always 0: no thread waits on a barrier. Kept so the ad.profile.v1
-       // schema is unchanged.
-       << ", \"barrier_wait_us\": 0"
-       << ", \"steals\": " << t.steals.load(std::memory_order_relaxed)
        << ", \"helped\": " << t.helped.load(std::memory_order_relaxed) << "}";
     first = false;
   }

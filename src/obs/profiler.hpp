@@ -1,7 +1,7 @@
 // Task-level contention profiler: where does the wall-clock of a parallel
 // analysis run actually go?
 //
-// The ad.metrics.v1 counters (pool steals, memo hits, idle totals)
+// The ad.metrics.v1 counters (pool tasks, memo hits, idle totals)
 // are process-wide aggregates — they can say *that* eight threads only buy
 // 8% over one, but not *where* the other seven threads wait. This module
 // attributes every microsecond of a run to a (thread, cause) pair, the same
@@ -9,15 +9,15 @@
 // per-reference costs:
 //
 //  - Per-thread tracks (ThreadStats): work vs. queue-wait vs. lock-wait vs.
-//    idle time, plus task/steal tallies. Threads register by *name*
+//    idle time, plus task/helped tallies. Threads register by *name*
 //    ("pool.w0", "pool.w3", "main"), so short-lived workers from successive
 //    pools accumulate into stable rows instead of leaking one row per
 //    std::thread.
 //
 //  - Per-shard lock accounting (ShardStats): the interned-expression arena
 //    and the proof memo time every contended mutex acquisition per shard,
-//    and count hits/misses per shard, so "the memo is hot" becomes "shard 5
-//    of the context registry eats 80% of the lock-wait".
+//    and count hits/misses per shard, so "the arena is hot" becomes "shard 5
+//    of the arena eats 80% of the lock-wait".
 //
 //  - Export: summary() renders a stable-schema "ad.profile.v1" JSON document
 //    (--profile-out); per-thread task activity also lands in the Chrome/
@@ -53,7 +53,6 @@ struct alignas(64) ThreadStats {
   std::atomic<std::int64_t> lockWaitUs{0};     ///< contended profiled mutexes
   std::atomic<std::int64_t> idleUs{0};         ///< parked on the pool idle CV
   std::atomic<std::int64_t> tasks{0};
-  std::atomic<std::int64_t> steals{0};  ///< tasks taken from another worker
   std::atomic<std::int64_t> helped{0};  ///< tasks run inside TaskGroup::wait
 };
 
@@ -76,7 +75,7 @@ struct alignas(64) ShardStats {
 enum class ShardFamily : std::uint8_t {
   kExprIntern = 0,   ///< sym::ExprIntern arena shards
   kMemoContext,      ///< sym::ProofMemoContext locks, one per context, row = key hash % 32
-  kMemoRegistry,     ///< sym::ProofMemo context-table shards
+  kMemoRegistry,     ///< sym::ProofMemo context table (one lock, row 0)
   kPhaseInfo,        ///< loc::analyzePhaseArray result-cache shards
 };
 inline constexpr std::size_t kShardFamilies = 4;

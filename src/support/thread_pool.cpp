@@ -1,6 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -11,16 +12,6 @@
 
 namespace ad::support {
 
-namespace {
-
-// Which pool (if any) the current thread is a worker of, and its index.
-// Lets submit() route tasks from workers onto their own deque and take()
-// start stealing from the right place; distinguishes nested/other pools.
-thread_local const ThreadPool* tlPool = nullptr;
-thread_local std::size_t tlWorker = 0;
-
-}  // namespace
-
 std::size_t ThreadPool::hardwareConcurrency() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
@@ -30,10 +21,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t requested = threads == 0 ? 1 : threads;
   const std::size_t n = std::min(requested, hardwareConcurrency());
   count_ = n;
-  queues_.reserve(n + 1);
-  for (std::size_t i = 0; i < n + 1; ++i) queues_.push_back(std::make_unique<Queue>());
   tasksCounter_ = &obs::metrics().counter("ad.pool.tasks");
-  stealsCounter_ = &obs::metrics().counter("ad.pool.steals");
   idleCounter_ = &obs::metrics().counter("ad.pool.idle_us");
   obs::metrics().gauge("ad.pool.threads").set(static_cast<std::int64_t>(n));
   for (std::size_t i = 0; i < n; ++i) {
@@ -47,10 +35,11 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
-  // Empty critical section: see enqueue().
-  { std::lock_guard<std::mutex> lock(idleMu_); }
-  idleCv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -68,79 +57,42 @@ void ThreadPool::enqueue(std::function<void()> task, const TaskGroup* group) {
     };
   }
   Item item{std::move(task), obs::profiler().enabled() ? obs::Profiler::nowUs() : 0, group};
-  const std::size_t slot =
-      (tlPool == this) ? tlWorker : count_;  // own deque or injection queue
   {
-    std::lock_guard<std::mutex> lock(queues_[slot]->mu);
-    queues_[slot]->tasks.push_back(std::move(item));
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(item));
   }
-  pending_.fetch_add(1, std::memory_order_release);
-  // The empty critical section orders this notification after any idle
-  // worker's predicate check: a worker between "saw pending_ == 0" and
-  // "parked" holds idleMu_, so we cannot signal into that window and lose
-  // the wakeup.
-  { std::lock_guard<std::mutex> lock(idleMu_); }
-  idleCv_.notify_one();
+  cv_.notify_one();
 }
 
-ThreadPool::Taken ThreadPool::take(std::size_t index, const TaskGroup* group) {
-  // Removes the newest or oldest item of `q` that `group` may run (any item
-  // when unscoped, so the scan stops at the first slot it looks at).
-  const auto pop = [group](Queue& q, bool newest, TaskSource source) -> Taken {
-    std::lock_guard<std::mutex> lock(q.mu);
-    std::deque<Item>& d = q.tasks;
-    const std::size_t n = d.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t pos = newest ? n - 1 - k : k;
-      if (group != nullptr && d[pos].group != group) continue;
-      Taken t{std::move(d[pos]), source};
-      d.erase(d.begin() + static_cast<std::ptrdiff_t>(pos));
-      return t;
-    }
-    return Taken{};
-  };
-  const bool scoped = group != nullptr;
-  // Own deque, newest first: nested fan-out keeps its working set hot.
-  if (index < count_) {
-    if (Taken t = pop(*queues_[index], /*newest=*/true, TaskSource::kOwn)) return t;
+ThreadPool::Item ThreadPool::takeNewest(const TaskGroup* group) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = tasks_.rbegin(); it != tasks_.rend(); ++it) {
+    if (it->group != group) continue;
+    Item item = std::move(*it);
+    tasks_.erase(std::next(it).base());
+    return item;
   }
-  // Injected work, oldest first.
-  if (Taken t = pop(*queues_[count_], scoped, TaskSource::kInjected)) return t;
-  // Steal from a victim, oldest first (the opposite end from the owner's
-  // LIFO pops, minimizing contention and grabbing the largest subtrees).
-  const std::size_t n = count_;
-  const std::size_t start = stealSeed_.fetch_add(1, std::memory_order_relaxed) % (n == 0 ? 1 : n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (start + k) % n;
-    if (victim == index) continue;
-    if (Taken t = pop(*queues_[victim], scoped, TaskSource::kStolen)) {
-      stealsCounter_->add(1);
-      return t;
-    }
-  }
-  return Taken{};
+  return Item{};
 }
 
-void ThreadPool::runTask(Taken& taken, bool helped) {
-  pending_.fetch_sub(1, std::memory_order_release);
+void ThreadPool::runTask(Item& item, bool helped) {
   obs::Span span("pool.task", "pool");
   tasksCounter_->add(1);
   obs::Profiler& prof = obs::profiler();
   if (!prof.enabled()) {
-    taken.item.task();
+    item.task();
     return;
   }
   // Queue latency = submit -> start; run time = the body. The executing
   // thread's track is resolved once per task (thread-local cache inside).
   obs::ThreadStats& stats = prof.threadStats("main");
   const std::int64_t start = obs::Profiler::nowUs();
-  if (taken.item.enqueueUs > 0) {
-    stats.queueWaitUs.fetch_add(start - taken.item.enqueueUs, std::memory_order_relaxed);
+  if (item.enqueueUs > 0) {
+    stats.queueWaitUs.fetch_add(start - item.enqueueUs, std::memory_order_relaxed);
   }
-  taken.item.task();
+  item.task();
   stats.workUs.fetch_add(obs::Profiler::nowUs() - start, std::memory_order_relaxed);
   stats.tasks.fetch_add(1, std::memory_order_relaxed);
-  if (taken.source == TaskSource::kStolen) stats.steals.fetch_add(1, std::memory_order_relaxed);
   if (helped) stats.helped.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -152,29 +104,23 @@ void ThreadPool::recordIdle(std::int64_t us) {
 }
 
 void ThreadPool::workerLoop(std::size_t index) {
-  tlPool = this;
-  tlWorker = index;
   obs::Tracer::setCurrentThreadId(kTraceTidBase + static_cast<std::int64_t>(index));
   obs::profiler().bindCurrentThread("pool.w" + std::to_string(index));
   while (true) {
-    if (Taken taken = take(index)) {
-      runTask(taken, /*helped=*/false);
-      continue;
+    Item item;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (tasks_.empty() && !stop_) {
+        const std::int64_t t0 = obs::Profiler::nowUs();
+        cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+        recordIdle(obs::Profiler::nowUs() - t0);
+      }
+      if (tasks_.empty()) break;  // stopping, and the queue has drained
+      item = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(idleMu_);
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      break;
-    }
-    if (pending_.load(std::memory_order_acquire) > 0) continue;  // re-scan, raced a submit
-    const std::int64_t t0 = obs::Profiler::nowUs();
-    idleCv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    recordIdle(obs::Profiler::nowUs() - t0);
+    runTask(item, /*helped=*/false);
   }
-  tlPool = nullptr;
   obs::Tracer::setCurrentThreadId(0);
 }
 
@@ -214,14 +160,13 @@ void TaskGroup::run(std::function<void()> fn) {
 }
 
 void TaskGroup::wait() {
-  // Help with our own queued tasks only; take() never hands out another
-  // group's. It can miss one that another thread has taken but not yet
-  // started, which is then running elsewhere like the rest.
-  const std::size_t index = (tlPool == pool_) ? tlWorker : pool_->count_;
+  // Help with our own queued tasks only, newest first: they are the last
+  // ones this thread submitted. This can miss one that a worker has taken but
+  // not yet started, which is then running elsewhere like the rest.
   while (queued_.load(std::memory_order_acquire) > 0) {
-    ThreadPool::Taken taken = pool_->take(index, this);
-    if (!taken) break;
-    pool_->runTask(taken, /*helped=*/true);
+    ThreadPool::Item item = pool_->takeNewest(this);
+    if (!item.task) break;
+    pool_->runTask(item, /*helped=*/true);
   }
   // The remaining tasks are running on other threads: park until the last
   // of them finishes.

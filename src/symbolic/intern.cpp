@@ -410,34 +410,32 @@ void ProofMemo::setEnabled(bool on) { gMemoEnabled.store(on, std::memory_order_r
 std::shared_ptr<ProofMemoContext> ProofMemo::context(const Assumptions& a) {
   const Assumptions::MemoKey& key = a.memoKey();  // cached: no rebuild, no allocation
   const std::uint64_t h = detail::degenerateHashForced() ? 0 : key.hash;
-  const std::size_t idx = static_cast<std::size_t>(h % kShards);
-  Shard& shard = shards_[idx];
   const bool profiled = obs::profiler().enabled();
-  obs::ShardLock lock(shard.mu, obs::ShardFamily::kMemoRegistry, idx);
+  obs::ShardLock lock(mu_, obs::ShardFamily::kMemoRegistry, 0);
   std::size_t steps = 0;
-  for (Entry& entry : shard.entries) {
+  for (Entry& entry : entries_) {
     ++steps;
     // Hash first: the exact-serialization compare runs only within a hash
     // match, so a hit costs one string compare and zero allocations.
     if (entry.hash == h && entry.key == key.text) {
       if (profiled) {
-        obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, idx);
+        obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, 0);
         stats.hits.fetch_add(1, std::memory_order_relaxed);
         stats.probeSteps.fetch_add(steps, std::memory_order_relaxed);
       }
       return entry.ctx;
     }
   }
-  shard.entries.push_back(Entry{
+  entries_.push_back(Entry{
       h, key.text, std::make_shared<ProofMemoContext>(static_cast<std::size_t>(h % kContextRows))});
   if (profiled) {
-    obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, idx);
+    obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, 0);
     stats.misses.fetch_add(1, std::memory_order_relaxed);
     stats.probeSteps.fetch_add(steps == 0 ? 1 : steps, std::memory_order_relaxed);
   }
   static obs::Gauge& contexts = obs::metrics().gauge("ad.intern.contexts");
   contexts.set(contextCount_.fetch_add(1, std::memory_order_relaxed) + 1);
-  return shard.entries.back().ctx;
+  return entries_.back().ctx;
 }
 
 ProofMemo::Stats ProofMemo::stats() const {
@@ -449,9 +447,9 @@ ProofMemo::Stats ProofMemo::stats() const {
 }
 
 void ProofMemo::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
   }
   contextCount_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);

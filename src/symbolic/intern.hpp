@@ -35,13 +35,13 @@
 // hash only degrades probes to linear scans. DegenerateHashGuard forces
 // exactly that in tests.
 //
-// The arena and the context registry are sharded and each memo context has
-// one mutex (all safe under TSan); cache traffic is exported to the
+// The arena is sharded; the context registry and each memo context have one
+// mutex each (all safe under TSan). Cache traffic is exported to the
 // ad.metrics.v1 registry as ad.intern.proof_hits / ad.intern.proof_misses /
 // ad.intern.contexts / ad.intern.exprs / ad.intern.bytes, and the contention
-// profiler attributes per-shard (per-context-row for "memo.context")
-// hits/misses/probe lengths (families "intern.expr", "memo.context",
-// "memo.registry").
+// profiler attributes hits/misses/probe lengths per arena shard
+// ("intern.expr"), per context row ("memo.context") and to the registry's
+// one row ("memo.registry").
 #pragma once
 
 #include <atomic>
@@ -312,12 +312,6 @@ class ProofMemo {
   void recordMiss();
 
  private:
-  // The context table is itself sharded: every RangeAnalyzer construction
-  // probes it, and a single registry mutex serialized all workers at batch
-  // fan-out time (profiler family "memo.registry" showed it as the hottest
-  // lock of the 8-thread run before the split). Buckets are keyed by the
-  // Assumptions' cached hash; entries disambiguate by exact serialization.
-  static constexpr std::size_t kShards = 16;
   /// Rows of profiler family "memo.context" that contexts spread over.
   static constexpr std::size_t kContextRows = 32;
   struct Entry {
@@ -325,15 +319,12 @@ class ProofMemo {
     std::string key;
     std::shared_ptr<ProofMemoContext> ctx;
   };
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    // Scanned linearly, comparing the cached hash first and the exact
-    // serialization only within a hash match: a handful of contexts live in
-    // each shard (one per distinct assumptions set), and the probe is per
-    // RangeAnalyzer *construction*, not per query.
-    std::vector<Entry> entries;
-  };
-  Shard shards_[kShards];
+  // One lock over one list: the probe is per RangeAnalyzer *construction*,
+  // not per query (about 600 on analysis_scaling's jobs=8 leg, a median of
+  // 4 of them contended; docs/PERF.md). Scanned linearly, comparing the
+  // cached hash first and the exact serialization only within a hash match.
+  std::mutex mu_;
+  std::vector<Entry> entries_;
   std::atomic<std::int64_t> contextCount_{0};
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};

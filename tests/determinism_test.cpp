@@ -69,8 +69,8 @@ TEST(Determinism, ByteIdenticalAcrossThreadCounts) {
 
 // Hash quality must not affect determinism either: with every intern-time
 // hash forced to one degenerate value (one arena shard, one probe cluster,
-// one memo-registry bucket), the batch must still be byte-identical at every
-// thread count and to the normal-hash run.
+// one hash for every memo-registry entry), the batch must still be
+// byte-identical at every thread count and to the normal-hash run.
 TEST(Determinism, ByteIdenticalUnderDegenerateHashes) {
   const SuitePrograms sp = makeSuiteBatch();
   const auto normal = serializeAll(sp, 1);

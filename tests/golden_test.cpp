@@ -144,8 +144,8 @@ TEST_P(GoldenFile, DegenerateHashLeavesScratchTablesExact) {
 
 // The batched engine at any worker count must reproduce the snapshot byte
 // for byte (jobs only changes speed, never output). jobs=1 runs the pool
-// path with a single worker; jobs=8 exercises work stealing and concurrent
-// memo population on the same item.
+// path with a single worker; jobs=8 exercises the shared task queue and
+// concurrent memo population on the same item.
 TEST_P(GoldenFile, MatchesSnapshotAtJobs1And8) {
   if (const char* update = std::getenv("AD_UPDATE_GOLDENS"); update && *update == '1') {
     GTEST_SKIP() << "golden refresh run";

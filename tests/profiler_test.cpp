@@ -72,20 +72,20 @@ TEST_F(ProfilerTest, ShardLockAttributesContention) {
     while (!release.load()) std::this_thread::yield();
   });
   while (!holderIn.load()) std::this_thread::yield();
+  const ShardStats& s = profiler().shard(ShardFamily::kMemoContext, 5);
   std::thread blocked([&] {
     // Arrives while `holder` owns the shard: try_lock fails, the timed
     // fallback path records the contended acquisition.
-    std::thread poker([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      release.store(true);
-    });
     ShardLock lock(mu, ShardFamily::kMemoContext, 5);
-    poker.join();
   });
+  // The release countdown starts only once `blocked` has counted its
+  // acquisition, which it does right before its try_lock.
+  while (s.acquisitions.load() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.store(true);
   blocked.join();
   holder.join();
 
-  const ShardStats& s = profiler().shard(ShardFamily::kMemoContext, 5);
   EXPECT_EQ(s.acquisitions.load(), 2);
   EXPECT_GE(s.contended.load(), 1);
   EXPECT_GE(s.lockWaitUs.load(), 0);
@@ -123,9 +123,12 @@ TEST_F(ProfilerTest, SummaryKeepsSchema) {
   for (const char* needle :
        {"\"schema\": \"ad.profile.v1\"", "\"threads\":", "\"shards\":", "\"lock_wait_us\":",
         "\"intern.expr\"", "\"memo.context\"", "\"memo.registry\"", "\"loc.phase_array\"",
-        "\"queue_wait_us\"", "\"barrier_wait_us\"", "\"idle_us\"", "\"steals\"",
-        "\"helped\""}) {
+        "\"queue_wait_us\"", "\"idle_us\"", "\"helped\""}) {
     EXPECT_NE(summary.find(needle), std::string::npos) << "summary lacks " << needle;
+  }
+  // Deleted columns: no thread waits on a barrier, and the pool has one queue.
+  for (const char* gone : {"\"barrier_wait_us\"", "\"steals\""}) {
+    EXPECT_EQ(summary.find(gone), std::string::npos) << "summary still has " << gone;
   }
 }
 

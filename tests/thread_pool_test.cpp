@@ -1,11 +1,14 @@
-// Work-stealing pool semantics: every submitted task runs exactly once,
+// Shared-queue pool semantics: every submitted task runs exactly once,
 // nested groups drain without deadlock (wait() helps with its own group, and
-// only with it), exceptions surface at the join, and a 1-thread pool still
-// makes progress. Runs under TSan in CI.
+// only with it), a worker's fan-out runs on the other idle workers,
+// exceptions surface at the join, and a 1-thread pool still makes progress.
+// Runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -44,6 +47,42 @@ TEST(ThreadPool, NestedGroupsDrainWithoutDeadlock) {
   }
   outer.wait();
   EXPECT_EQ(64, runs.load());
+}
+
+TEST(ThreadPool, IdleWorkersRunAWorkersFanOut) {
+  // A task running on a worker fans out one subtask per pool thread, and
+  // every subtask waits until all of them have started: the rendezvous is
+  // reached only if the other idle workers pick up this worker's subtasks
+  // while its own join runs one of them. The waits share one deadline, so a
+  // pool that kept a worker's subtasks to itself fails here within seconds
+  // instead of hanging.
+  support::ThreadPool pool(4);
+  const std::size_t n = pool.threadCount();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t started = 0;
+  std::size_t timedOut = 0;
+  std::atomic<bool> done{false};
+  pool.submit([&] {
+    {
+      support::TaskGroup fanOut(pool);
+      for (std::size_t i = 0; i < n; ++i) {
+        fanOut.run([&] {
+          std::unique_lock<std::mutex> lock(mu);
+          ++started;
+          cv.notify_all();
+          if (!cv.wait_until(lock, deadline, [&] { return started == n; })) ++timedOut;
+        });
+      }
+      fanOut.wait();
+    }
+    done.store(true);
+  });
+  while (!done.load()) std::this_thread::yield();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(0u, timedOut);
+  EXPECT_EQ(n, started);
 }
 
 TEST(ThreadPool, SingleThreadPoolMakesProgress) {
