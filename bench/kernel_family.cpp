@@ -137,7 +137,7 @@ int main() {
         Run run;
         run.processors = H;
         run.accesses = result.symbolic->totalAccesses;
-        run.localFraction = result.symbolic->localFraction();
+        run.localFraction = result.symbolic->observed.localFraction();
         run.commEdges = result.lcg.communicationEdges();
         run.redistributions = result.planned.redistributions.size();
         run.closedFormRegions = result.symbolic->closedFormRegions;

@@ -112,7 +112,7 @@ int main() {
       run.processors = H;
       run.accesses = result.trace->totalAccesses;
       run.accessesPerSecond = result.trace->accessesPerSecond();
-      run.localFraction = result.trace->localFraction();
+      run.localFraction = result.trace->observed.localFraction();
       run.edgesChecked = result.localityCheck->checked;
       run.edgesAgree = result.localityCheck->checked - result.localityCheck->disagreements;
       run.validated = result.localityCheck->ok();

@@ -105,7 +105,7 @@ int main() {
       run.processors = H;
       run.accesses = result.symbolic->totalAccesses;
       run.symvalSeconds = result.symbolic->wallSeconds;
-      run.localFraction = result.symbolic->localFraction();
+      run.localFraction = result.symbolic->observed.localFraction();
       run.closedFormRegions = result.symbolic->closedFormRegions;
       run.enumeratedRegions = result.symbolic->enumeratedRegions;
       run.differentialRan = differential;

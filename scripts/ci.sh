@@ -180,7 +180,37 @@ symval() {
   cmake -B build -S .
   cmake --build build -j "$jobs" --target symval_test symbolic_validation tfft2_pipeline
   ./build/tests/symval_test
-  ./build/examples/tfft2_pipeline 8 8 4 --validate=both >/dev/null
+  # Both oracles build their observed trace the same way, so each ad.sim.*
+  # traffic counter equals its ad.symval.* twin.
+  ./build/examples/tfft2_pipeline 8 8 4 --validate=both --metrics-out=metrics.json >/dev/null
+  python3 - <<'EOF'
+import json
+
+counters = json.load(open("metrics.json"))["counters"]
+for name in ("local_accesses", "remote_accesses", "remote_bytes", "redistributed_words",
+             "frontier_words"):
+    traced, symbolic = counters["ad.sim." + name], counters["ad.symval." + name]
+    assert traced == symbolic, f"ad.sim.{name} = {traced} != ad.symval.{name} = {symbolic}"
+print("oracle traffic counters ok: ad.sim.* == ad.symval.*")
+EOF
+  # Work, not time: counting never charges the prover budget, so a request
+  # whose front half exhausts a small step budget degrades (exit 5) without
+  # sending one region of either count to enumeration.
+  local rc=0
+  ./build/examples/tfft2_pipeline 256 256 64 --validate=symbolic --budget-steps 500 \
+    --metrics-out=metrics.json >/dev/null || rc=$?
+  if [ "$rc" -ne 5 ]; then
+    echo "tfft2 256/256/64 --budget-steps 500 exited $rc, want 5 (degraded)"
+    exit 1
+  fi
+  python3 - <<'EOF'
+import json
+
+counters = json.load(open("metrics.json"))["counters"]
+for name in ("ad.symval.regions_enumerated", "ad.dsm.regions_enumerated"):
+    assert counters[name] == 0, f"--budget-steps 500 enumerated {counters[name]} regions ({name})"
+print("budgeted count ok: exit 5, no region enumerated")
+EOF
   # Work, not time: a simulated, symbolically validated request counts the
   # derived plan once for the cost model and the validator together, and the
   # naive baseline once more. Its folded CYCLIC(1) loops count one ownership

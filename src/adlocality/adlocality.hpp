@@ -10,7 +10,7 @@
 //   loc::        intra-/inter-phase locality, balanced condition, Table-1
 //   lcg::        the Locality-Communication Graph
 //   ilp::        the Table-2 integer program and its exact solver
-//   comm::       put-schedule generation (global / frontier, aggregated)
+//   comm::       put-schedule generation (global redistributions, aggregated)
 //   dsm::        the DSM machine model and execution simulator
 //   codes::      the benchmark suite (six 1999 codes + AI/HPC kernels)
 //   driver::     the end-to-end pipeline

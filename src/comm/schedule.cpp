@@ -11,9 +11,8 @@
 
 namespace ad::comm {
 
-CommSchedule::CommSchedule(std::string array, Pattern pattern,
-                           const std::vector<Message>& messages)
-    : array_(std::move(array)), pattern_(pattern) {
+CommSchedule::CommSchedule(std::string array, const std::vector<Message>& messages)
+    : array_(std::move(array)) {
   messages_.reserve(messages.size());
   for (const auto& m : messages) {
     messages_.push_back(MessageHeader{m.src, m.dst, ranges_.size(), m.ranges.size()});
@@ -48,7 +47,7 @@ double CommSchedule::time(const dsm::MachineParams& machine) const {
 
 std::string CommSchedule::str() const {
   std::ostringstream os;
-  os << (pattern_ == Pattern::kGlobal ? "global" : "frontier") << " communication for "
+  os << "global communication for "
      << array_ << " (" << messages_.size() << " messages, " << totalWords() << " words)\n";
   for (const auto& m : messages_) {
     os << "  PE " << m.src << " -> PE " << m.dst << " (" << words(m) << " words):";
@@ -84,7 +83,7 @@ class Aggregator {
   }
 
   /// One message per (src, dst) pair, in pair order.
-  CommSchedule finish(const std::string& array, Pattern pattern) && {
+  CommSchedule finish(const std::string& array) && {
     // The table turns into each pair's range count, then its first slot.
     std::fill(last_.begin(), last_.end(), 0);
     for (const Run& r : runs_) ++last_[r.pair];
@@ -100,7 +99,7 @@ class Aggregator {
     }
     std::vector<Range> ranges(runs_.size());
     for (const Run& r : runs_) ranges[static_cast<std::size_t>(last_[r.pair]++)] = r.range;
-    return CommSchedule(array, pattern, std::move(messages), std::move(ranges));
+    return CommSchedule(array, std::move(messages), std::move(ranges));
   }
 
  private:
@@ -125,29 +124,7 @@ CommSchedule generateGlobal(const std::string& array, std::int64_t size,
                            std::int64_t dst) {
                          if (src != dst) messages.append(src, dst, begin, end);
                        });
-  return std::move(messages).finish(array, Pattern::kGlobal);
-}
-
-CommSchedule generateFrontier(const std::string& array, std::int64_t size,
-                              const dsm::DataDistribution& dist, std::int64_t overlap,
-                              std::int64_t processors) {
-  AD_REQUIRE(dist.kind == dsm::DataDistribution::Kind::kBlockCyclic,
-             "frontier update requires a BLOCK-CYCLIC distribution");
-  AD_REQUIRE(overlap >= 1, "overlap width must be positive");
-  // The owner of each block refreshes its replicated copy of the first
-  // `overlap` elements of the following block, which the next owner holds.
-  Aggregator messages(processors);
-  support::ExpiryPoll poll;
-  for (std::int64_t blockStart = 0; blockStart < size; blockStart += dist.block) {
-    poll.tick();
-    const std::int64_t nextStart = blockStart + dist.block;
-    if (nextStart >= size) break;
-    const std::int64_t dst = dist.owner(blockStart, processors);
-    const std::int64_t src = dist.owner(nextStart, processors);
-    if (src == dst) continue;
-    messages.append(src, dst, nextStart, std::min(size, nextStart + overlap));
-  }
-  return std::move(messages).finish(array, Pattern::kFrontier);
+  return std::move(messages).finish(array);
 }
 
 bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,
@@ -194,7 +171,7 @@ bool verifiesRedistribution(const CommSchedule& schedule, std::int64_t size,
     Aggregator regrouped(h);
     for (const auto& [src, dst, begin, end] : pieces) regrouped.append(src, dst, begin, end);
     return verifiesRedistribution(
-        std::move(regrouped).finish(schedule.array(), schedule.pattern()), size, from, to, h);
+        std::move(regrouped).finish(schedule.array()), size, from, to, h);
   }
 
   // Per pair, its message's first unsent range and the address that range has

@@ -1,13 +1,16 @@
 // Communication generation (Section 4.3b).
 //
 // For every C edge of the LCG the compiler must emit communication before
-// the drain phase. Two patterns (the paper's terminology):
+// the drain phase. The paper names two patterns:
 //   - Global communications: a redistribution — every element whose owner
 //     changes between the source and drain distributions moves with a
-//     single-sided put;
+//     single-sided put. This module generates and verifies their schedules,
+//     one per redistribution dsm::redistributes admits;
 //   - Frontier communications: an update of the replicated overlap
 //     sub-regions (width Delta_s) at the boundaries between neighbouring
-//     processors' chunks.
+//     processors' chunks. Their traffic is closed form
+//     (dsm::refreshTraffic, both directions at every block boundary), so no
+//     schedule is generated for them.
 // Message aggregation packs all element ranges with the same (source,
 // destination) pair into one message.
 //
@@ -53,15 +56,13 @@ struct MessageHeader {
   std::size_t count = 0;
 };
 
-enum class Pattern { kGlobal, kFrontier };
-
+/// The put schedule of one global redistribution.
 class CommSchedule {
  public:
   /// Flattens hand-built messages, keeping their order.
-  CommSchedule(std::string array, Pattern pattern, const std::vector<Message>& messages);
+  CommSchedule(std::string array, const std::vector<Message>& messages);
 
   [[nodiscard]] const std::string& array() const noexcept { return array_; }
-  [[nodiscard]] Pattern pattern() const noexcept { return pattern_; }
   [[nodiscard]] const std::vector<MessageHeader>& messages() const noexcept { return messages_; }
   /// Every message's ranges, in message order.
   [[nodiscard]] std::span<const Range> ranges() const noexcept { return ranges_; }
@@ -81,13 +82,10 @@ class CommSchedule {
 
  private:
   friend class Aggregator;  // builds the flat layout directly
-  CommSchedule(std::string array, Pattern pattern, std::vector<MessageHeader> messages,
-               std::vector<Range> ranges)
-      : array_(std::move(array)), pattern_(pattern), messages_(std::move(messages)),
-        ranges_(std::move(ranges)) {}
+  CommSchedule(std::string array, std::vector<MessageHeader> messages, std::vector<Range> ranges)
+      : array_(std::move(array)), messages_(std::move(messages)), ranges_(std::move(ranges)) {}
 
   std::string array_;
-  Pattern pattern_;
   std::vector<MessageHeader> messages_;
   std::vector<Range> ranges_;
 };
@@ -98,13 +96,6 @@ class CommSchedule {
                                           const dsm::DataDistribution& from,
                                           const dsm::DataDistribution& to,
                                           std::int64_t processors);
-
-/// Frontier update: each block's owner sends the `overlap`-wide region at the
-/// start of the *next* block to that block's owner (the replicated overlap
-/// sub-region of Theorem 1c after a write).
-[[nodiscard]] CommSchedule generateFrontier(const std::string& array, std::int64_t size,
-                                            const dsm::DataDistribution& dist,
-                                            std::int64_t overlap, std::int64_t processors);
 
 /// Verifies that `schedule` moves exactly the elements whose owner changes
 /// between `from` and `to`, each exactly once, with correct endpoints: one

@@ -59,6 +59,9 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
                               const ilp::Model& model, const ilp::Solution& solution,
                               const ir::Bindings& params, std::int64_t processors,
                               const dsm::MachineParams& machine) {
+  // Transfers are priced on the plan's processor count.
+  dsm::MachineParams pricing = machine;
+  pricing.processors = processors;
   dsm::ExecutionPlan plan;
   const std::size_t numPhases = program.phases().size();
   for (std::size_t k = 0; k < numPhases; ++k) {
@@ -181,16 +184,13 @@ dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
         if (halo > 0 && !lPromise && !haloForced) {
           const auto& dist = plan.data.at(g.array)[node.phase];
           if (dist.hasOwner()) {
-            const std::int64_t size = evalInt(program.array(g.array).size, params, "size");
-            const std::int64_t boundaries =
-                std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-            const double refresh =
-                (2.0 * static_cast<double>(boundaries) * machine.putLatency +
-                 2.0 * static_cast<double>(boundaries * halo) * machine.perWord) /
-                static_cast<double>(processors);
+            // Without the halo, each boundary's `halo` elements are read
+            // remotely once, instead of refreshed in both directions.
+            const dsm::RedistributionStats refresh = dsm::refreshTraffic(
+                evalInt(program.array(g.array).size, params, "size"), dist.block, halo);
             const double remote =
-                static_cast<double>(boundaries * halo) * machine.remoteAccess;
-            if (refresh >= remote) halo = 0;
+                0.5 * static_cast<double>(refresh.wordsMoved) * machine.remoteAccess;
+            if (pricing.transferTime(refresh.messages, refresh.wordsMoved) >= remote) halo = 0;
           }
         }
         halos[node.phase] = halo;
@@ -239,6 +239,8 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
   // through the remaining stages on the degradation ladder. (The prover
   // additionally polls the token on every budget step, so the gap between
   // boundary checks is itself bounded.)
+  dsm::MachineParams machine;
+  machine.processors = config.processors;
   std::optional<lcg::LCG> lcgGraph;
   {
     obs::Span s("pipeline.lcg");
@@ -251,7 +253,7 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     obs::Span s("pipeline.ilp_build");
     ErrorContext stage("stage", "ilp_build");
     support::throwIfCancelled();
-    model.emplace(ilp::buildModel(*lcgGraph, config.params, config.processors, config.costs));
+    model.emplace(ilp::buildModel(*lcgGraph, config.params, config.processors, machine));
   }
   ilp::Solution solution;
   {
@@ -260,15 +262,13 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     support::throwIfCancelled();
     solution = model->solve();
   }
-  dsm::MachineParams machineForPlan = config.machine;
-  machineForPlan.processors = config.processors;
   dsm::ExecutionPlan plan;
   {
     obs::Span s("pipeline.plan");
     ErrorContext stage("stage", "plan");
     support::throwIfCancelled();
     plan = derivePlan(program, *lcgGraph, *model, solution, config.params,
-                      config.processors, machineForPlan);
+                      config.processors, machine);
   }
 
   // Communication schedules for every distribution change.
@@ -280,9 +280,7 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     for (const auto& [array, dists] : plan.data) {
       const std::int64_t size = evalInt(program.array(array).size, config.params, "array size");
       for (std::size_t k = 1; k < dists.size(); ++k) {
-        if (dists[k - 1] == dists[k]) continue;
-        if (!dists[k - 1].hasOwner() || !dists[k].hasOwner()) continue;
-        if (!dsm::redistributionMovesData(program, array, k)) continue;
+        if (!dsm::redistributes(program, plan, array, k)) continue;
         auto sched = comm::generateGlobal(array, size, dists[k - 1], dists[k], config.processors);
         AD_CHECK(comm::verifiesRedistribution(sched, size, dists[k - 1], dists[k],
                                               config.processors));
@@ -290,9 +288,6 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
       }
     }
   }
-
-  dsm::MachineParams machine = config.machine;
-  machine.processors = config.processors;
 
   const ValidateMode mode = config.validate;
   const bool symbolic = mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth;
@@ -484,11 +479,17 @@ std::string PipelineResult::report(const ir::Program& program) const {
   }
   if (trace) {
     os << "\n=== Trace replay (H = " << trace->processors << ") ===\n"
-       << trace->str();
+       << "trace: H=" << trace->processors << " accesses=" << trace->totalAccesses
+       << " local_fraction=" << trace->observed.localFraction() << "\n"
+       << trace->observed.str();
   }
   if (symbolic) {
     os << "\n=== Symbolic (closed-form) validation (H = " << symbolic->processors << ") ===\n"
-       << symbolic->str();
+       << "symval: H=" << symbolic->processors << " accesses=" << symbolic->totalAccesses
+       << " local_fraction=" << symbolic->observed.localFraction()
+       << " regions(closed-form=" << symbolic->closedFormRegions
+       << ", enumerated=" << symbolic->enumeratedRegions << ")\n"
+       << symbolic->observed.str();
   }
   if (trace && symbolic) {
     os << (symbolicAgrees()

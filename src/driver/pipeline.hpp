@@ -41,8 +41,6 @@ enum class ValidateMode { kNone, kTrace, kSymbolic, kBoth };
 struct PipelineConfig {
   ir::Bindings params;            ///< numeric values for the program parameters
   std::int64_t processors = 8;
-  ilp::CostParams costs;
-  dsm::MachineParams machine;     ///< machine.processors is overridden by `processors`
 
   /// Replay the derived plan on the DSM cost model. Disable for analysis-only
   /// runs (the batched engine and the scaling bench), which need the LCG /

@@ -126,12 +126,11 @@ std::optional<ApList> mergeLoop(const ApList& inner, std::int64_t step, std::int
 
 /// Collapses loops[depth..] for one subscript under the given (params +
 /// outer indices) bindings. nullopt = Unknown; the caller falls back.
-/// `step` is charged once per collapse step and per expanded iteration.
-template <typename Step>
+/// `poll` ticks once per collapse step and per expanded iteration.
 std::optional<ApList> collapseTail(const std::vector<ir::Loop>& loops, std::size_t depth,
                                    const sym::Expr& subscript, ir::Bindings& bindings,
-                                   const Step& step) {
-  if (!step()) return std::nullopt;
+                                   support::ExpiryPoll& poll) {
+  poll.tick();
   if (depth == loops.size()) {
     const std::int64_t addr = evalInt(subscript, bindings, "subscript");
     return ApList{{ArithmeticProgression::make(addr, 0, 1, 1)}};
@@ -170,7 +169,7 @@ std::optional<ApList> collapseTail(const std::vector<ir::Loop>& loops, std::size
   }
   if (mergeable) {
     bindings[loop.index] = lo;
-    auto inner = collapseTail(loops, depth + 1, subscript, bindings, step);
+    auto inner = collapseTail(loops, depth + 1, subscript, bindings, poll);
     bindings.erase(loop.index);
     if (!inner) return std::nullopt;
     return mergeLoop(*inner, stride, n);
@@ -181,12 +180,9 @@ std::optional<ApList> collapseTail(const std::vector<ir::Loop>& loops, std::size
   if (n > kEnumLoopCap) return std::nullopt;
   ApList out;
   for (std::int64_t v = lo; v <= hi; ++v) {
-    if (!step()) {
-      bindings.erase(loop.index);
-      return std::nullopt;
-    }
+    poll.tick();
     bindings[loop.index] = v;
-    auto inner = collapseTail(loops, depth + 1, subscript, bindings, step);
+    auto inner = collapseTail(loops, depth + 1, subscript, bindings, poll);
     if (!inner) {
       bindings.erase(loop.index);
       return std::nullopt;
@@ -322,7 +318,6 @@ class AccessCounter {
   [[nodiscard]] std::int64_t runs() const { return runs_; }
 
  private:
-  bool step();
   bool countSerial(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
                    ArrayTally& out);
   bool countParallel(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
@@ -364,12 +359,6 @@ AccessCounter::AccessCounter(const ir::Program& program, const ir::Bindings& par
   AD_REQUIRE(options.processors >= 1, "need at least one processor");
 }
 
-bool AccessCounter::step() {
-  if (options_.chargeBudget) return support::budgetStep();
-  poll_.tick();
-  return true;
-}
-
 /// The locality sets under (`dist`, `halo`), made on the first reference
 /// that needs them.
 LocalSets& AccessCounter::localSets(const DataDistribution& dist, std::int64_t halo) {
@@ -394,8 +383,7 @@ void AccessCounter::add(ArrayTally& out, std::int64_t pe, std::int64_t total,
 bool AccessCounter::countSerial(const ir::Phase& phase, const ir::ArrayRef& ref,
                                 const RefInfo& info, ArrayTally& out) {
   ir::Bindings bindings = params_;
-  const auto aps =
-      collapseTail(phase.loops(), 0, ref.subscript, bindings, [this] { return step(); });
+  const auto aps = collapseTail(phase.loops(), 0, ref.subscript, bindings, poll_);
   if (!aps) return false;
   if (info.alwaysLocal()) {
     add(out, 0, aps->total(), aps->total());
@@ -418,7 +406,6 @@ bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& re
   const std::vector<ir::Loop>& loops = phase.loops();
   const sym::SymbolId parSym = loops[parPos].index;
   const std::int64_t H = options_.processors;
-  const auto stepFn = [this] { return step(); };
 
   ir::Bindings bindings = params_;
   const std::function<bool(std::size_t)> run = [&](std::size_t depth) -> bool {
@@ -471,7 +458,7 @@ bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& re
 
     if (uniform) {
       bindings[parSym] = lo;
-      const auto aps0 = collapseTail(loops, parPos + 1, ref.subscript, bindings, stepFn);
+      const auto aps0 = collapseTail(loops, parPos + 1, ref.subscript, bindings, poll_);
       bindings.erase(parSym);
       return aps0 && countUniform(*aps0, shift, lo, trip, info, sched, out);
     }
@@ -480,10 +467,10 @@ bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& re
     // the tail afresh per iteration. Still closed-form per iteration.
     if (trip > kEnumLoopCap) return false;
     for (std::int64_t v = lo; v <= hi; ++v) {
-      if (!step()) return false;
+      poll_.tick();
       ++runs_;
       bindings[parSym] = v;
-      const auto aps = collapseTail(loops, parPos + 1, ref.subscript, bindings, stepFn);
+      const auto aps = collapseTail(loops, parPos + 1, ref.subscript, bindings, poll_);
       bindings.erase(parSym);
       if (!aps) return false;
       const std::int64_t pe = sched.executor(v, H);
@@ -558,7 +545,7 @@ bool AccessCounter::countUniform(const ApList& aps0, std::int64_t shift, std::in
     const std::int64_t cycles = len / span;
     const std::int64_t remEnd = u0 + len % span;
     for (std::int64_t u = u0; u < u0 + span;) {
-      if (!step()) return false;
+      poll_.tick();
       ++runs_;
       const std::int64_t pe = sched.executor(lo + u, H);
       std::int64_t end = std::min(u0 + span, u + sched.chunk - (lo + u) % sched.chunk);
@@ -717,9 +704,7 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
     if (ok) {
       ++tally.closedFormRefs;
     } else {
-      a.fallbackCause = options_.chargeBudget && support::budgetCompromised()
-                            ? support::currentDegradationCause()
-                            : "unknown-region";
+      a.fallbackCause = "unknown-region";
       fallback = true;
     }
   }
@@ -733,57 +718,19 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
 
 PhaseCommunication AccessCounter::communication(std::size_t k) const {
   PhaseCommunication out;
-  const ir::Phase& phase = program_.phase(k);
-  const std::int64_t H = options_.processors;
-
-  // Global redistributions: any array whose distribution changes entering
-  // phase k.
-  if (k > 0) {
-    for (const auto& arr : program_.arrays()) {
-      const auto it = plan_.data.find(arr.name);
-      if (it == plan_.data.end()) continue;
-      const DataDistribution& prev = it->second[k - 1];
-      const DataDistribution& next = it->second[k];
-      if (prev == next) continue;
-      if (!prev.hasOwner() || !next.hasOwner()) {
-        continue;  // entering/leaving private scratch moves no shared data
-      }
-      if (!redistributionMovesData(program_, arr.name, k)) {
-        continue;  // dead values: re-allocation only, no copies
-      }
+  for (const auto& arr : program_.arrays()) {
+    if (redistributes(program_, plan_, arr.name, k)) {
+      const auto& dists = plan_.data.at(arr.name);
       RedistributionStats rs;
       rs.array = arr.name;
       rs.beforePhase = k;
-      countRedistribution(prev, next, evalInt(arr.size, params_, "array size"), H,
-                          rs.wordsMoved, rs.messages);
+      countRedistribution(dists[k - 1], dists[k], evalInt(arr.size, params_, "array size"),
+                          options_.processors, rs.wordsMoved, rs.messages);
       if (rs.wordsMoved > 0) out.global.push_back(std::move(rs));
     }
-  }
-
-  // Frontier refreshes: before a phase reading an array through a halo, the
-  // owners push the replicated overlap regions at every block boundary, in
-  // both directions.
-  for (const auto& arr : program_.arrays()) {
-    const auto hit = plan_.halo.find(arr.name);
-    if (hit == plan_.halo.end() || hit->second[k] <= 0) continue;
-    if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
-    bool writtenElsewhere = false;
-    for (const auto& other : program_.phases()) {
-      writtenElsewhere = writtenElsewhere || (&other != &phase && other.writes(arr.name) &&
-                                             !other.isPrivatized(arr.name));
+    if (auto rs = frontierRefresh(program_, params_, plan_, arr.name, k)) {
+      out.frontier.push_back(std::move(*rs));
     }
-    if (!writtenElsewhere) continue;
-    const auto& dist = plan_.data.at(arr.name)[k];
-    if (!dist.hasOwner()) continue;
-    const std::int64_t size = evalInt(arr.size, params_, "array size");
-    const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, dist.block) - 1);
-    RedistributionStats rs;
-    rs.array = arr.name;
-    rs.beforePhase = k;
-    rs.frontier = true;
-    rs.wordsMoved = 2 * hit->second[k] * boundaries;
-    rs.messages = 2 * boundaries;
-    if (rs.wordsMoved > 0) out.frontier.push_back(std::move(rs));
   }
   return out;
 }
@@ -802,6 +749,26 @@ PlanCounts countPlan(const ir::Program& program, const ir::Bindings& params,
   counts.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return counts;
+}
+
+ObservedTrace observedTrace(const ir::Program& program, const PlanCounts& counts) {
+  AD_REQUIRE(counts.tallies.size() == program.phases().size(), "counts must cover every phase");
+  ObservedTrace trace;
+  for (std::size_t k = 0; k < counts.tallies.size(); ++k) {
+    PhaseCounts pc;
+    pc.phase = program.phase(k).name();
+    for (const auto& a : counts.tallies[k].arrays) pc.arrays.emplace(a.array, a.counts);
+    trace.phases.push_back(std::move(pc));
+  }
+  for (const auto& comm : counts.communication) {
+    trace.redistributions.insert(trace.redistributions.end(), comm.frontier.begin(),
+                                 comm.frontier.end());
+  }
+  for (const auto& comm : counts.communication) {
+    trace.redistributions.insert(trace.redistributions.end(), comm.global.begin(),
+                                 comm.global.end());
+  }
+  return trace;
 }
 
 void countRedistribution(const DataDistribution& from, const DataDistribution& to,

@@ -27,10 +27,11 @@
 // period.
 //
 // A region the algebra cannot collapse (a non-affine residue past the
-// numeric-expansion caps, an overflow, or — in the validator's budgeted
-// mode — an exhausted budget) is counted by enumerating that (phase, array)'s
-// accesses instead, so the counts are always exact. The caller decides
-// whether that fallback is a degradation worth recording.
+// numeric-expansion caps, or an overflow) is counted by enumerating that
+// (phase, array)'s accesses instead, so the counts are always exact. The
+// caller decides whether that fallback is a degradation worth recording.
+// Counting never charges the request's prover budget: its loops poll only
+// cancellation and the deadline.
 #pragma once
 
 #include <cstdint>
@@ -69,11 +70,6 @@ struct PhaseCommunication {
 
 struct CountOptions {
   std::int64_t processors = 1;
-  /// Charge the thread's budget one step per collapse step, as the validator
-  /// does: once the budget is exhausted, regions fall back to enumeration.
-  /// Off, the counts never touch the request's budget; the same loops poll
-  /// cancellation and the deadline instead.
-  bool chargeBudget = false;
   /// Checked once per reference before counting it; true sends the
   /// reference's array to the fallback with cause "fault" (the validator's
   /// fault-injection point).
@@ -81,12 +77,18 @@ struct CountOptions {
 };
 
 /// Every phase's counts under one plan, in phase order: the one counting
-/// pass the cost model and the validator share.
+/// pass the cost model and the validator share, and the shape the trace
+/// oracle (sim::simulateTrace) reports its replay in.
 struct PlanCounts {
   std::vector<PhaseCommunication> communication;  ///< entering each phase
   std::vector<PhaseTally> tallies;                ///< each phase's accesses
   double wallSeconds = 0.0;                       ///< host time of the pass
 };
+
+/// The observed trace of a plan's counts, for validateLocality and the
+/// differential: per phase, each array's totals; then every frontier refresh
+/// in phase order, then every global redistribution in phase order.
+[[nodiscard]] ObservedTrace observedTrace(const ir::Program& program, const PlanCounts& counts);
 
 /// Processor `pe`'s locality set under a folded distribution (`dist` is
 /// kFoldedBlockCyclic): exactly the addresses dist.isLocal(a, pe, processors,

@@ -140,6 +140,47 @@ bool redistributionMovesData(const ir::Program& program, const std::string& arra
   return false;  // never used again
 }
 
+bool redistributes(const ir::Program& program, const ExecutionPlan& plan,
+                   const std::string& array, std::size_t k) {
+  const auto it = plan.data.find(array);
+  if (k == 0 || it == plan.data.end()) return false;
+  const DataDistribution& prev = it->second[k - 1];
+  const DataDistribution& next = it->second[k];
+  return !(prev == next) && prev.hasOwner() && next.hasOwner() &&
+         redistributionMovesData(program, array, k);
+}
+
+RedistributionStats refreshTraffic(std::int64_t size, std::int64_t block, std::int64_t halo) {
+  const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(size, block) - 1);
+  RedistributionStats rs;
+  rs.frontier = true;
+  rs.wordsMoved = 2 * halo * boundaries;
+  rs.messages = 2 * boundaries;
+  return rs;
+}
+
+std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
+                                                   const ir::Bindings& params,
+                                                   const ExecutionPlan& plan,
+                                                   const std::string& array, std::size_t k) {
+  const auto hit = plan.halo.find(array);
+  if (hit == plan.halo.end() || hit->second[k] <= 0) return std::nullopt;
+  const ir::Phase& phase = program.phase(k);
+  if (!phase.reads(array) || phase.isPrivatized(array)) return std::nullopt;
+  const bool writtenElsewhere =
+      std::any_of(program.phases().begin(), program.phases().end(), [&](const ir::Phase& other) {
+        return &other != &phase && other.writes(array) && !other.isPrivatized(array);
+      });
+  const DataDistribution& dist = plan.data.at(array)[k];
+  if (!writtenElsewhere || !dist.hasOwner()) return std::nullopt;
+  RedistributionStats rs = refreshTraffic(
+      ir::evalInt(program.array(array).size, params, "array size"), dist.block, hit->second[k]);
+  if (rs.wordsMoved == 0) return std::nullopt;
+  rs.array = array;
+  rs.beforePhase = k;
+  return rs;
+}
+
 SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                           const MachineParams& machine, const ExecutionPlan& plan) {
   obs::Span span("dsm.simulate");
@@ -154,12 +195,8 @@ SimulationResult simulate(const ir::Program& program, const MachineParams& machi
   AD_REQUIRE(counts.tallies.size() == program.phases().size(), "counts must cover every phase");
   SimulationResult result;
 
-  // Aggregated puts proceed in parallel across processors: the critical path
-  // carries ~1/H of the volume and messages.
   const auto charge = [&](RedistributionStats rs) {
-    rs.time = (static_cast<double>(rs.messages) * machine.putLatency +
-               static_cast<double>(rs.wordsMoved) * machine.perWord) /
-              static_cast<double>(H);
+    rs.time = machine.transferTime(rs.messages, rs.wordsMoved);
     result.redistributions.push_back(std::move(rs));
   };
   std::int64_t enumerated = 0;

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,12 +40,22 @@ namespace ad::dsm {
 /// access or moved element.
 inline constexpr std::int64_t kWordBytes = 8;
 
+/// The machine's cost ratios: the one set the ILP objective (as
+/// ilp::CostParams), the plan's halo decision and the cost model all price
+/// with.
 struct MachineParams {
   std::int64_t processors = 8;
   double localAccess = 1.0;     ///< cycles per local array access
   double remoteAccess = 100.0;  ///< EXTRA cycles when the access is remote
   double putLatency = 200.0;    ///< startup cycles per aggregated put message
   double perWord = 4.0;         ///< cycles per word in an aggregated transfer
+
+  /// Time of aggregated puts moving `words` in `messages`. The puts proceed
+  /// in parallel across processors: the critical path carries ~1/H of them.
+  [[nodiscard]] double transferTime(std::int64_t messages, std::int64_t words) const {
+    return (static_cast<double>(messages) * putLatency + static_cast<double>(words) * perWord) /
+           static_cast<double>(processors);
+  }
 };
 
 /// Placement of one array's elements across the processors.
@@ -255,9 +266,34 @@ struct ExecutionPlan {
 /// True if changing `array`'s distribution entering phase `k` must move
 /// data: false when the next phase that touches the array only writes it
 /// (dead values need allocation, not copying — the paper's data allocation
-/// procedure). Assumes write-only phases produce the region they cover.
+/// procedure). Assumes write-only phases produce the region they cover;
+/// dsm::validateDataFlow checks that assumption.
 [[nodiscard]] bool redistributionMovesData(const ir::Program& program, const std::string& array,
                                            std::size_t phase);
+
+// The communication entering a phase (Section 4.3b), decided once for the
+// comm stage, the counting core, the trace oracle and the data-flow check.
+
+/// True if `plan` redistributes `array` entering phase `k`: its distribution
+/// changes there between two owner-bearing ones (entering or leaving private
+/// scratch or a replica moves no shared data), and the data must move.
+[[nodiscard]] bool redistributes(const ir::Program& program, const ExecutionPlan& plan,
+                                 const std::string& array, std::size_t k);
+
+/// Traffic of refreshing a `halo`-wide overlap of `size` elements in blocks
+/// of `block`: at each of the ceil(size / block) - 1 block boundaries the
+/// owners push `halo` words in each direction, one message per direction.
+[[nodiscard]] RedistributionStats refreshTraffic(std::int64_t size, std::int64_t block,
+                                                 std::int64_t halo);
+
+/// The frontier refresh of `array` entering phase `k`, if the plan runs one:
+/// the phase reads the array through a replicated halo of an owner-bearing
+/// distribution, another phase writes it, and the refresh moves words.
+[[nodiscard]] std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
+                                                                 const ir::Bindings& params,
+                                                                 const ExecutionPlan& plan,
+                                                                 const std::string& array,
+                                                                 std::size_t k);
 
 /// Evaluates the program's cost under `plan`, in closed form. Arrays marked
 /// privatizable in a phase are local there regardless of the plan (each

@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "dsm/access_count.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::dsm {
@@ -38,12 +39,9 @@ DataFlowReport validateDataFlow(const ir::Program& program, const ir::Bindings& 
   }
 
   const auto refreshHalos = [&](const std::string& array, std::size_t k) {
-    const auto hit = plan.halo.find(array);
-    if (hit == plan.halo.end() || hit->second[k] <= 0) return;
     const auto& dist = plan.data.at(array)[k];
-    if (!dist.hasOwner()) return;
     auto& st = state.at(array);
-    const std::int64_t halo = hit->second[k];
+    const std::int64_t halo = plan.halo.at(array)[k];
     for (std::int64_t a = 0; a < st.size; ++a) {
       const std::int64_t owner = dist.owner(a, H);
       for (std::int64_t pe = 0; pe < H; ++pe) {
@@ -59,15 +57,13 @@ DataFlowReport validateDataFlow(const ir::Program& program, const ir::Bindings& 
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
     const ir::Phase& phase = program.phase(k);
 
-    // Redistributions entering phase k: the new owner receives the old
-    // owner's copy.
-    if (k > 0) {
-      for (const auto& arr : program.arrays()) {
-        const auto it = plan.data.find(arr.name);
-        if (it == plan.data.end()) continue;
-        const auto& prev = it->second[k - 1];
-        const auto& next = it->second[k];
-        if (prev == next || !prev.hasOwner() || !next.hasOwner()) continue;
+    // The communication the plan runs entering phase k. A redistribution
+    // hands the new owner the old owner's copy; one skipped because its
+    // values are dead leaves stale copies that a read would expose.
+    for (const auto& arr : program.arrays()) {
+      if (redistributes(program, plan, arr.name, k)) {
+        const auto& prev = plan.data.at(arr.name)[k - 1];
+        const auto& next = plan.data.at(arr.name)[k];
         auto& st = state.at(arr.name);
         for (std::int64_t a = 0; a < st.size; ++a) {
           const std::int64_t src = prev.owner(a, H);
@@ -77,13 +73,7 @@ DataFlowReport validateDataFlow(const ir::Program& program, const ir::Bindings& 
               st.local[static_cast<std::size_t>(src)][static_cast<std::size_t>(a)];
         }
       }
-    }
-
-    // Frontier refreshes: mirror the simulator's charging rule (reads with a
-    // halo on an array written elsewhere).
-    for (const auto& arr : program.arrays()) {
-      if (!phase.reads(arr.name) || phase.isPrivatized(arr.name)) continue;
-      refreshHalos(arr.name, k);
+      if (frontierRefresh(program, params, plan, arr.name, k)) refreshHalos(arr.name, k);
     }
 
     const IterationDistribution& sched = plan.iteration[k];
@@ -155,6 +145,46 @@ std::int64_t PhaseCounts::remote() const {
   return n;
 }
 
+ArrayCounts ObservedTrace::totals() const {
+  ArrayCounts t;
+  for (const auto& p : phases) {
+    for (const auto& [_, c] : p.arrays) {
+      t.local += c.local;
+      t.remote += c.remote;
+      t.remoteBytes += c.remoteBytes;
+    }
+  }
+  return t;
+}
+
+std::int64_t ObservedTrace::wordsMoved(bool frontier) const {
+  std::int64_t n = 0;
+  for (const auto& r : redistributions) n += r.frontier == frontier ? r.wordsMoved : 0;
+  return n;
+}
+
+double ObservedTrace::localFraction() const {
+  const ArrayCounts t = totals();
+  const auto total = t.local + t.remote;
+  return total == 0 ? 1.0 : static_cast<double>(t.local) / static_cast<double>(total);
+}
+
+std::string ObservedTrace::str() const {
+  std::ostringstream os;
+  for (const auto& p : phases) {
+    os << "  " << p.phase << ":";
+    for (const auto& [array, c] : p.arrays) {
+      os << " " << array << "(local=" << c.local << ",remote=" << c.remote << ")";
+    }
+    os << "\n";
+  }
+  for (const auto& r : redistributions) {
+    os << "  " << (r.frontier ? "frontier " : "redistribute ") << r.array << " before phase "
+       << r.beforePhase + 1 << ": words=" << r.wordsMoved << " msgs=" << r.messages << "\n";
+  }
+  return os.str();
+}
+
 std::string LocalityValidationReport::str() const {
   std::ostringstream os;
   for (const auto& e : edges) {
@@ -222,9 +252,8 @@ LocalityValidationReport validateLocality(const lcg::LCG& lcg, const ExecutionPl
           const std::int64_t size =
               program.array(g.array).size.evaluate(params).asInteger();
           std::int64_t moved = 0;
-          for (std::int64_t a = 0; a < size; ++a) {
-            if (last.owner(a, processors) != first.owner(a, processors)) ++moved;
-          }
+          std::int64_t messages = 0;
+          countRedistribution(last, first, size, processors, moved, messages);
           (isFolded(last) || isFolded(first) ? ob.storageWords
                                              : ob.redistributedWords) += moved;
         }

@@ -47,8 +47,7 @@ struct DataFlowReport {
 // Theorem 1/2 validation against a measured access trace.
 // ---------------------------------------------------------------------------
 
-/// Local/remote tallies of one array in one phase, as measured by the trace
-/// simulator (sim::simulateTrace).
+/// Local/remote tallies of one array in one phase.
 struct ArrayCounts {
   std::int64_t local = 0;
   std::int64_t remote = 0;
@@ -63,13 +62,22 @@ struct PhaseCounts {
   [[nodiscard]] std::int64_t remote() const;
 };
 
-/// Everything a trace simulation measured: per-phase/per-array counts plus
-/// the communication events (global redistributions and frontier refreshes).
-/// RedistributionStats::time is left 0 here — the trace counts events; model
-/// cycles are dsm::simulate's job.
+/// Everything an oracle observed (dsm::observedTrace builds it for both):
+/// per-phase/per-array counts plus the communication events (global
+/// redistributions and frontier refreshes). RedistributionStats::time is
+/// left 0 here — the oracles count events; model cycles are dsm::simulate's
+/// job.
 struct ObservedTrace {
   std::vector<PhaseCounts> phases;  ///< one per program phase
   std::vector<RedistributionStats> redistributions;
+
+  /// Whole-run totals over every phase and array.
+  [[nodiscard]] ArrayCounts totals() const;
+  /// Words moved by frontier refreshes (`frontier`) or global redistributions.
+  [[nodiscard]] std::int64_t wordsMoved(bool frontier) const;
+  [[nodiscard]] double localFraction() const;
+  /// One line per phase with each array's counts, then one per event.
+  [[nodiscard]] std::string str() const;
 };
 
 /// One non-uncoupled LCG edge checked against the trace.

@@ -33,7 +33,7 @@ double imbalanceCost(std::int64_t trip, std::int64_t chunk, std::int64_t process
   const double busiest = static_cast<double>(busiestIterations(trip, chunk, processors));
   const double fair = static_cast<double>(trip) / static_cast<double>(processors);
   const double excess = std::max(0.0, busiest - fair);
-  return excess * accessesPerIter * cp.workPerAccess;
+  return excess * accessesPerIter * cp.localAccess;
 }
 
 double redistributionCost(std::int64_t volume, std::int64_t processors, const CostParams& cp) {
@@ -43,12 +43,6 @@ double redistributionCost(std::int64_t volume, std::int64_t processors, const Co
   const double messages = static_cast<double>(processors - 1);
   const double words = static_cast<double>(volume) / static_cast<double>(processors);
   return messages * cp.putLatency + words * cp.perWord;
-}
-
-double frontierCost(std::int64_t overlap, std::int64_t processors, const CostParams& cp) {
-  // One boundary exchange with each neighbour: 2 messages of `overlap` words.
-  static_cast<void>(processors);
-  return 2.0 * cp.putLatency + 2.0 * static_cast<double>(overlap) * cp.perWord;
 }
 
 }  // namespace ad::ilp

@@ -8,20 +8,21 @@
 //   - C^kg(p): communication cost of a C edge leaving phase k — aggregated
 //     one-sided puts (H*(H-1) messages after message aggregation) plus a
 //     volume term proportional to the moved region.
-// Both are in abstract "cycles"; the DSM simulator uses the same parameters,
+//   - the frontier term of an overlap node (ilp::Model) prices
+//     dsm::refreshTraffic with MachineParams::transferTime, as the cost model
+//     charges the refresh.
+// All are in abstract "cycles" from one parameter set, dsm::MachineParams,
 // so ILP decisions and simulated outcomes are consistent.
 #pragma once
 
 #include <cstdint>
 
+#include "dsm/machine.hpp"
+
 namespace ad::ilp {
 
-struct CostParams {
-  double workPerAccess = 1.0;    ///< cycles per array access executed locally
-  double putLatency = 200.0;     ///< cycles per aggregated put message
-  double perWord = 4.0;          ///< cycles per word moved
-  double remoteAccess = 100.0;   ///< extra cycles per un-aggregated remote access
-};
+/// The machine's cost ratios; localAccess is the work of one local access.
+using CostParams = dsm::MachineParams;
 
 /// Iterations executed by the busiest processor under CYCLIC(chunk)
 /// scheduling of `trip` iterations over `processors`.
@@ -36,9 +37,5 @@ struct CostParams {
 /// C^kg: aggregated redistribution of `volume` words among `processors`.
 [[nodiscard]] double redistributionCost(std::int64_t volume, std::int64_t processors,
                                         const CostParams& cp);
-
-/// Frontier update of `overlap` words per processor boundary.
-[[nodiscard]] double frontierCost(std::int64_t overlap, std::int64_t processors,
-                                  const CostParams& cp);
 
 }  // namespace ad::ilp

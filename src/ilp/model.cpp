@@ -40,6 +40,7 @@ Model buildModel(const lcg::LCG& lcg, const std::map<sym::SymbolId, std::int64_t
   Model m;
   m.processors_ = processors;
   m.cp_ = cp;
+  m.cp_.processors = processors;  // transfers are priced on the model's machine
 
   const ir::Program& prog = lcg.program();
 
@@ -333,11 +334,9 @@ Solution Model::solve() const {
         for (std::size_t mi = 0; mi < members.size(); ++mi) {
           if (members[mi] == fc.var) chunk = vals[mi];
         }
-        const std::int64_t block = std::max<std::int64_t>(1, fc.slope * chunk);
-        const std::int64_t boundaries = std::max<std::int64_t>(0, ceilDiv(fc.arraySize, block) - 1);
-        cost += (2.0 * static_cast<double>(boundaries) * cp_.putLatency +
-                 2.0 * static_cast<double>(boundaries * fc.halo) * cp_.perWord) /
-                static_cast<double>(processors_);
+        const dsm::RedistributionStats refresh = dsm::refreshTraffic(
+            fc.arraySize, std::max<std::int64_t>(1, fc.slope * chunk), fc.halo);
+        cost += cp_.transferTime(refresh.messages, refresh.wordsMoved);
       }
       if (!found || cost < bestCost) {
         found = true;

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "support/budget.hpp"
@@ -11,40 +9,9 @@
 
 namespace ad::loc {
 
-double SymbolicCounts::localFraction() const {
-  std::int64_t local = 0;
-  std::int64_t remote = 0;
-  for (const auto& p : observed.phases) {
-    local += p.local();
-    remote += p.remote();
-  }
-  const auto total = local + remote;
-  return total == 0 ? 1.0 : static_cast<double>(local) / static_cast<double>(total);
-}
-
-std::string SymbolicCounts::str() const {
-  std::ostringstream os;
-  os << "symval: H=" << processors << " accesses=" << totalAccesses
-     << " local_fraction=" << localFraction() << " regions(closed-form=" << closedFormRegions
-     << ", enumerated=" << enumeratedRegions << ")\n";
-  for (const auto& p : observed.phases) {
-    os << "  " << p.phase << ":";
-    for (const auto& [array, c] : p.arrays) {
-      os << " " << array << "(local=" << c.local << ",remote=" << c.remote << ")";
-    }
-    os << "\n";
-  }
-  for (const auto& r : observed.redistributions) {
-    os << "  " << (r.frontier ? "frontier " : "redistribute ") << r.array << " before phase "
-       << r.beforePhase + 1 << ": words=" << r.wordsMoved << " msgs=" << r.messages << "\n";
-  }
-  return os.str();
-}
-
 dsm::CountOptions countOptions(const SymvalOptions& opts) {
   dsm::CountOptions counting;
   counting.processors = opts.processors;
-  counting.chargeBudget = true;
   counting.forceFallback = [] { return AD_FAULT_POINT("symval.region"); };
   return counting;
 }
@@ -61,43 +28,21 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const dsm::PlanCounts& 
   const auto start = std::chrono::steady_clock::now();
   SymbolicCounts result;
   result.processors = processors;
-  // Global redistributions go after all frontier events: the trace
-  // simulator pushes frontiers during each phase's preparation and globals
-  // after the replay, so they group that way in its output.
-  std::vector<dsm::RedistributionStats> globals;
-  dsm::ArrayCounts traffic;  // whole-run totals, for the ad.symval.* counters
-  std::int64_t redistWords = 0;
-  std::int64_t frontierWords = 0;
-  for (std::size_t k = 0; k < program.phases().size(); ++k) {
-    const ir::Phase& phase = program.phase(k);
-    obs::Span phaseSpan("symval.phase:" + phase.name(), "symval");
-    const dsm::PhaseCommunication& comm = counts.communication[k];
-    for (const auto& rs : comm.frontier) frontierWords += rs.wordsMoved;
-    for (const auto& rs : comm.global) redistWords += rs.wordsMoved;
-    result.observed.redistributions.insert(result.observed.redistributions.end(),
-                                           comm.frontier.begin(), comm.frontier.end());
-    globals.insert(globals.end(), comm.global.begin(), comm.global.end());
-
-    // Closed-form access counting; an array whose region fell back to
-    // enumeration is still exact, but the run is marked degraded.
+  result.observed = dsm::observedTrace(program, counts);
+  // An array whose region fell back to enumeration is still exact, but the
+  // run is marked degraded.
+  for (std::size_t k = 0; k < counts.tallies.size(); ++k) {
     const dsm::PhaseTally& tally = counts.tallies[k];
     result.closedFormRegions += tally.closedFormRefs;
     result.enumeratedRegions += tally.enumeratedRefs();
-    dsm::PhaseCounts pc;
-    pc.phase = phase.name();
     for (const auto& a : tally.arrays) {
-      if (!a.fallbackCause.empty()) {
-        support::recordDegradation("symval.region", "phase=" + phase.name() + " array=" + a.array,
-                                   "enumerated trace oracle", a.fallbackCause);
-      }
-      pc.arrays.emplace(a.array, a.counts);
-      traffic.local += a.counts.local;
-      traffic.remote += a.counts.remote;
-      traffic.remoteBytes += a.counts.remoteBytes;
+      if (a.fallbackCause.empty()) continue;
+      support::recordDegradation("symval.region",
+                                 "phase=" + program.phase(k).name() + " array=" + a.array,
+                                 "enumerated trace oracle", a.fallbackCause);
     }
-    result.observed.phases.push_back(std::move(pc));
   }
-  for (auto& rs : globals) result.observed.redistributions.push_back(std::move(rs));
+  const dsm::ArrayCounts traffic = result.observed.totals();
   result.totalAccesses = traffic.local + traffic.remote;
   result.wallSeconds =
       counts.wallSeconds +
@@ -109,8 +54,8 @@ SymbolicCounts symbolicTrace(const ir::Program& program, const dsm::PlanCounts& 
   reg.counter("ad.symval.remote_bytes").add(traffic.remoteBytes);
   reg.counter("ad.symval.regions_closed_form").add(result.closedFormRegions);
   reg.counter("ad.symval.regions_enumerated").add(result.enumeratedRegions);
-  reg.counter("ad.symval.redistributed_words").add(redistWords);
-  reg.counter("ad.symval.frontier_words").add(frontierWords);
+  reg.counter("ad.symval.redistributed_words").add(result.observed.wordsMoved(false));
+  reg.counter("ad.symval.frontier_words").add(result.observed.wordsMoved(true));
   return result;
 }
 

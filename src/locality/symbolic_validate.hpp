@@ -9,18 +9,21 @@
 // processor-locality interval sets, so the per-(phase, array) local/remote
 // counts and the redistribution word/message counts cost O(descriptor
 // regions), independent of the iteration counts being validated. This
-// module adds the validator's policy: it charges the request budget, and it
-// reports a region that fell back to enumeration as a degradation.
+// module adds the validator's policy: it arms the "symval.region" fault
+// point, and it reports a region that fell back to enumeration as a
+// degradation. Like the cost model, it never charges the request's prover
+// budget; cancellation and the deadline still stop it.
 //
-// The output is an dsm::ObservedTrace that must be *identical* — field for
-// field, ordering included — to sim::simulateTrace's on the same inputs;
-// `--validate=both` and the differential tests enforce exactly that.
+// Both oracles build their dsm::ObservedTrace with dsm::observedTrace, and
+// the two must be *identical* — field for field, ordering included — on the
+// same inputs; `--validate=both` and the differential tests enforce exactly
+// that.
 //
 // Degradation ladder: a region the algebra cannot collapse (non-affine
-// residue after numeric expansion, cap or budget exhaustion, or an injected
-// "symval.region" fault) falls back to the enumerating oracle for that
-// (phase, array) only — the counts stay exact, the run is marked degraded
-// via support::recordDegradation.
+// residue after numeric expansion or a cap: cause "unknown-region") or an
+// injected "symval.region" fault (cause "fault") falls back to the
+// enumerating oracle for that (phase, array) only — the counts stay exact,
+// the run is marked degraded via support::recordDegradation.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +49,6 @@ struct SymbolicCounts {
   double wallSeconds = 0.0;  ///< host time, counting pass included
   std::int64_t closedFormRegions = 0;  ///< (phase, ref) regions counted algebraically
   std::int64_t enumeratedRegions = 0;  ///< regions that fell back to enumeration
-
-  [[nodiscard]] double localFraction() const;
-  [[nodiscard]] std::string str() const;
 };
 
 /// Computes the plan's observed trace in closed form. Throws
@@ -59,8 +59,8 @@ struct SymbolicCounts {
                                            const dsm::ExecutionPlan& plan,
                                            const SymvalOptions& opts = {});
 
-/// The counting options the validator runs with: budget charged, and the
-/// "symval.region" fault point checked once per reference.
+/// The counting options the validator runs with: the "symval.region" fault
+/// point checked once per reference.
 [[nodiscard]] dsm::CountOptions countOptions(const SymvalOptions& opts);
 
 /// symbolicTrace() from counts already taken with countOptions() at

@@ -2,8 +2,9 @@
 //
 // dsm::simulate() charges model cycles from closed-form access counts; this
 // module instead replays every access and tallies what the paper's Theorems
-// 1 and 2 predict: per-phase, per-array local vs. remote access counts and
-// remote bytes moved, and the words and messages of every redistribution.
+// 1 and 2 predict: per-phase, per-array, per-processor local vs. remote
+// access counts, and the words and messages of every redistribution. It
+// reports them as a dsm::PlanCounts, the shape the closed form reports.
 //
 // The replay is serial. Each phase's access stream is walked once
 // (ir::forEachAccess, which steps linear subscripts instead of evaluating
@@ -12,15 +13,17 @@
 // plan's BLOCK-CYCLIC(b) owner maps. Redistributions entering a phase are
 // counted element by element against those owner maps, so this oracle stays
 // independent of the owner-run counting core that the closed-form validator
-// (loc::symbolicTrace) shares with the cost model.
+// (loc::symbolicTrace) shares with the cost model. Which communication a
+// plan runs is decided by dsm::redistributes and dsm::frontierRefresh, as
+// everywhere else.
 //
 // The result feeds dsm::validateLocality(), which compares the observed
 // communication against the LCG's Theorem-1/2 edge labels.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
+#include "dsm/access_count.hpp"
 #include "dsm/validate.hpp"
 
 namespace ad::sim {
@@ -30,16 +33,15 @@ struct SimOptions {
 };
 
 struct TraceResult {
-  dsm::ObservedTrace observed;      ///< per-phase/per-array counts + comm events
+  dsm::ObservedTrace observed;      ///< dsm::observedTrace(program, counts)
   std::int64_t processors = 1;      ///< simulated PEs
   std::int64_t totalAccesses = 0;
   double wallSeconds = 0.0;         ///< host wall time of the replay
+  dsm::PlanCounts counts;           ///< per (phase, array, processor) tallies + comm events
 
   [[nodiscard]] double accessesPerSecond() const {
     return wallSeconds > 0.0 ? static_cast<double>(totalAccesses) / wallSeconds : 0.0;
   }
-  [[nodiscard]] double localFraction() const;
-  [[nodiscard]] std::string str() const;
 };
 
 /// Replays `program` under `plan` on opts.processors simulated PEs. The plan

@@ -412,12 +412,13 @@ std::shared_ptr<ProofMemoContext> ProofMemo::context(const Assumptions& a) {
   const std::uint64_t h = detail::degenerateHashForced() ? 0 : key.hash;
   const bool profiled = obs::profiler().enabled();
   obs::ShardLock lock(mu_, obs::ShardFamily::kMemoRegistry, 0);
+  std::vector<Entry>& bucket = buckets_[h];
   std::size_t steps = 0;
-  for (Entry& entry : entries_) {
+  for (Entry& entry : bucket) {
     ++steps;
-    // Hash first: the exact-serialization compare runs only within a hash
-    // match, so a hit costs one string compare and zero allocations.
-    if (entry.hash == h && entry.key == key.text) {
+    // Only entries of the same hash: a hit costs one string compare and zero
+    // allocations.
+    if (entry.key == key.text) {
       if (profiled) {
         obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, 0);
         stats.hits.fetch_add(1, std::memory_order_relaxed);
@@ -426,8 +427,8 @@ std::shared_ptr<ProofMemoContext> ProofMemo::context(const Assumptions& a) {
       return entry.ctx;
     }
   }
-  entries_.push_back(Entry{
-      h, key.text, std::make_shared<ProofMemoContext>(static_cast<std::size_t>(h % kContextRows))});
+  bucket.push_back(
+      Entry{key.text, std::make_shared<ProofMemoContext>(static_cast<std::size_t>(h % kContextRows))});
   if (profiled) {
     obs::ShardStats& stats = obs::profiler().shard(obs::ShardFamily::kMemoRegistry, 0);
     stats.misses.fetch_add(1, std::memory_order_relaxed);
@@ -435,7 +436,7 @@ std::shared_ptr<ProofMemoContext> ProofMemo::context(const Assumptions& a) {
   }
   static obs::Gauge& contexts = obs::metrics().gauge("ad.intern.contexts");
   contexts.set(contextCount_.fetch_add(1, std::memory_order_relaxed) + 1);
-  return entries_.back().ctx;
+  return bucket.back().ctx;
 }
 
 ProofMemo::Stats ProofMemo::stats() const {
@@ -449,7 +450,7 @@ ProofMemo::Stats ProofMemo::stats() const {
 void ProofMemo::clear() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
+    buckets_.clear();
   }
   contextCount_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);

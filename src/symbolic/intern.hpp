@@ -50,6 +50,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "symbolic/ranges.hpp"
@@ -315,16 +316,16 @@ class ProofMemo {
   /// Rows of profiler family "memo.context" that contexts spread over.
   static constexpr std::size_t kContextRows = 32;
   struct Entry {
-    std::uint64_t hash = 0;
     std::string key;
     std::shared_ptr<ProofMemoContext> ctx;
   };
-  // One lock over one list: the probe is per RangeAnalyzer *construction*,
+  // One lock over one table: the probe is per RangeAnalyzer *construction*,
   // not per query (about 600 on analysis_scaling's jobs=8 leg, a median of
-  // 4 of them contended; docs/PERF.md). Scanned linearly, comparing the
-  // cached hash first and the exact serialization only within a hash match.
+  // 4 of them contended; docs/PERF.md). Keyed by the cached hash; the exact
+  // serialization is compared only within a bucket, so a long-lived server's
+  // thousands of contexts cost a hit one compare.
   std::mutex mu_;
-  std::vector<Entry> entries_;
+  std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
   std::atomic<std::int64_t> contextCount_{0};
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};

@@ -50,7 +50,12 @@ TEST(RangesFacts, SignApi) {
 
 TEST(CostModel, FrontierAndRedistributionMonotonicity) {
   ilp::CostParams cp;
-  EXPECT_LT(ilp::frontierCost(1, 8, cp), ilp::frontierCost(100, 8, cp));
+  // A wider halo refreshes more words at the same boundaries.
+  const auto refresh = [&cp](std::int64_t halo) {
+    const dsm::RedistributionStats t = dsm::refreshTraffic(1 << 10, 16, halo);
+    return cp.transferTime(t.messages, t.wordsMoved);
+  };
+  EXPECT_LT(refresh(1), refresh(100));
   // Larger machines split the redistribution volume further.
   EXPECT_GT(ilp::redistributionCost(1 << 16, 4, cp), ilp::redistributionCost(1 << 16, 64, cp));
   // Imbalance grows with trip remainder.

@@ -174,17 +174,18 @@ void expectSameLedger(const driver::PipelineResult& got, const driver::PipelineR
 }
 
 TEST(SharedCount, BudgetExhaustedMidCountMatchesSeparatePasses) {
+  // Counting never charges the prover budget: a request takes the same steps
+  // with or without the count, and a budget that runs out before the count
+  // leaves it closed form, in the shared pass and the validator's own alike.
   const ir::Program prog = codes::makeTFFT2();
   const ir::Bindings params = codes::bindParams(prog, {{"P", 16}, {"Q", 16}});
   driver::PipelineConfig shared = sharedConfig(params, 8);
-  // The parent's second pass: the validator alone, charging the budget after
-  // the same front half (the cost model's own pass never charged it).
   driver::PipelineConfig symvalOnly = shared;
   symvalOnly.simulatePlan = false;
   driver::PipelineConfig frontOnly = symvalOnly;
   frontOnly.validate = driver::ValidateMode::kNone;
 
-  // Steps of the front half and of the count, on warm proof memos.
+  // Steps of each request, on warm proof memos.
   (void)driver::analyzeAndSimulate(prog, symvalOnly);
   const auto stepsOf = [&](const driver::PipelineConfig& config) {
     support::Budget budget(support::BudgetLimits{});
@@ -193,23 +194,26 @@ TEST(SharedCount, BudgetExhaustedMidCountMatchesSeparatePasses) {
     return budget.stepsUsed();
   };
   const std::int64_t front = stepsOf(frontOnly);
-  const std::int64_t count = stepsOf(symvalOnly) - front;
-  ASSERT_GT(count, 2);
-  shared.budget.proverSteps = symvalOnly.budget.proverSteps = front + count / 2;
+  ASSERT_GT(front, 2);
+  EXPECT_EQ(stepsOf(symvalOnly), front);
+  EXPECT_EQ(stepsOf(shared), front);
+  shared.budget.proverSteps = symvalOnly.budget.proverSteps = front / 2;
 
   const auto one = driver::analyzeAndSimulate(prog, shared);
   const auto two = driver::analyzeAndSimulate(prog, symvalOnly);
   ASSERT_TRUE(one.symbolic && two.symbolic);
-  EXPECT_GT(one.symbolic->closedFormRegions, 0) << "the budget must last into the count";
-  EXPECT_GT(one.symbolic->enumeratedRegions, 0) << "and run out inside it";
-  expectSameCounts(*one.symbolic, *two.symbolic, "mid-count exhaustion");
+  EXPECT_EQ(one.symbolic->enumeratedRegions, 0);
+  expectSameCounts(*one.symbolic, *two.symbolic, "exhausted budget");
   expectSameLedger(one, two);
   ASSERT_FALSE(one.degradation.empty());
-  EXPECT_EQ(one.degradation.back().cause, "budget.steps");
+  for (const auto& event : one.degradation) {
+    EXPECT_EQ(event.cause, "budget.steps") << event.str();
+    EXPECT_NE(event.stage, "symval.region") << event.str();
+  }
   dsm::MachineParams machine;
   machine.processors = 8;
   expectSameResult(one.planned, dsm::simulate(prog, params, machine, one.plan),
-                   "mid-count exhaustion", 17);
+                   "exhausted budget", 17);
 }
 
 class SharedCountFault : public ::testing::Test {
@@ -289,15 +293,12 @@ TEST(CostModel, MatchesEnumerationOnTheNSweepRequests) {
 
 // --- The counting core against the access-by-access tallies -----------------
 
-/// `closedForm`: no reference of `got` may have fallen back to enumeration.
+/// No reference of `got` may have fallen back to enumeration.
 void expectSameTallies(const std::vector<dsm::PhaseTally>& got,
-                       const std::vector<dsm::PhaseTally>& want, const std::string& what,
-                       bool closedForm = true) {
+                       const std::vector<dsm::PhaseTally>& want, const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t k = 0; k < want.size(); ++k) {
-    if (closedForm) {
-      EXPECT_EQ(got[k].enumeratedRefs(), 0) << what << " phase " << k << " fell back";
-    }
+    EXPECT_EQ(got[k].enumeratedRefs(), 0) << what << " phase " << k << " fell back";
     ASSERT_EQ(got[k].arrays.size(), want[k].arrays.size()) << what << " phase " << k;
     for (std::size_t i = 0; i < want[k].arrays.size(); ++i) {
       const dsm::ArrayTally& g = got[k].arrays[i];
@@ -443,19 +444,17 @@ TEST(CountingCore, WideTailOverALargeFoldStaysBoundedUnderASmallBudget) {
   expectSameTallies(tallies, want, "wide tail");
   EXPECT_EQ(runs, kFold);
 
-  // A small budget stops the count within its steps; the enumeration keeps
-  // the tallies exact.
+  // Counting never charges the prover budget: under a small one the loop is
+  // still counted in closed form, with the same runs.
   {
     support::BudgetLimits limits;
     limits.proverSteps = 50;
     support::Budget budget(limits);
     support::BudgetScope scope(&budget);
-    options.chargeBudget = true;
     const auto [starved, starvedRuns] = countWithRuns(prog, {}, plan, options);
-    options.chargeBudget = false;
-    expectSameTallies(starved, want, "wide tail, small budget", false);
-    EXPECT_EQ(starved[0].arrays[0].fallbackCause, "budget.steps");
-    EXPECT_LT(starvedRuns, 50);
+    expectSameTallies(starved, want, "wide tail, small budget");
+    EXPECT_EQ(starvedRuns, kFold);
+    EXPECT_EQ(budget.stepsUsed(), 0);
   }
   // A fired cancellation token stops a large one within one poll period.
   const auto [large, largePlan] = foldedSweep(1 << 20, (1 << 19) + 2, 1 << 16, 1 << 20);

@@ -189,20 +189,6 @@ TEST(CommSchedule, MessagesAreAggregatedPerPair) {
   EXPECT_NE(sched.str().find("put"), std::string::npos);
 }
 
-TEST(CommSchedule, FrontierUpdatesBlockBoundaries) {
-  const auto d = DataDistribution::blockCyclic(10);
-  const auto sched = comm::generateFrontier("A", 100, d, 2, 4);
-  // 9 interior boundaries, each with a 2-element overlap region.
-  EXPECT_EQ(sched.totalWords(), 9 * 2);
-  for (const auto& m : sched.messages()) {
-    EXPECT_NE(m.src, m.dst);
-    for (const auto& r : sched.ranges(m)) {
-      EXPECT_EQ(r.begin % 10, 0);  // overlap regions start at block starts
-      EXPECT_LE(r.words(), 2);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Run-based generation and verification vs the element-wise reference
 // ---------------------------------------------------------------------------
@@ -277,7 +263,6 @@ std::vector<comm::Message> toMessages(const comm::CommSchedule& schedule) {
 /// Same messages, in the same order, with the same ranges.
 void expectSameSchedule(const comm::CommSchedule& got, const comm::CommSchedule& want,
                         const std::string& what) {
-  ASSERT_EQ(got.pattern(), want.pattern()) << what;
   ASSERT_EQ(got.messageCount(), want.messageCount()) << what;
   for (std::size_t i = 0; i < want.messageCount(); ++i) {
     const auto& g = got.messages()[i];
@@ -329,14 +314,6 @@ TEST(CommSchedule, PairTableBuildersMatchElementwiseReferenceUpToH1024) {
       expectSameSchedule(got, reference::generateGlobal("X", size, from, to, H), what);
       EXPECT_TRUE(comm::verifiesRedistribution(got, size, from, to, H)) << what;
     }
-    for (const DataDistribution& dist : {cyclic, block, DataDistribution::blockCyclic(3)}) {
-      for (const std::int64_t overlap : {std::int64_t{1}, dist.block + 1}) {
-        const std::string what = "frontier " + describe(dist) + " overlap=" +
-                                 std::to_string(overlap) + " H=" + std::to_string(H);
-        expectSameSchedule(comm::generateFrontier("X", size, dist, overlap, H),
-                           reference::generateFrontier("X", size, dist, overlap, H), what);
-      }
-    }
   }
 }
 
@@ -349,7 +326,7 @@ int expectVerdict(bool accepted, std::vector<comm::Message> messages, std::int64
                   const std::string& what) {
   for (const bool reversed : {false, true}) {
     if (reversed) std::reverse(messages.begin(), messages.end());
-    const comm::CommSchedule schedule("X", comm::Pattern::kGlobal, messages);
+    const comm::CommSchedule schedule("X", messages);
     const std::string how = what + (reversed ? " (reversed)" : "");
     EXPECT_EQ(reference::verifiesRedistribution(schedule, size, from, to, H), accepted) << how;
     EXPECT_EQ(comm::verifiesRedistribution(schedule, size, from, to, H), accepted) << how;
@@ -533,7 +510,6 @@ TEST(CommSchedule, LongWalksPollCancellationAndDeadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     support::BudgetScope scope(&budget);
     EXPECT_THROW((void)comm::generateGlobal("X", size, from, to, 4), DeadlineError);
-    EXPECT_THROW((void)comm::generateFrontier("X", size, from, 1, 4), DeadlineError);
   }
 }
 

@@ -249,22 +249,8 @@ TEST(IlpEdge, StorageBoundEmptiesRangeGracefully) {
 }
 
 // ---------------------------------------------------------------------------
-// Frontier generation corners
+// Communication schedule corners
 // ---------------------------------------------------------------------------
-
-TEST(CommEdge, FrontierWithSingleProcessorIsEmpty) {
-  const auto d = dsm::DataDistribution::blockCyclic(8);
-  const auto sched = comm::generateFrontier("A", 64, d, 2, 1);
-  EXPECT_EQ(sched.totalWords(), 0);  // every block has the same owner
-}
-
-TEST(CommEdge, FrontierOverlapCappedByArrayEnd) {
-  const auto d = dsm::DataDistribution::blockCyclic(8);
-  // Array of 12 elements: one interior boundary at 8, overlap width 10 is
-  // capped at the array end (4 elements available).
-  const auto sched = comm::generateFrontier("A", 12, d, 10, 4);
-  EXPECT_EQ(sched.totalWords(), 4);
-}
 
 TEST(CommEdge, ScheduleTimeReflectsBusiestSource) {
   const auto from = dsm::DataDistribution::blockCyclic(4);

@@ -31,7 +31,10 @@ TEST(CostModel, ImbalanceCostZeroWhenDivisible) {
 TEST(CostModel, RedistributionScalesWithVolume) {
   CostParams cp;
   EXPECT_LT(redistributionCost(100, 8, cp), redistributionCost(10000, 8, cp));
-  EXPECT_GT(frontierCost(4, 8, cp), 0.0);
+  const dsm::RedistributionStats refresh = dsm::refreshTraffic(100, 10, 4);
+  EXPECT_EQ(refresh.messages, 2 * 9);  // both directions at 9 interior boundaries
+  EXPECT_EQ(refresh.wordsMoved, 2 * 9 * 4);
+  EXPECT_GT(cp.transferTime(refresh.messages, refresh.wordsMoved), 0.0);
 }
 
 class Tfft2Ilp : public ::testing::Test {

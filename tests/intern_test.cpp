@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "obs/profiler.hpp"
 #include "support/budget.hpp"
 #include "symbolic/intern.hpp"
 #include "symbolic/ranges.hpp"
@@ -147,6 +148,36 @@ TEST_F(InternTest, ClearDropsProofMemoContexts) {
   ExprIntern::global().clear();
   EXPECT_EQ(sym::ProofMemo::global().stats().contexts, 0);
   EXPECT_EQ(ExprIntern::global().size(), 0u);
+}
+
+TEST_F(InternTest, RegistryHitOnTheNewestOfManyContextsProbesOneBucket) {
+  // The registry is keyed by each context's cached hash, so a hit compares
+  // only the entries of its own bucket, however many contexts a long-lived
+  // server has made (a list scan would step through all of them).
+  constexpr std::int64_t kContexts = 1000;
+  sym::SymbolTable st;
+  const auto p = st.parameter("P");
+  sym::ProofMemo& memo = sym::ProofMemo::global();
+  const auto assumptionsFor = [&](std::int64_t k) {
+    sym::Assumptions a(st);
+    a.setRange(p, c(1), c(k + 1));
+    return a;
+  };
+  for (std::int64_t k = 0; k < kContexts; ++k) (void)memo.context(assumptionsFor(k));
+  ASSERT_EQ(memo.stats().contexts, kContexts);
+
+  obs::Profiler& profiler = obs::profiler();
+  profiler.reset();
+  profiler.enable();
+  const auto newest = memo.context(assumptionsFor(kContexts - 1));
+  profiler.disable();
+  const obs::ShardStats& registry = profiler.shard(obs::ShardFamily::kMemoRegistry, 0);
+  EXPECT_EQ(registry.hits.load(), 1);
+  EXPECT_EQ(registry.misses.load(), 0);
+  EXPECT_LE(registry.probeSteps.load(), 2);
+  EXPECT_EQ(memo.stats().contexts, kContexts);
+  EXPECT_EQ(newest, memo.context(assumptionsFor(kContexts - 1)));
+  profiler.reset();
 }
 
 TEST_F(InternTest, DegenerateHashCollapsesButPreservesIdentity) {

@@ -303,14 +303,14 @@ std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program, const ir:
 
 namespace {
 
-/// (src, dst, sort key, element) moves -> one message per (src, dst) pair, in
-/// pair order, each element a one-word range coalesced with a touching
+/// (src, dst, element) moves -> one message per (src, dst) pair, in pair
+/// order, each element a one-word range coalesced with a touching
 /// predecessor.
 std::vector<comm::Message> coalesce(
-    std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>> moves) {
+    std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves) {
   std::sort(moves.begin(), moves.end());
   std::vector<comm::Message> messages;
-  for (const auto& [src, dst, key, addr] : moves) {
+  for (const auto& [src, dst, addr] : moves) {
     if (messages.empty() || messages.back().src != src || messages.back().dst != dst) {
       messages.push_back(comm::Message{src, dst, {}});
     }
@@ -329,31 +329,13 @@ std::vector<comm::Message> coalesce(
 comm::CommSchedule generateGlobal(const std::string& array, std::int64_t size,
                                   const dsm::DataDistribution& from,
                                   const dsm::DataDistribution& to, std::int64_t processors) {
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>> moves;
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> moves;
   for (std::int64_t a = 0; a < size; ++a) {
     const std::int64_t src = from.owner(a, processors);
     const std::int64_t dst = to.owner(a, processors);
-    if (src != dst) moves.emplace_back(src, dst, a, a);
+    if (src != dst) moves.emplace_back(src, dst, a);
   }
-  return comm::CommSchedule(array, comm::Pattern::kGlobal, coalesce(std::move(moves)));
-}
-
-comm::CommSchedule generateFrontier(const std::string& array, std::int64_t size,
-                                    const dsm::DataDistribution& dist, std::int64_t overlap,
-                                    std::int64_t processors) {
-  // Keyed by boundary first: with overlap > block the regions of successive
-  // boundaries overlap, and each stays its own range.
-  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>> moves;
-  for (std::int64_t b = 1; b < size; ++b) {
-    if (b % dist.block != 0) continue;  // not a block start
-    const std::int64_t src = dist.owner(b, processors);
-    const std::int64_t dst = dist.owner(b - 1, processors);
-    if (src == dst) continue;
-    for (std::int64_t a = b; a < std::min(size, b + overlap); ++a) {
-      moves.emplace_back(src, dst, b, a);
-    }
-  }
-  return comm::CommSchedule(array, comm::Pattern::kFrontier, coalesce(std::move(moves)));
+  return comm::CommSchedule(array, coalesce(std::move(moves)));
 }
 
 bool verifiesRedistribution(const comm::CommSchedule& schedule, std::int64_t size,

@@ -1,8 +1,7 @@
 // Element-enumerating reference oracles, and the sort-based Expr kernels.
 //
 // dsm::simulate counts accesses from arithmetic progressions,
-// comm::generateGlobal / verifiesRedistribution walk owner runs,
-// comm::generateFrontier steps block boundaries, and
+// comm::generateGlobal / verifiesRedistribution walk owner runs, and
 // ir::forEachAccess steps linear subscripts along the innermost loop. The
 // functions here do the same work the obvious way — one access, one element
 // at a time, every subscript evaluated — and exist only so the tests can
@@ -64,12 +63,6 @@ void forEachAccess(const ir::Program& program, const ir::Phase& phase,
                                                 const dsm::DataDistribution& from,
                                                 const dsm::DataDistribution& to,
                                                 std::int64_t processors);
-
-/// Every element of every refreshed overlap region, boundary by boundary,
-/// sorted and coalesced.
-[[nodiscard]] comm::CommSchedule generateFrontier(const std::string& array, std::int64_t size,
-                                                  const dsm::DataDistribution& dist,
-                                                  std::int64_t overlap, std::int64_t processors);
 
 /// Checks every element of every range, then per-element coverage.
 [[nodiscard]] bool verifiesRedistribution(const comm::CommSchedule& schedule, std::int64_t size,

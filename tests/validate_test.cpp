@@ -106,5 +106,49 @@ TEST(ValidateDataFlow, FrontierRefreshKeepsStencilHalosFresh) {
   EXPECT_GT(report.readsChecked, 0);
 }
 
+TEST(ValidateDataFlow, SkippedRedistributionIntoAPartialWriterIsCaught) {
+  // A redistribution whose next user only writes is skipped (dead values are
+  // re-allocated, not copied) on the assumption that the writer produces the
+  // whole array. This one writes half of it, so the other half is stale at
+  // its new owners, and the later full read must expose that: the validator
+  // copies only what dsm::redistributes admits.
+  ir::Program prog;
+  const auto c = [](std::int64_t v) { return sym::Expr::constant(v); };
+  prog.declareArray("A", c(8));
+  prog.declareArray("B", c(8));
+  {
+    ir::PhaseBuilder b(prog, "init");
+    b.doall("i", c(0), c(7));
+    b.write("A", b.idx("i"));
+    b.commit();
+  }
+  {
+    ir::PhaseBuilder b(prog, "partial");
+    b.doall("i", c(0), c(3));
+    b.write("A", b.idx("i"));
+    b.commit();
+  }
+  {
+    ir::PhaseBuilder b(prog, "use");
+    b.doall("i", c(0), c(7));
+    b.read("A", b.idx("i"));
+    b.write("B", b.idx("i"));
+    b.commit();
+  }
+  prog.validate();
+
+  ExecutionPlan plan = ExecutionPlan::naiveBlock(prog, {}, 2);
+  // BLOCK for init, CYCLIC(1) from the partial writer on, scheduled to match.
+  plan.data["A"] = {DataDistribution::blockCyclic(4), DataDistribution::blockCyclic(1),
+                    DataDistribution::blockCyclic(1)};
+  plan.data["B"].assign(3, DataDistribution::blockCyclic(1));
+  plan.iteration = {IterationDistribution{4}, IterationDistribution{1}, IterationDistribution{1}};
+  ASSERT_FALSE(redistributes(prog, plan, "A", 1));
+  const auto report = validateDataFlow(prog, {}, plan, 2);
+  // A(5) and A(7) move from PE 1 to PE 1 (fresh); A(4) and A(6) from PE 1 to
+  // PE 0, which never received them.
+  EXPECT_EQ(report.staleReads, 2);
+}
+
 }  // namespace
 }  // namespace ad::dsm
