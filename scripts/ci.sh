@@ -68,7 +68,9 @@ asan() {
   # dsm_test drives the flat comm schedules' offsets and the H x H pair
   # tables up to H = 1024; cost_model_test and symval_test drive the
   # counting core's mirror-segment and rotated-set offsets and the
-  # progression counts on checked 64-bit values.
+  # progression counts on checked 64-bit values; walker_test and sim_test
+  # drive the run walker's lowered addresses and the trace replay's owner
+  # tables.
   echo "=== asan: robustness tests under ASan+UBSan ==="
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -76,7 +78,7 @@ asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   local tests=(status_test fault_test cli_test parser_fuzz_test \
                degradation_test thread_pool_test frontend_test service_test \
-               expr_test dsm_test cost_model_test symval_test)
+               expr_test dsm_test cost_model_test symval_test walker_test sim_test)
   cmake --build build-asan -j "$jobs" --target "${tests[@]}"
   for t in "${tests[@]}"; do
     ./build-asan/tests/"$t"
@@ -177,6 +179,13 @@ symval() {
   # pass per plan, and the scale bench must hold its <100 ms bound at P=64
   # while emitting BENCH_symval.json, whose schema is validated here.
   echo "=== symval: symbolic-vs-trace differential + scale bench ==="
+  # The counting core is checked against the trace replay, so the replay
+  # (src/sim/) must not use the core's owner-run or locality-set machinery:
+  # a bug there would reach both oracles and the differential would agree.
+  if grep -rnwE 'forEachOwnerRun|OwnerCursor|LocalSets|PeriodicIntervalSet|countResiduesIn' src/sim/; then
+    echo "src/sim/ names counting-core machinery (above): the trace oracle must stay independent"
+    exit 1
+  fi
   cmake -B build -S .
   cmake --build build -j "$jobs" --target symval_test symbolic_validation tfft2_pipeline
   ./build/tests/symval_test

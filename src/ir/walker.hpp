@@ -1,30 +1,29 @@
 // Concrete iteration-space walking.
 //
 // Given numeric bindings for the program parameters, these helpers execute a
-// phase's loop nest exactly as written (including non-rectangular bounds) and
-// report every array access. They are the *ground truth* that descriptor
-// predictions are validated against in the property tests, the access
-// stream the serial trace replay classifies, and the closed-form counting
-// core's exact fallback.
+// phase's loop nest exactly as written (including non-rectangular bounds):
+// the access stream the trace replay classifies and the counting core's
+// exact fallback, checked against tests/reference_oracles.hpp's walk.
 //
-// forEachAccess is strength-reduced: a subscript that is a*i + b in the
-// innermost index i is evaluated once per innermost run and then stepped by
-// `a`. Subscripts that are not linear in i, or whose stride is not an
-// integer, are evaluated at every access. At the end of every run of two or
-// more iterations, each stepped address is compared with a full evaluation,
-// so a wrong stride is caught there, after the run's accesses have been
-// delivered.
+// forEachRun is the one core. Once per call it lowers every loop bound and
+// subscript to an int64 affine form over the loop indices (parameters
+// substituted, integer coefficients, checked arithmetic); each innermost run
+// then gives, per ref, a start address and a step. An expression that does
+// not lower (a loop index in a pow2 exponent, a fractional coefficient) is
+// evaluated with evalInt: once per run when it is linear in the innermost
+// index with an integral stride, else at every access, the run then going
+// one iteration at a time. Before a run of two or more iterations is
+// delivered, each ref's last address is compared with evalInt's.
+// forEachAccess expands the runs access by access.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "ir/ir.hpp"
-#include "support/checked_int.hpp"
 
 namespace ad::ir {
 
@@ -37,34 +36,61 @@ struct ConcreteAccess {
   std::int64_t parallelIter = 0;  ///< value of the parallel loop index (0 if none)
 };
 
-/// Calls `fn` once per iteration of the phase's full loop nest, innermost
-/// last, passing the complete index bindings (parameters + loop indices).
-/// Loop bounds are evaluated on the fly, so triangular/coupled nests work.
-/// Throws AnalysisError if a bound or subscript does not evaluate to an
-/// integer.
-void forEachIteration(const Program& program, const Phase& phase, const Bindings& params,
-                      const std::function<void(const Bindings&)>& fn);
+/// One ref's addresses over a run: start, start + step, start + 2*step, ...
+struct RefRun {
+  const ArrayRef* ref = nullptr;
+  std::int64_t start = 0;
+  std::int64_t step = 0;
+};
+
+/// `count` consecutive iterations of a phase's innermost loop, from index
+/// value `first`; at each of them every ref of `refs` is accessed, in order.
+/// A phase without loops is one run of one iteration.
+struct AccessRun {
+  std::int64_t first = 0;         ///< innermost index at the first iteration
+  std::int64_t count = 0;         ///< iterations, >= 1
+  std::int64_t parallelIter = 0;  ///< the DOALL index when the DOALL encloses the run (0 if none)
+  bool parallelIsInner = false;   ///< the DOALL is the run's own loop
+  /// All of the phase's refs in textual order; a prefix only in the
+  /// one-iteration run delivered just before the walk throws at the next ref.
+  std::span<const RefRun> refs;
+
+  /// The parallel iteration that executes iteration `t` of the run.
+  [[nodiscard]] std::int64_t parallelIterAt(std::int64_t t) const {
+    return parallelIsInner ? first + t : parallelIter;
+  }
+};
+
+/// Called once per run, with every loop index bound (the innermost at
+/// `run.first`); the callee may rebind only the innermost index.
+using RunFn = std::function<void(const AccessRun&, Bindings&)>;
+
+/// Calls `fn` for every innermost run of the phase's nest, in execution
+/// order. A bound or subscript that is not an integer throws AnalysisError
+/// at its access, after the accesses before it were delivered; so does a
+/// run whose last address differs from its evaluation ("... diverged").
+void forEachRun(const Program& program, const Phase& phase, const Bindings& params,
+                const RunFn& fn);
 
 /// Calls `fn(const ConcreteAccess&, const Bindings&)` for every array access
 /// of the phase in execution order: iteration by iteration, the phase's refs
-/// in textual order. Throws AnalysisError ("subscript is not integral") at
-/// the first access whose subscript is not an integer. Defined below.
+/// in textual order, with every loop index bound. Throws as forEachRun does.
 template <typename Fn>
-void forEachAccess(const Program& program, const Phase& phase, const Bindings& params, Fn&& fn);
-
-/// All distinct addresses of `array` touched by the phase (any access kind).
-[[nodiscard]] std::vector<std::int64_t> touchedAddresses(const Program& program,
-                                                         const Phase& phase,
-                                                         const std::string& array,
-                                                         const Bindings& params);
-
-/// All distinct addresses of `array` touched by the single parallel iteration
-/// `iter` of the phase (phase must have a parallel loop).
-[[nodiscard]] std::vector<std::int64_t> touchedAddressesInIteration(const Program& program,
-                                                                    const Phase& phase,
-                                                                    const std::string& array,
-                                                                    const Bindings& params,
-                                                                    std::int64_t iter);
+void forEachAccess(const Program& program, const Phase& phase, const Bindings& params, Fn&& fn) {
+  ConcreteAccess acc;
+  forEachRun(program, phase, params, [&](const AccessRun& run, Bindings& b) {
+    std::int64_t* index = phase.loops().empty() ? nullptr : &b.at(phase.loops().back().index);
+    for (std::int64_t t = 0; t < run.count; ++t) {
+      if (index != nullptr) *index = run.first + t;
+      acc.parallelIter = run.parallelIterAt(t);
+      for (const RefRun& r : run.refs) {
+        acc.ref = r.ref;
+        acc.address = r.start + r.step * t;
+        fn(std::as_const(acc), std::as_const(b));
+      }
+    }
+  });
+}
 
 /// `e` evaluated under `bindings`; throws AnalysisError ("<what> is not
 /// integral") when the value is not an integer.
@@ -74,109 +100,5 @@ void forEachAccess(const Program& program, const Phase& phase, const Bindings& p
 /// Number of iterations of the phase's parallel loop (its trip count) under
 /// the given parameter bindings; 1 when the phase has no parallel loop.
 [[nodiscard]] std::int64_t parallelTripCount(const Phase& phase, const Bindings& params);
-
-namespace detail {
-
-/// Walks loops [depth, stop) of the nest, binding each index in `b`, and
-/// calls `fn(b)` once per iteration of loop stop - 1 (once, if depth == stop).
-template <typename Fn>
-void walkLoops(const Phase& phase, Bindings& b, std::size_t depth, std::size_t stop, Fn& fn) {
-  if (depth == stop) {
-    fn(b);
-    return;
-  }
-  const Loop& l = phase.loops()[depth];
-  const std::int64_t lo = evalInt(l.lower, b, "loop lower bound");
-  const std::int64_t hi = evalInt(l.upper, b, "loop upper bound");
-  for (std::int64_t v = lo; v <= hi; ++v) {
-    b[l.index] = v;
-    walkLoops(phase, b, depth + 1, stop, fn);
-  }
-  b.erase(l.index);
-}
-
-/// The per-ref addresses of one innermost run of forEachAccess. A subscript
-/// that is a*i + b in the innermost index i, with `a` an integer under the
-/// run's bindings, is evaluated at the run's first iteration and then
-/// stepped by `a`; any other subscript is evaluated at every access.
-class AccessStepper {
- public:
-  explicit AccessStepper(const Phase& phase);
-
-  /// The address of ref `r` at the run's first iteration.
-  std::int64_t first(std::size_t r, const Bindings& b) {
-    return slots_[r].addr = evalInt((*refs_)[r].subscript, b, "subscript");
-  }
-  /// After the first iteration of a run that has more: fixes each stride.
-  void beginSteps(const Bindings& b);
-  /// The address of ref `r` at the next iteration. An overflowing step
-  /// falls back to the full evaluation, which then fails exactly as an
-  /// unstepped walk would.
-  std::int64_t next(std::size_t r, const Bindings& b) {
-    Slot& s = slots_[r];
-    if (s.stepped) {
-      if (const auto n = tryAdd(s.addr, s.step)) return s.addr = *n;
-    }
-    return first(r, b);
-  }
-  /// At the last iteration of a run of two or more: throws AnalysisError
-  /// when a stepped address differs from the evaluated subscript. Only the
-  /// run's last address is compared, after all of them were delivered.
-  void checkSteps(const Bindings& b) const;
-
- private:
-  struct Slot {
-    std::int64_t addr = 0;  ///< the ref's address at the current iteration
-    std::int64_t step = 0;
-    bool stepped = false;   ///< this run steps the address by `step`
-  };
-  const std::vector<ArrayRef>* refs_;
-  std::vector<std::optional<sym::Expr>> stride_;  ///< a, when linear in i
-  std::vector<Slot> slots_;
-};
-
-}  // namespace detail
-
-template <typename Fn>
-void forEachAccess(const Program& program, const Phase& phase, const Bindings& params, Fn&& fn) {
-  (void)program;
-  const std::vector<ArrayRef>& refs = phase.refs();
-  const std::vector<Loop>& loops = phase.loops();
-  Bindings b = params;
-  ConcreteAccess acc;
-  if (loops.empty()) {
-    for (const auto& r : refs) {
-      acc.ref = &r;
-      acc.address = evalInt(r.subscript, b, "subscript");
-      fn(std::as_const(acc), std::as_const(b));
-    }
-    return;
-  }
-  const Loop& inner = loops.back();
-  const bool hasPar = phase.hasParallelLoop();
-  const bool parIsInner = hasPar && phase.parallelLoopPos() + 1 == loops.size();
-  detail::AccessStepper stepper(phase);
-  const std::size_t nrefs = refs.size();
-  auto run = [&](Bindings& outer) {
-    const std::int64_t lo = evalInt(inner.lower, outer, "loop lower bound");
-    const std::int64_t hi = evalInt(inner.upper, outer, "loop upper bound");
-    if (lo > hi) return;
-    std::int64_t& v = outer[inner.index];
-    if (hasPar && !parIsInner) acc.parallelIter = outer.at(phase.parallelLoop().index);
-    for (v = lo;; ++v) {
-      if (parIsInner) acc.parallelIter = v;
-      for (std::size_t r = 0; r < nrefs; ++r) {
-        acc.ref = &refs[r];
-        acc.address = v == lo ? stepper.first(r, outer) : stepper.next(r, outer);
-        fn(std::as_const(acc), std::as_const(outer));
-      }
-      if (v == hi) break;
-      if (v == lo) stepper.beginSteps(outer);
-    }
-    if (hi > lo) stepper.checkSteps(outer);
-    outer.erase(inner.index);
-  };
-  detail::walkLoops(phase, b, 0, loops.size() - 1, run);
-}
 
 }  // namespace ad::ir

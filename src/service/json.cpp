@@ -64,14 +64,6 @@ std::int64_t Value::asInt(std::int64_t fallback) const noexcept {
   return kind == Kind::kInt ? integer : fallback;
 }
 
-bool Value::asBool(bool fallback) const noexcept {
-  return kind == Kind::kBool ? boolean : fallback;
-}
-
-const std::string& Value::asString(const std::string& fallback) const noexcept {
-  return kind == Kind::kString ? str : fallback;
-}
-
 std::string quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

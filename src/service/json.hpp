@@ -69,8 +69,6 @@ class Value {
 
   // Typed accessors: the value if it has exactly that kind, else fallback.
   [[nodiscard]] std::int64_t asInt(std::int64_t fallback = 0) const noexcept;
-  [[nodiscard]] bool asBool(bool fallback = false) const noexcept;
-  [[nodiscard]] const std::string& asString(const std::string& fallback) const noexcept;
 
   /// Compact serialization (no whitespace); object members in stored order,
   /// strings escaped per RFC 8259 (control characters as \u00XX).

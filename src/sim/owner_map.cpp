@@ -1,5 +1,7 @@
 #include "sim/owner_map.hpp"
 
+#include <algorithm>
+
 #include "support/budget.hpp"
 #include "support/diagnostics.hpp"
 
@@ -12,9 +14,12 @@ OwnerMap::OwnerMap(const dsm::DataDistribution& dist, std::int64_t size, std::in
   if (!dist_.hasOwner()) return;
   owners_.resize(static_cast<std::size_t>(size));
   support::ExpiryPoll poll;
-  for (std::int64_t a = 0; a < size; ++a) {
-    poll.tick();
-    owners_[static_cast<std::size_t>(a)] = static_cast<std::int32_t>(dist_.owner(a, processors));
+  for (std::int64_t a = 0; a < size;) {
+    const std::int64_t end = std::min(size, dist_.ownerRunEnd(a));
+    poll.tick(static_cast<std::uint64_t>(end - a));
+    std::fill(owners_.begin() + a, owners_.begin() + end,
+              static_cast<std::int32_t>(dist_.owner(a, processors)));
+    a = end;
   }
 }
 

@@ -2,9 +2,9 @@
 //
 // The trace replay classifies every access, so the owner of an address must
 // be a load, not a divide chain (and for the folded "reverse" distribution,
-// not a mod + min + divide chain). An OwnerMap materializes
-// dsm::DataDistribution::owner() over a whole array once per replay; the
-// construction polls cancellation and the deadline like the replay itself.
+// not a mod + min + divide chain). An OwnerMap materializes owner() over a
+// whole array once per replay, one call per constant-owner run (ownerRunEnd);
+// the construction polls cancellation and the deadline like the replay.
 #pragma once
 
 #include <cstdint>

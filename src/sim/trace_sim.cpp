@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -19,6 +18,8 @@ namespace ad::sim {
 namespace {
 
 using ir::evalInt;
+
+constexpr std::int64_t kPollEvery = 4096;  ///< accesses per deadline/cancel poll
 
 /// How one reference's accesses are classified, resolved once per phase so
 /// the per-access hot path is a table lookup.
@@ -98,8 +99,9 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
       if (rs.wordsMoved > 0) counts.communication[k].global.push_back(std::move(rs));
     }
 
-    // The phase's accesses: one walk, each access charged to the processor
-    // that executes its parallel iteration (processor 0 without a DOALL).
+    // The phase's accesses: one walk of its runs, each access charged to the
+    // processor that executes its parallel iteration (processor 0 without a
+    // DOALL) and classified against the owner table.
     obs::Span phaseSpan("sim.phase:" + phase.name(), "sim");
     std::vector<RefSlot> refs;
     std::vector<dsm::ArrayTally>& arrays = counts.tallies[k].arrays;
@@ -133,22 +135,31 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
     cells.assign(static_cast<std::size_t>(H) * slots, dsm::ArrayCounts{});
     const dsm::IterationDistribution& sched = plan.iteration[k];
     const bool hasPar = phase.hasParallelLoop();
-    std::int64_t pe = 0;
-    std::int64_t peIter = std::numeric_limits<std::int64_t>::min();
-    ir::forEachAccess(program, phase, params,
-                      [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-                        poll.tick();
-                        if (hasPar && acc.parallelIter != peIter) {
-                          peIter = acc.parallelIter;
-                          pe = sched.executor(peIter, H);
-                        }
-                        const RefSlot& rs =
-                            refs[static_cast<std::size_t>(acc.ref - phase.refs().data())];
-                        dsm::ArrayCounts& c = cells[static_cast<std::size_t>(pe) * slots + rs.slot];
-                        const bool local = rs.owners == nullptr ||
-                                           rs.owners->isLocal(acc.address, pe, rs.halo);
-                        ++(local ? c.local : c.remote);
-                      });
+    ir::forEachRun(program, phase, params, [&](const ir::AccessRun& run, const ir::Bindings&) {
+      // Pieces of at most kPollEvery accesses run by one processor: the DOALL
+      // encloses the run, or a piece stays in one CYCLIC(chunk) block of it.
+      const auto nrefs = static_cast<std::int64_t>(std::max<std::size_t>(1, run.refs.size()));
+      for (std::int64_t t = 0, n = 0; t < run.count; t += n) {
+        n = std::min(run.count - t, std::max<std::int64_t>(1, kPollEvery / nrefs));
+        const std::int64_t iter = run.parallelIterAt(t);
+        const std::int64_t pe = hasPar ? sched.executor(iter, H) : 0;
+        if (run.parallelIsInner) n = std::min(n, sched.chunk - iter % sched.chunk);
+        poll.tick(static_cast<std::uint64_t>(n * nrefs));
+        for (const ir::RefRun& r : run.refs) {
+          const RefSlot& rs = refs[static_cast<std::size_t>(r.ref - phase.refs().data())];
+          dsm::ArrayCounts& c = cells[static_cast<std::size_t>(pe) * slots + rs.slot];
+          std::int64_t local = n;
+          if (rs.owners != nullptr) {
+            local = 0;
+            for (std::int64_t i = t; i < t + n; ++i) {
+              local += rs.owners->isLocal(r.start + r.step * i, pe, rs.halo) ? 1 : 0;
+            }
+          }
+          c.local += local;
+          c.remote += n - local;
+        }
+      }
+    });
 
     // The phase's tallies in the counting core's shape, and the
     // per-processor distributions.

@@ -6,16 +6,16 @@
 // access counts, and the words and messages of every redistribution. It
 // reports them as a dsm::PlanCounts, the shape the closed form reports.
 //
-// The replay is serial. Each phase's access stream is walked once
-// (ir::forEachAccess, which steps linear subscripts instead of evaluating
-// them); every access is charged to the processor that executes its parallel
-// iteration under the plan's CYCLIC(p_k) schedule and classified against the
-// plan's BLOCK-CYCLIC(b) owner maps. Redistributions entering a phase are
-// counted element by element against those owner maps, so this oracle stays
-// independent of the owner-run counting core that the closed-form validator
-// (loc::symbolicTrace) shares with the cost model. Which communication a
-// plan runs is decided by dsm::redistributes and dsm::frontierRefresh, as
-// everywhere else.
+// The replay is serial. Each phase is walked once as innermost runs
+// (ir::forEachRun: per ref a start address and a step); every access is
+// charged to the processor that executes its parallel iteration under the
+// plan's CYCLIC(p_k) schedule and classified against the plan's
+// BLOCK-CYCLIC(b) owner maps, one loop of table loads per (ref, run).
+// Redistributions entering a phase are counted element by element against
+// those owner maps, so this oracle stays independent of the owner-run
+// counting core that loc::symbolicTrace shares with the cost model
+// (scripts/ci.sh symval fails if src/sim/ names it). Which communication a
+// plan runs is decided by dsm::redistributes and dsm::frontierRefresh.
 //
 // The result feeds dsm::validateLocality(), which compares the observed
 // communication against the LCG's Theorem-1/2 edge labels.

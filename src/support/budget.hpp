@@ -174,16 +174,18 @@ void throwIfCancelled();
 /// request still ends near its deadline.
 void throwIfExpired();
 
-/// Calls throwIfExpired() once every 4096 calls: the poll for loops whose
-/// single iteration is too cheap to pay a clock read.
+/// Calls throwIfExpired() whenever the ticks cross a multiple of 4096: the
+/// poll for loops whose single iteration is too cheap to pay a clock read.
 class ExpiryPoll {
  public:
-  void tick() {
-    if ((++calls_ & 0xFFF) == 0) throwIfExpired();
+  void tick(std::uint64_t n = 1) {
+    const std::uint64_t before = calls_;
+    calls_ += n;
+    if (((before ^ calls_) >> 12) != 0) throwIfExpired();
   }
 
  private:
-  std::uint32_t calls_ = 0;
+  std::uint64_t calls_ = 0;
 };
 
 // ---------------------------------------------------------------------------

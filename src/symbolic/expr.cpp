@@ -62,16 +62,6 @@ const std::string& SymbolTable::pow2ParamName(SymbolId id) const {
   return infos_[id].pow2ParamName;
 }
 
-std::optional<SymbolId> SymbolTable::log2SymbolOf(const std::string& name) const {
-  if (auto it = byName_.find(name); it != byName_.end()) {
-    if (infos_[it->second].kind == SymbolKind::kLog2Parameter &&
-        infos_[it->second].pow2ParamName == name) {
-      return it->second;
-    }
-  }
-  return std::nullopt;
-}
-
 Expr makeSymbolExpr(SymbolTable& table, const std::string& name, bool internIfMissing) {
   if (auto id = table.lookup(name)) {
     if (table.kind(*id) == SymbolKind::kLog2Parameter && table.pow2ParamName(*id) == name) {

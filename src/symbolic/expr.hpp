@@ -69,8 +69,6 @@ class SymbolTable {
   /// For a log2 symbol, the name of the pow2 parameter it represents (e.g.
   /// "P" for p); empty if none.
   [[nodiscard]] const std::string& pow2ParamName(SymbolId id) const;
-  /// If `name` was declared via pow2Parameter, its log symbol.
-  [[nodiscard]] std::optional<SymbolId> log2SymbolOf(const std::string& name) const;
   [[nodiscard]] std::size_t size() const noexcept { return infos_.size(); }
 
  private:

@@ -8,6 +8,7 @@
 #include "codes/tfft2.hpp"
 #include "driver/pipeline.hpp"
 #include "lcg/lcg.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad::codes {
 namespace {
@@ -135,7 +136,7 @@ TEST(Trfd, TriangularNestsAnalyzeConservatively) {
   const auto info = loc::analyzePhaseArray(prog, 0, "XIJ");
   const auto& phase = prog.phase(0);
   for (std::int64_t i = 0; i < ir::parallelTripCount(phase, params); ++i) {
-    const auto truth = ir::touchedAddressesInIteration(prog, phase, "XIJ", params, i);
+    const auto truth = reference::touchedAddressesInIteration(prog, phase, "XIJ", params, i);
     const auto predicted = info.id.addressesAt(i, params);
     const std::set<std::int64_t> predSet(predicted.begin(), predicted.end());
     for (const auto a : truth) EXPECT_TRUE(predSet.count(a)) << "i=" << i << " a=" << a;
@@ -192,7 +193,7 @@ TEST(Matmul, TiledSubscriptsCoalesceButForceRedistribution) {
   const auto& gemm = prog.phase(1);
   const auto infoA = loc::analyzePhaseArray(prog, 1, "A");
   for (std::int64_t ti = 0; ti < ir::parallelTripCount(gemm, params); ++ti) {
-    const auto truth = ir::touchedAddressesInIteration(prog, gemm, "A", params, ti);
+    const auto truth = reference::touchedAddressesInIteration(prog, gemm, "A", params, ti);
     const auto predicted = infoA.id.addressesAt(ti, params);
     const std::set<std::int64_t> predSet(predicted.begin(), predicted.end());
     for (const auto a : truth) EXPECT_TRUE(predSet.count(a)) << "ti=" << ti << " a=" << a;

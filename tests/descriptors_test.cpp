@@ -10,6 +10,7 @@
 #include "descriptors/phase_descriptor.hpp"
 #include "ir/walker.hpp"
 #include "support/diagnostics.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad::desc {
 namespace {
@@ -279,7 +280,7 @@ TEST_P(DescriptorSoundness, IDCoversWalkerAddresses) {
       const std::int64_t trips = ir::parallelTripCount(phase, params);
       for (std::int64_t i = 0; i < trips; ++i) {
         const auto truth =
-            ir::touchedAddressesInIteration(prog, phase, arrName, params, i);
+            reference::touchedAddressesInIteration(prog, phase, arrName, params, i);
         const auto predicted = id.addressesAt(i, params);
         const std::set<std::int64_t> predSet(predicted.begin(), predicted.end());
         for (std::int64_t a : truth) {
@@ -311,7 +312,7 @@ TEST(DescriptorExactness, F3PredictionsAreExact) {
     const auto id = buildIterationDescriptor(pd);
     for (std::int64_t i = 0; i < ir::parallelTripCount(phase, params); ++i) {
       EXPECT_EQ(id.addressesAt(i, params),
-                ir::touchedAddressesInIteration(prog, phase, "X", params, i));
+                reference::touchedAddressesInIteration(prog, phase, "X", params, i));
     }
   }
 }

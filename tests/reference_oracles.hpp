@@ -2,7 +2,8 @@
 //
 // dsm::simulate counts accesses from arithmetic progressions,
 // comm::generateGlobal / verifiesRedistribution walk owner runs, and
-// ir::forEachAccess steps linear subscripts along the innermost loop. The
+// ir::forEachRun lowers subscripts to integers and steps them along the
+// innermost loop. The
 // functions here do the same work the obvious way — one access, one element
 // at a time, every subscript evaluated — and exist only so the tests can
 // compare the two field by field.
@@ -21,6 +22,7 @@
 #include "comm/schedule.hpp"
 #include "dsm/access_count.hpp"
 #include "dsm/machine.hpp"
+#include "ir/walker.hpp"
 #include "symbolic/expr.hpp"
 
 namespace ad::reference {
@@ -34,12 +36,32 @@ namespace ad::reference {
 [[nodiscard]] sym::Expr substitute(const sym::Expr& e,
                                    const std::map<sym::SymbolId, sym::Expr>& bindings);
 
-/// ir::forEachAccess without strength reduction: walks the nest with
-/// ir::forEachIteration and evaluates every subscript with Expr::evaluate at
+/// Calls `fn` once per iteration of the phase's full loop nest, innermost
+/// last, passing the complete index bindings (parameters + loop indices).
+/// Loop bounds are evaluated on the fly, so triangular/coupled nests work.
+/// Throws AnalysisError if a bound does not evaluate to an integer.
+void forEachIteration(const ir::Program& program, const ir::Phase& phase,
+                      const ir::Bindings& params,
+                      const std::function<void(const ir::Bindings&)>& fn);
+
+/// ir::forEachAccess without runs or lowering: walks the nest with
+/// forEachIteration and evaluates every subscript with Expr::evaluate at
 /// every access.
 void forEachAccess(const ir::Program& program, const ir::Phase& phase,
                    const ir::Bindings& params,
                    const std::function<void(const ir::ConcreteAccess&, const ir::Bindings&)>& fn);
+
+/// All distinct addresses of `array` touched by the phase (any access kind).
+[[nodiscard]] std::vector<std::int64_t> touchedAddresses(const ir::Program& program,
+                                                         const ir::Phase& phase,
+                                                         const std::string& array,
+                                                         const ir::Bindings& params);
+
+/// All distinct addresses of `array` touched by the single parallel iteration
+/// `iter` of the phase (phase must have a parallel loop).
+[[nodiscard]] std::vector<std::int64_t> touchedAddressesInIteration(
+    const ir::Program& program, const ir::Phase& phase, const std::string& array,
+    const ir::Bindings& params, std::int64_t iter);
 
 /// Replays every access of `program` under `plan` and charges it with
 /// `machine`: per phase, global redistributions (element by element), then

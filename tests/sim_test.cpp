@@ -279,17 +279,38 @@ TEST(ValidateLocality, CEdgesOfTFFT2CarryObservedCommunication) {
 }
 
 TEST(OwnerMap, MatchesArithmeticOwnersIncludingFoldedForm) {
-  const std::int64_t H = 3;
-  const dsm::DataDistribution folded = dsm::DataDistribution::foldedBlockCyclic(4, 32);
-  const OwnerMap map(folded, 70, H);
-  ASSERT_TRUE(map.hasOwner());
-  for (std::int64_t a = 0; a < 90; ++a) {  // past size(): arithmetic fallback
-    EXPECT_EQ(map.owner(a), folded.owner(a, H)) << "addr " << a;
-  }
-  for (std::int64_t a = 0; a < 70; ++a) {
-    for (std::int64_t pe = 0; pe < H; ++pe) {
-      EXPECT_EQ(map.isLocal(a, pe, 1), folded.isLocal(a, pe, H, 1))
-          << "addr " << a << " pe " << pe;
+  // The table is filled one constant-owner run (ownerRunEnd) at a time, so a
+  // wrong run end would show here as a wrong owner.
+  const struct {
+    dsm::DataDistribution dist;
+    std::int64_t size;
+    std::int64_t processors;
+  } cases[] = {
+      {dsm::DataDistribution::foldedBlockCyclic(4, 32), 70, 3},
+      {dsm::DataDistribution::blockCyclic(1), 70, 3},    // BLOCK-CYCLIC(1)
+      {dsm::DataDistribution::blockCyclic(8), 70, 3},    // 8 does not divide 70
+      {dsm::DataDistribution::blockCyclic(100), 70, 3},  // one block past the end
+      {dsm::DataDistribution::blockCyclic(4), 70, 1},    // H = 1
+      {dsm::DataDistribution::foldedBlockCyclic(3, 20), 45, 1},
+      {dsm::DataDistribution::replicated(), 70, 3},      // no table
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const auto& k = cases[i];
+    const std::string label = "case " + std::to_string(i);
+    const OwnerMap map(k.dist, k.size, k.processors);
+    ASSERT_EQ(map.hasOwner(), k.dist.hasOwner()) << label;
+    if (map.hasOwner()) {
+      for (std::int64_t a = 0; a < k.size + 20; ++a) {  // past size(): arithmetic fallback
+        EXPECT_EQ(map.owner(a), k.dist.owner(a, k.processors)) << label << " addr " << a;
+      }
+    }
+    for (const std::int64_t halo : {0, 1, 3}) {
+      for (std::int64_t pe = 0; pe < k.processors; ++pe) {
+        for (std::int64_t a = 0; a < k.size; ++a) {
+          EXPECT_EQ(map.isLocal(a, pe, halo), k.dist.isLocal(a, pe, k.processors, halo))
+              << label << " addr " << a << " pe " << pe << " halo " << halo;
+        }
+      }
     }
   }
 }

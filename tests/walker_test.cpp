@@ -1,7 +1,9 @@
-// The strength-reduced access walker (ir::forEachAccess) against the
-// unstepped reference walk (reference::forEachAccess): both must report the
-// same access stream, element by element — ref, address, parallel iteration
-// and the index bindings — and fail at the same access.
+// The access walkers against the every-access reference walk
+// (reference::forEachAccess): ir::forEachAccess must report the same access
+// stream, element by element — ref, address, parallel iteration and the
+// index bindings — and fail at the same access; the runs of ir::forEachRun,
+// expanded access by access, must report the same ref, address and parallel
+// iteration, and fail at the same access.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "../bench/workload_gen.hpp"
 #include "codes/suite.hpp"
 #include "codes/tfft2.hpp"
+#include "frontend/parser.hpp"
 #include "ir/walker.hpp"
 #include "reference_oracles.hpp"
 #include "support/diagnostics.hpp"
@@ -31,15 +35,22 @@ struct Stream {
   std::string error;                ///< what() of the AnalysisError that ended the walk
 };
 
-enum class Walk { kStepped, kReference };
+/// kStepped: ir::forEachAccess. kRuns: ir::forEachRun's runs expanded
+/// access by access, without bindings. kReference: reference::forEachAccess;
+/// kReferenceNoBindings: the same without bindings, to compare with kRuns.
+enum class Walk { kStepped, kReference, kRuns, kReferenceNoBindings };
 
 Stream capture(Walk walk, const Program& prog, const Phase& phase, const Bindings& params) {
   Stream s;
-  const auto record = [&](const ConcreteAccess& a, const Bindings& b) {
+  const auto access = [&](const ArrayRef* ref, std::int64_t address, std::int64_t parallelIter) {
     s.starts.push_back(s.words.size());
-    s.words.push_back(a.ref - phase.refs().data());
-    s.words.push_back(a.address);
-    s.words.push_back(a.parallelIter);
+    s.words.push_back(ref - phase.refs().data());
+    s.words.push_back(address);
+    s.words.push_back(parallelIter);
+  };
+  const auto record = [&](const ConcreteAccess& a, const Bindings& b) {
+    access(a.ref, a.address, a.parallelIter);
+    if (walk == Walk::kReferenceNoBindings) return;
     for (const auto& [id, value] : b) {
       s.words.push_back(id);
       s.words.push_back(value);
@@ -48,6 +59,12 @@ Stream capture(Walk walk, const Program& prog, const Phase& phase, const Binding
   try {
     if (walk == Walk::kStepped) {
       forEachAccess(prog, phase, params, record);
+    } else if (walk == Walk::kRuns) {
+      forEachRun(prog, phase, params, [&](const AccessRun& run, Bindings&) {
+        for (std::int64_t t = 0; t < run.count; ++t) {
+          for (const RefRun& r : run.refs) access(r.ref, r.start + r.step * t, run.parallelIterAt(t));
+        }
+      });
     } else {
       reference::forEachAccess(prog, phase, params, record);
     }
@@ -57,14 +74,15 @@ Stream capture(Walk walk, const Program& prog, const Phase& phase, const Binding
   return s;
 }
 
-/// Expects the stepped walk of every phase to reproduce the reference walk.
-/// Returns the number of accesses compared.
+/// Expects `walk` (kStepped or kRuns) of every phase to reproduce the
+/// reference walk. Returns the number of accesses compared.
 std::size_t expectSameStreams(const Program& prog, const Bindings& params,
-                              const std::string& label) {
+                              const std::string& label, Walk walk = Walk::kStepped) {
   std::size_t compared = 0;
   for (const Phase& phase : prog.phases()) {
-    const Stream want = capture(Walk::kReference, prog, phase, params);
-    const Stream got = capture(Walk::kStepped, prog, phase, params);
+    const Stream want = capture(walk == Walk::kRuns ? Walk::kReferenceNoBindings : Walk::kReference,
+                                prog, phase, params);
+    const Stream got = capture(walk, prog, phase, params);
     EXPECT_EQ(got.error, want.error) << label << " phase " << phase.name();
     EXPECT_EQ(got.starts.size(), want.starts.size()) << label << " phase " << phase.name();
     if (got.words != want.words) {
@@ -203,6 +221,130 @@ TEST(StrengthReducedWalker, NonIntegralSubscriptFailsAtTheSameAccess) {
   EXPECT_EQ(capture(Walk::kStepped, prog, prog.phase(1), {}).starts.size(), 4u * 2u + 1u);
 }
 
+/// Runs of `walk` over every phase: (count, number of refs) of each.
+std::vector<std::pair<std::int64_t, std::size_t>> runShapes(const Program& prog,
+                                                            const Bindings& params) {
+  std::vector<std::pair<std::int64_t, std::size_t>> shapes;
+  for (const Phase& phase : prog.phases()) {
+    forEachRun(prog, phase, params, [&](const AccessRun& run, Bindings&) {
+      shapes.emplace_back(run.count, run.refs.size());
+    });
+  }
+  return shapes;
+}
+
+TEST(RunWalker, MatchesReferenceOnTheSuite) {
+  for (const auto& code : codes::benchmarkSuite()) {
+    const Program prog = code.build();
+    for (const auto* params : {&code.smallParams, &code.simParams}) {
+      const std::string label =
+          code.name + (params == &code.smallParams ? " smallParams" : " simParams");
+      EXPECT_GT(expectSameStreams(prog, codes::bindParams(prog, *params), label, Walk::kRuns), 0u)
+          << label;
+    }
+  }
+  const Program tfft2 = codes::makeTFFT2();
+  for (const std::int64_t p : {4, 32}) {
+    const std::int64_t q = 256 / p;
+    expectSameStreams(tfft2, codes::bindParams(tfft2, {{"P", p}, {"Q", q}}),
+                      "tfft2 P=" + std::to_string(p), Walk::kRuns);
+  }
+}
+
+TEST(RunWalker, MatchesReferenceOnGeneratedStencilsAndButterflies) {
+  // The six offset families lower completely: each run is a whole j row
+  // (N - 2 iterations) and carries every ref.
+  for (std::size_t family = 0; family < bench::offsetFamilies().size(); ++family) {
+    for (const std::size_t variant : {0u, 1u, 2u, 5u}) {
+      const Program prog = frontend::parseProgram(bench::generateStencilSource(family, variant));
+      const std::string label = bench::generatedLabel(family, variant);
+      for (const std::int64_t n : {3, 9}) {
+        const Bindings params = codes::bindParams(prog, {{"N", n}});
+        EXPECT_GT(expectSameStreams(prog, params, label, Walk::kRuns), 0u) << label;
+        for (const auto& [count, refs] : runShapes(prog, params)) {
+          EXPECT_EQ(count, n - 2) << label;
+          EXPECT_GE(refs, 2u) << label;
+        }
+      }
+    }
+  }
+  // The butterflies carry 2^(l-1) with the loop index l in the exponent:
+  // they do not lower and are stepped from evalInt once per j run.
+  for (std::size_t variant = 0; variant < bench::kPow2Variants; ++variant) {
+    const Program prog = frontend::parseProgram(bench::generatePow2Source(variant));
+    for (const std::int64_t n : {2, 8}) {
+      const Bindings params = codes::bindParams(prog, {{"N", n}});
+      EXPECT_GT(expectSameStreams(prog, params, bench::pow2Label(variant), Walk::kRuns), 0u);
+      for (const auto& shape : runShapes(prog, params)) EXPECT_EQ(shape.first, n);
+    }
+  }
+}
+
+TEST(RunWalker, MatchesReferenceOnEdgeNests) {
+  Program prog;
+  const Expr n = Expr::symbol(prog.symbols().parameter("N"));
+  prog.declareArray("A", n * n + c(8));
+  const Expr half = Expr::constant(Rational(1, 2));
+  {
+    // A fractional stride: A(i + j/2) is not integral at j = 1, the second
+    // iteration of every run; the first run's second access fails.
+    PhaseBuilder b(prog, "half_stride");
+    b.doall("i", c(0), n - c(1)).loop("j", c(0), n - c(1));
+    b.read("A", b.idx("i") + half * b.idx("j")).write("A", b.idx("i"));
+    b.commit();
+  }
+  {
+    // The DOALL is the innermost loop, under a sequential loop.
+    PhaseBuilder b(prog, "inner_doall");
+    b.loop("t", c(0), c(2)).doall("i", c(0), n - c(1));
+    b.read("A", n * b.idx("t") + b.idx("i")).write("A", b.idx("i") + c(1));
+    b.commit();
+  }
+  {
+    // The inner range is empty for every i.
+    PhaseBuilder b(prog, "empty_inner");
+    b.doall("i", c(0), n - c(1)).loop("j", n, n - c(1));
+    b.read("A", b.idx("i") + b.idx("j"));
+    b.commit();
+  }
+  {
+    // Triangular: do j = i, N.
+    PhaseBuilder b(prog, "triangular");
+    b.doall("i", c(0), n).loop("j", b.idx("i"), n);
+    b.read("A", n * b.idx("i") + b.idx("j")).write("A", n * b.idx("j") + b.idx("i"));
+    b.commit();
+  }
+  {
+    // Stride i/2: integral for even i, evaluated per access for odd i, where
+    // the second ref's second access, A(1/2) at i = 1, fails.
+    PhaseBuilder b(prog, "odd_stride");
+    b.doall("i", c(0), c(3)).loop("j", c(0), c(3));
+    b.read("A", b.idx("i") + b.idx("j")).read("A", half * b.idx("i") * b.idx("j"));
+    b.commit();
+  }
+  {
+    // Integral stride, fractional offset: the run's first access fails.
+    PhaseBuilder b(prog, "half_offset");
+    b.doall("i", c(0), c(3)).loop("j", c(0), c(3));
+    b.read("A", b.idx("j")).write("A", half * b.idx("i") + b.idx("j"));
+    b.commit();
+  }
+  prog.validate();
+  const sym::SymbolId nId = *prog.symbols().lookup("N");
+  for (const std::int64_t size : {1, 2, 5}) {
+    const std::string label = "N=" + std::to_string(size);
+    expectSameStreams(prog, {{nId, size}}, label, Walk::kRuns);
+    expectSameStreams(prog, {{nId, size}}, label);
+  }
+  const Bindings five = {{nId, 5}};
+  const Stream halfStride = capture(Walk::kRuns, prog, prog.phase(0), five);
+  EXPECT_EQ(halfStride.error, "subscript is not integral");
+  EXPECT_EQ(halfStride.starts.size(), 2u);  // A(0) A(0) at j = 0; A(1/2) throws
+  EXPECT_TRUE(capture(Walk::kRuns, prog, prog.phase(2), five).starts.empty());
+  EXPECT_EQ(capture(Walk::kRuns, prog, prog.phase(4), five).starts.size(), 4u * 2u + 2u + 1u);
+  EXPECT_EQ(capture(Walk::kRuns, prog, prog.phase(5), five).starts.size(), 4u * 2u + 1u);
+}
+
 /// The value of `e` under `b` as Expr::evaluate gives it: the integer, "not
 /// integral", or the message of what it threw.
 std::string evaluateOutcome(const Expr& e, const Bindings& b) {
@@ -250,7 +392,8 @@ TEST(EvalInt, AgreesWithEvaluateOnTheSuite) {
           exprs.push_back(l.upper);
         }
         std::size_t mismatches = 0;
-        forEachIteration(prog, phase, codes::bindParams(prog, *params), [&](const Bindings& b) {
+        const Bindings bound = codes::bindParams(prog, *params);
+        reference::forEachIteration(prog, phase, bound, [&](const Bindings& b) {
           for (const Expr& e : exprs) {
             const std::string want = evaluateOutcome(e, b);
             const std::string got = evalIntOutcome(e, b);
