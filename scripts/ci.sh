@@ -186,6 +186,13 @@ symval() {
     echo "src/sim/ names counting-core machinery (above): the trace oracle must stay independent"
     exit 1
   fi
+  # One lowering: ir::LoweredPhase is where subscripts become integer strides,
+  # so the counting core (src/dsm/) never decomposes an expression itself; and
+  # walks that enumerate single accesses live only in tests/.
+  if grep -rnw 'forEachAccess' src/ || grep -rnw 'linearDecompose' src/dsm/; then
+    echo "src/ names forEachAccess or src/dsm/ calls linearDecompose (above): one lowering, enumerators only in tests/"
+    exit 1
+  fi
   cmake -B build -S .
   cmake --build build -j "$jobs" --target symval_test symbolic_validation tfft2_pipeline
   ./build/tests/symval_test

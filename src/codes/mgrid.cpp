@@ -10,7 +10,7 @@ namespace ad::codes {
 // conditions with 2:1 chunk ratios (BLOCK-CYCLIC chunk adaptation between
 // levels). All smoothers write a *different* array than they read — the
 // legal DOALL form (the in-place Gauss-Seidel variant has a loop-carried
-// flow dependence, which dsm::validateDataFlow correctly rejects).
+// flow dependence, which the tests' data-flow oracle correctly rejects).
 ir::Program makeMgrid() {
   return frontend::parseProgram(R"(
     pow2param N = 2^n

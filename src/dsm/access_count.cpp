@@ -124,76 +124,38 @@ std::optional<ApList> mergeLoop(const ApList& inner, std::int64_t step, std::int
   return out;
 }
 
-/// Collapses loops[depth..] for one subscript under the given (params +
-/// outer indices) bindings. nullopt = Unknown; the caller falls back.
-/// `poll` ticks once per collapse step and per expanded iteration.
-std::optional<ApList> collapseTail(const std::vector<ir::Loop>& loops, std::size_t depth,
-                                   const sym::Expr& subscript, ir::Bindings& bindings,
+/// Collapses loops[depth..] for ref `k` at `at` (the enclosing loops bound).
+/// nullopt = Unknown; the caller falls back. `poll` ticks once per collapse
+/// step and per expanded iteration.
+std::optional<ApList> collapseTail(const ir::LoweredPhase& phase, std::size_t k,
+                                   std::size_t depth, ir::NestPoint& at,
                                    support::ExpiryPoll& poll) {
   poll.tick();
-  if (depth == loops.size()) {
-    const std::int64_t addr = evalInt(subscript, bindings, "subscript");
-    return ApList{{ArithmeticProgression::make(addr, 0, 1, 1)}};
+  if (depth == phase.phase().loops().size()) {
+    return ApList{{ArithmeticProgression::make(phase.address(k, at), 0, 1, 1)}};
   }
-  const ir::Loop& loop = loops[depth];
-  const std::int64_t lo = evalInt(loop.lower, bindings, "loop lower bound");
-  const std::int64_t hi = evalInt(loop.upper, bindings, "loop upper bound");
-  const std::int64_t n = hi - lo + 1;
-  if (n <= 0) return ApList{};
+  const auto [lo, n] = phase.range(depth, at);
+  if (n == 0) return ApList{};
 
-  // Merge path: the subscript is linear in this index with a coefficient
-  // that is constant over the remaining tail, and no deeper bound depends on
-  // this index — then every iteration is a pure shift of the inner region.
-  bool mergeable = true;
-  for (std::size_t d = depth + 1; d < loops.size() && mergeable; ++d) {
-    mergeable = !loops[d].lower.contains(loop.index) && !loops[d].upper.contains(loop.index);
-  }
-  std::int64_t stride = 0;
-  if (mergeable) {
-    const auto dec = subscript.linearDecompose(loop.index);
-    if (!dec) {
-      mergeable = false;
-    } else {
-      for (std::size_t d = depth + 1; d < loops.size() && mergeable; ++d) {
-        mergeable = !dec->first.contains(loops[d].index);
-      }
-      if (mergeable) {
-        const Rational coeff = dec->first.evaluate(bindings);
-        if (coeff.isInteger()) {
-          stride = coeff.asInteger();
-        } else {
-          mergeable = false;
-        }
-      }
-    }
-  }
-  if (mergeable) {
-    bindings[loop.index] = lo;
-    auto inner = collapseTail(loops, depth + 1, subscript, bindings, poll);
-    bindings.erase(loop.index);
+  // Merge path: every iteration is a pure shift of the inner region.
+  if (const auto stride = phase.stride(k, depth, at)) {
+    phase.bind(at, depth, lo);
+    auto inner = collapseTail(phase, k, depth + 1, at, poll);
     if (!inner) return std::nullopt;
-    return mergeLoop(*inner, stride, n);
+    return mergeLoop(*inner, *stride, n);
   }
 
   // Numeric expansion (bounded): bounds or coefficients genuinely depend on
   // this index (triangular nests, pow2 strides under an exponent loop).
   if (n > kEnumLoopCap) return std::nullopt;
   ApList out;
-  for (std::int64_t v = lo; v <= hi; ++v) {
+  for (std::int64_t t = 0; t < n; ++t) {
     poll.tick();
-    bindings[loop.index] = v;
-    auto inner = collapseTail(loops, depth + 1, subscript, bindings, poll);
-    if (!inner) {
-      bindings.erase(loop.index);
-      return std::nullopt;
-    }
-    if (out.aps.size() + inner->aps.size() > kApListCap) {
-      bindings.erase(loop.index);
-      return std::nullopt;
-    }
+    phase.bind(at, depth, lo + t);
+    auto inner = collapseTail(phase, k, depth + 1, at, poll);
+    if (!inner || out.aps.size() + inner->aps.size() > kApListCap) return std::nullopt;
     out.aps.insert(out.aps.end(), inner->aps.begin(), inner->aps.end());
   }
-  bindings.erase(loop.index);
   return out;
 }
 
@@ -318,13 +280,12 @@ class AccessCounter {
   [[nodiscard]] std::int64_t runs() const { return runs_; }
 
  private:
-  bool countSerial(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
-                   ArrayTally& out);
-  bool countParallel(const ir::Phase& phase, const ir::ArrayRef& ref, const RefInfo& info,
+  bool countOn(const ApList& aps, std::int64_t pe, const RefInfo& info, ArrayTally& out);
+  bool countParallel(const ir::LoweredPhase& phase, std::size_t k, const RefInfo& info,
                      const IterationDistribution& sched, ArrayTally& out);
   bool countUniform(const ApList& aps0, std::int64_t shift, std::int64_t lo, std::int64_t trip,
                     const RefInfo& info, const IterationDistribution& sched, ArrayTally& out);
-  void enumerate(const ir::Phase& phase, const IterationDistribution& sched,
+  void enumerate(const ir::LoweredPhase& phase, const IterationDistribution& sched,
                  const std::vector<RefInfo>& refs, PhaseTally& tally);
   void add(ArrayTally& out, std::int64_t pe, std::int64_t total, std::int64_t local) const;
   LocalSets& localSets(const DataDistribution& dist, std::int64_t halo);
@@ -378,110 +339,57 @@ void AccessCounter::add(ArrayTally& out, std::int64_t pe, std::int64_t total,
   out.peRemote[static_cast<std::size_t>(pe)] += remote;
 }
 
-/// One reference of a phase *without* a parallel loop: every access runs on
-/// processor 0.
-bool AccessCounter::countSerial(const ir::Phase& phase, const ir::ArrayRef& ref,
-                                const RefInfo& info, ArrayTally& out) {
-  ir::Bindings bindings = params_;
-  const auto aps = collapseTail(phase.loops(), 0, ref.subscript, bindings, poll_);
-  if (!aps) return false;
-  if (info.alwaysLocal()) {
-    add(out, 0, aps->total(), aps->total());
-    return true;
+/// The accesses of `aps`, all executed by processor `pe`.
+bool AccessCounter::countOn(const ApList& aps, std::int64_t pe, const RefInfo& info,
+                            ArrayTally& out) {
+  std::int64_t local = aps.total();
+  if (!info.alwaysLocal()) {
+    const View view = info.sets->of(pe);
+    if (view.set == nullptr) return false;
+    local = countRunIn(aps, view, 0, 0, 1);
   }
-  const View view = info.sets->of(0);
-  if (view.set == nullptr) return false;
-  add(out, 0, aps->total(), countRunIn(*aps, view, 0, 0, 1));
+  add(out, pe, aps.total(), local);
   return true;
 }
 
-/// One reference of a DOALL phase. The parallel index both selects the
+/// Reference `k` of a DOALL phase. The parallel index both selects the
 /// executing processor (CYCLIC(chunk) schedule) and shifts the tail region;
 /// when the shift is uniform, countUniform counts the loop in closed form.
 /// Otherwise the tail is collapsed afresh per iteration.
-bool AccessCounter::countParallel(const ir::Phase& phase, const ir::ArrayRef& ref,
+bool AccessCounter::countParallel(const ir::LoweredPhase& phase, std::size_t k,
                                   const RefInfo& info, const IterationDistribution& sched,
                                   ArrayTally& out) {
-  const std::size_t parPos = phase.parallelLoopPos();
-  const std::vector<ir::Loop>& loops = phase.loops();
-  const sym::SymbolId parSym = loops[parPos].index;
+  const std::size_t parPos = phase.phase().parallelLoopPos();
   const std::int64_t H = options_.processors;
-
-  ir::Bindings bindings = params_;
+  ir::NestPoint at = phase.origin();
   const std::function<bool(std::size_t)> run = [&](std::size_t depth) -> bool {
+    const auto [lo, trip] = phase.range(depth, at);
     if (depth < parPos) {
-      const std::int64_t lo = evalInt(loops[depth].lower, bindings, "loop lower bound");
-      const std::int64_t hi = evalInt(loops[depth].upper, bindings, "loop upper bound");
-      if (hi - lo + 1 > kEnumLoopCap) return false;
-      for (std::int64_t v = lo; v <= hi; ++v) {
-        bindings[loops[depth].index] = v;
-        if (!run(depth + 1)) {
-          bindings.erase(loops[depth].index);
-          return false;
-        }
+      if (trip > kEnumLoopCap) return false;
+      for (std::int64_t t = 0; t < trip; ++t) {
+        phase.bind(at, depth, lo + t);
+        if (!run(depth + 1)) return false;
       }
-      bindings.erase(loops[depth].index);
       return true;
     }
+    if (trip == 0) return true;
+    if (lo < 0) return false;  // the fallback rejects negative iterations; match it there
 
-    const std::int64_t lo = evalInt(loops[parPos].lower, bindings, "parallel lower bound");
-    const std::int64_t hi = evalInt(loops[parPos].upper, bindings, "parallel upper bound");
-    const std::int64_t trip = hi - lo + 1;
-    if (trip <= 0) return true;
-    if (lo < 0) return false;  // the enumerator rejects negative iterations; match it there
-
-    // Shift-uniformity: tail bounds free of the parallel index, subscript
-    // linear in it with a tail-independent integer coefficient.
-    bool uniform = true;
-    for (std::size_t d = parPos + 1; d < loops.size() && uniform; ++d) {
-      uniform = !loops[d].lower.contains(parSym) && !loops[d].upper.contains(parSym);
-    }
-    std::int64_t shift = 0;
-    if (uniform) {
-      const auto dec = ref.subscript.linearDecompose(parSym);
-      if (!dec) {
-        uniform = false;
-      } else {
-        for (std::size_t d = parPos + 1; d < loops.size() && uniform; ++d) {
-          uniform = !dec->first.contains(loops[d].index);
-        }
-        if (uniform) {
-          const Rational coeff = dec->first.evaluate(bindings);
-          if (coeff.isInteger()) {
-            shift = coeff.asInteger();
-          } else {
-            uniform = false;
-          }
-        }
-      }
-    }
-
-    if (uniform) {
-      bindings[parSym] = lo;
-      const auto aps0 = collapseTail(loops, parPos + 1, ref.subscript, bindings, poll_);
-      bindings.erase(parSym);
-      return aps0 && countUniform(*aps0, shift, lo, trip, info, sched, out);
+    if (const auto shift = phase.stride(k, parPos, at)) {
+      phase.bind(at, parPos, lo);
+      const auto aps0 = collapseTail(phase, k, parPos + 1, at, poll_);
+      return aps0 && countUniform(*aps0, *shift, lo, trip, info, sched, out);
     }
 
     // Non-uniform (triangular bounds, parallel index inside a pow2): collapse
     // the tail afresh per iteration. Still closed-form per iteration.
     if (trip > kEnumLoopCap) return false;
-    for (std::int64_t v = lo; v <= hi; ++v) {
+    for (std::int64_t t = 0; t < trip; ++t) {
       poll_.tick();
       ++runs_;
-      bindings[parSym] = v;
-      const auto aps = collapseTail(loops, parPos + 1, ref.subscript, bindings, poll_);
-      bindings.erase(parSym);
-      if (!aps) return false;
-      const std::int64_t pe = sched.executor(v, H);
-      const std::int64_t total = aps->total();
-      std::int64_t local = total;
-      if (!info.alwaysLocal()) {
-        const View view = info.sets->of(pe);
-        if (view.set == nullptr) return false;
-        local = countRunIn(*aps, view, 0, 0, 1);
-      }
-      add(out, pe, total, local);
+      phase.bind(at, parPos, lo + t);
+      const auto aps = collapseTail(phase, k, parPos + 1, at, poll_);
+      if (!aps || !countOn(*aps, sched.executor(lo + t, H), info, out)) return false;
     }
     return true;
   };
@@ -623,9 +531,11 @@ bool AccessCounter::countUniform(const ApList& aps0, std::int64_t shift, std::in
   return true;
 }
 
-/// The fallback: counts the arrays marked with a fallback cause by walking
-/// every access of the phase. Polls cancellation and the deadline.
-void AccessCounter::enumerate(const ir::Phase& phase, const IterationDistribution& sched,
+/// The fallback: counts the arrays marked with a fallback cause from the
+/// phase's runs, each piece of a run executed by one processor charged to it
+/// and its addresses classified one by one. Polls cancellation and the
+/// deadline once per access.
+void AccessCounter::enumerate(const ir::LoweredPhase& phase, const IterationDistribution& sched,
                               const std::vector<RefInfo>& refs, PhaseTally& tally) {
   for (auto& a : tally.arrays) {
     if (a.fallbackCause.empty()) continue;
@@ -634,24 +544,36 @@ void AccessCounter::enumerate(const ir::Phase& phase, const IterationDistributio
     std::fill(a.peRemote.begin(), a.peRemote.end(), 0);
   }
   const std::int64_t H = options_.processors;
+  const bool hasPar = phase.phase().hasParallelLoop();
   support::ExpiryPoll poll;
-  ir::forEachAccess(program_, phase, params_,
-                    [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-                      poll.tick();
-                      const RefInfo& info =
-                          refs[static_cast<std::size_t>(acc.ref - phase.refs().data())];
-                      ArrayTally& a = tally.arrays[info.slot];
-                      if (a.fallbackCause.empty()) return;
-                      const std::int64_t pe =
-                          phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
-                      const bool local = info.alwaysLocal() ||
-                                         info.dist->isLocal(acc.address, pe, H, info.halo);
-                      add(a, pe, 1, local ? 1 : 0);
-                    });
+  ir::forEachRun(phase, [&](const ir::AccessRun& run, ir::Bindings&) {
+    // Iterations [t, t + n) run on one processor: the DOALL encloses the
+    // run, or the piece stays in one CYCLIC(chunk) block of it.
+    for (std::int64_t t = 0, n = 0; t < run.count; t += n) {
+      const std::int64_t iter = run.parallelIterAt(t);
+      const std::int64_t pe = hasPar ? sched.executor(iter, H) : 0;
+      n = run.parallelIsInner ? std::min(run.count - t, sched.chunk - iter % sched.chunk)
+                              : run.count;
+      for (const ir::RefRun& r : run.refs) {
+        const RefInfo& info = refs[static_cast<std::size_t>(r.ref - phase.phase().refs().data())];
+        ArrayTally& a = tally.arrays[info.slot];
+        if (a.fallbackCause.empty()) continue;
+        std::int64_t local = 0;
+        for (std::int64_t i = t; i < t + n; ++i) {
+          poll.tick();
+          const bool isLocal =
+              info.alwaysLocal() || info.dist->isLocal(r.start + r.step * i, pe, H, info.halo);
+          local += isLocal ? 1 : 0;
+        }
+        add(a, pe, n, local);
+      }
+    }
+  });
 }
 
 PhaseTally AccessCounter::countPhase(std::size_t k) {
   const ir::Phase& phase = program_.phase(k);
+  const ir::LoweredPhase lowered(phase, params_);
   const IterationDistribution& sched = plan_.iteration[k];
   const auto h = static_cast<std::size_t>(options_.processors);
 
@@ -696,8 +618,13 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
     }
     bool ok = false;
     try {
-      ok = phase.hasParallelLoop() ? countParallel(phase, phase.refs()[i], info, sched, a)
-                                   : countSerial(phase, phase.refs()[i], info, a);
+      if (phase.hasParallelLoop()) {
+        ok = countParallel(lowered, i, info, sched, a);
+      } else {  // every access runs on processor 0
+        ir::NestPoint at = lowered.origin();
+        const auto aps = collapseTail(lowered, i, 0, at, poll_);
+        ok = aps && countOn(*aps, 0, info, a);
+      }
     } catch (const AnalysisError&) {
       ok = false;  // non-integer form: the enumeration settles it
     }
@@ -708,7 +635,7 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
       fallback = true;
     }
   }
-  if (fallback) enumerate(phase, sched, refs, tally);
+  if (fallback) enumerate(lowered, sched, refs, tally);
   return tally;
 }
 

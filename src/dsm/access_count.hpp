@@ -2,12 +2,14 @@
 //
 // The one counting core behind the DSM cost model (dsm::simulate) and the
 // closed-form trace validator (loc::symbolicTrace). Each reference's access
-// region is collapsed into arithmetic progressions (loop-nest tails fold by
-// exact stride-merge rules), and each progression is intersected with the
-// processor-locality interval sets of sym/interval_set — owner blocks,
-// Theorem-1c replicated halos and folded-storage reflections included.
-// Under BLOCK-CYCLIC(block) processor pe's set is pe 0's rotated by
-// pe * block, so one set per (block, halo) serves all processors.
+// region is collapsed into arithmetic progressions: a loop whose iterations
+// shift the inner region uniformly (the stride ir::LoweredPhase gives for the
+// (ref, loop)) folds by exact merge rules, any other is expanded, bounded.
+// Each progression is intersected with the processor-locality interval sets
+// of sym/interval_set — owner blocks, Theorem-1c replicated halos and
+// folded-storage reflections included. Under BLOCK-CYCLIC(block) processor
+// pe's set is pe 0's rotated by pe * block, so one set per (block, halo)
+// serves all processors.
 //
 // A DOALL loop with a uniform shift is counted one ownership period at a
 // time: iterations u and u + lambda agree when lambda is a multiple of
@@ -27,9 +29,10 @@
 // period.
 //
 // A region the algebra cannot collapse (a non-affine residue past the
-// numeric-expansion caps, or an overflow) is counted by enumerating that
-// (phase, array)'s accesses instead, so the counts are always exact. The
-// caller decides whether that fallback is a degradation worth recording.
+// numeric-expansion caps, or an overflow) is counted by walking the phase's
+// runs (ir::forEachRun) for that array instead, each address classified with
+// DataDistribution::isLocal, so the counts are always exact. The caller
+// decides whether that fallback is a degradation worth recording.
 // Counting never charges the request's prover budget: its loops poll only
 // cancellation and the deadline.
 #pragma once

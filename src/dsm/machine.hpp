@@ -267,7 +267,7 @@ struct ExecutionPlan {
 /// data: false when the next phase that touches the array only writes it
 /// (dead values need allocation, not copying — the paper's data allocation
 /// procedure). Assumes write-only phases produce the region they cover;
-/// dsm::validateDataFlow checks that assumption.
+/// the tests' reference::validateDataFlow checks that assumption.
 [[nodiscard]] bool redistributionMovesData(const ir::Program& program, const std::string& array,
                                            std::size_t phase);
 

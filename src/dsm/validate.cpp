@@ -1,137 +1,11 @@
 #include "dsm/validate.hpp"
 
-#include <map>
 #include <sstream>
 
 #include "dsm/access_count.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ad::dsm {
-
-namespace {
-
-/// Per-array version state: the sequential truth plus each processor's view
-/// of its local copies.
-struct ArrayState {
-  std::int64_t size = 0;
-  std::vector<std::int64_t> truth;                 // authoritative version
-  std::vector<std::vector<std::int64_t>> local;    // [pe][addr] copy version
-
-  explicit ArrayState(std::int64_t sz, std::int64_t processors)
-      : size(sz),
-        truth(static_cast<std::size_t>(sz), 0),
-        local(static_cast<std::size_t>(processors),
-              std::vector<std::int64_t>(static_cast<std::size_t>(sz), 0)) {}
-};
-
-}  // namespace
-
-DataFlowReport validateDataFlow(const ir::Program& program, const ir::Bindings& params,
-                                const ExecutionPlan& plan, std::int64_t processors) {
-  AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
-  const std::int64_t H = processors;
-  DataFlowReport report;
-
-  std::map<std::string, ArrayState> state;
-  for (const auto& arr : program.arrays()) {
-    state.emplace(arr.name,
-                  ArrayState(arr.size.evaluate(params).asInteger(), H));
-  }
-
-  const auto refreshHalos = [&](const std::string& array, std::size_t k) {
-    const auto& dist = plan.data.at(array)[k];
-    auto& st = state.at(array);
-    const std::int64_t halo = plan.halo.at(array)[k];
-    for (std::int64_t a = 0; a < st.size; ++a) {
-      const std::int64_t owner = dist.owner(a, H);
-      for (std::int64_t pe = 0; pe < H; ++pe) {
-        if (pe == owner) continue;
-        if (dist.isLocal(a, pe, H, halo)) {
-          st.local[static_cast<std::size_t>(pe)][static_cast<std::size_t>(a)] =
-              st.local[static_cast<std::size_t>(owner)][static_cast<std::size_t>(a)];
-        }
-      }
-    }
-  };
-
-  for (std::size_t k = 0; k < program.phases().size(); ++k) {
-    const ir::Phase& phase = program.phase(k);
-
-    // The communication the plan runs entering phase k. A redistribution
-    // hands the new owner the old owner's copy; one skipped because its
-    // values are dead leaves stale copies that a read would expose.
-    for (const auto& arr : program.arrays()) {
-      if (redistributes(program, plan, arr.name, k)) {
-        const auto& prev = plan.data.at(arr.name)[k - 1];
-        const auto& next = plan.data.at(arr.name)[k];
-        auto& st = state.at(arr.name);
-        for (std::int64_t a = 0; a < st.size; ++a) {
-          const std::int64_t src = prev.owner(a, H);
-          const std::int64_t dst = next.owner(a, H);
-          if (src == dst) continue;
-          st.local[static_cast<std::size_t>(dst)][static_cast<std::size_t>(a)] =
-              st.local[static_cast<std::size_t>(src)][static_cast<std::size_t>(a)];
-        }
-      }
-      if (frontierRefresh(program, params, plan, arr.name, k)) refreshHalos(arr.name, k);
-    }
-
-    const IterationDistribution& sched = plan.iteration[k];
-    ir::forEachAccess(program, phase, params,
-                      [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
-      if (phase.isPrivatized(acc.ref->array)) return;  // scratch: no shared flow
-      auto& st = state.at(acc.ref->array);
-      const std::int64_t pe =
-          phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
-      const auto& dist = plan.data.at(acc.ref->array)[k];
-      const std::int64_t a = acc.address;
-      AD_REQUIRE(a >= 0 && a < st.size, "address out of bounds");
-      const auto ai = static_cast<std::size_t>(a);
-
-      if (acc.ref->kind == ir::AccessKind::kWrite) {
-        ++st.truth[ai];
-        if (dist.hasOwner()) {
-          // The write lands in the owner's memory (locally or as a put), and
-          // the writer's own copy if it keeps one.
-          const std::int64_t owner = dist.owner(a, H);
-          st.local[static_cast<std::size_t>(owner)][ai] = st.truth[ai];
-          if (pe != owner) st.local[static_cast<std::size_t>(pe)][ai] = st.truth[ai];
-        } else {
-          // Replicated/private placement: only the writer's copy is updated
-          // (never-written arrays make this path moot for replicas).
-          st.local[static_cast<std::size_t>(pe)][ai] = st.truth[ai];
-        }
-        return;
-      }
-
-      // Read: served locally (owner copy, halo replica, replicated array) or
-      // remotely. Remote reads observe the owner's memory, which the write
-      // rule keeps authoritative — only local copies can be stale.
-      ++report.readsChecked;
-      std::int64_t halo = 0;
-      if (auto hit = plan.halo.find(acc.ref->array); hit != plan.halo.end()) {
-        halo = hit->second[k];
-      }
-      const bool local = dist.isLocal(a, pe, H, halo);
-      if (!local) return;  // remote get: always fresh
-      if (st.local[static_cast<std::size_t>(pe)][ai] != st.truth[ai]) {
-        ++report.staleReads;
-        if (report.diagnostics.size() < 8) {
-          std::ostringstream os;
-          os << "stale read: phase " << phase.name() << " PE " << pe << " "
-             << acc.ref->array << "[" << a << "] version "
-             << st.local[static_cast<std::size_t>(pe)][ai] << " != truth " << st.truth[ai];
-          report.diagnostics.push_back(os.str());
-        }
-      }
-    });
-  }
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Theorem 1/2 validation
-// ---------------------------------------------------------------------------
 
 std::int64_t PhaseCounts::local() const {
   std::int64_t n = 0;

@@ -135,7 +135,7 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
     cells.assign(static_cast<std::size_t>(H) * slots, dsm::ArrayCounts{});
     const dsm::IterationDistribution& sched = plan.iteration[k];
     const bool hasPar = phase.hasParallelLoop();
-    ir::forEachRun(program, phase, params, [&](const ir::AccessRun& run, const ir::Bindings&) {
+    ir::forEachRun(ir::LoweredPhase(phase, params), [&](const ir::AccessRun& run, ir::Bindings&) {
       // Pieces of at most kPollEvery accesses run by one processor: the DOALL
       // encloses the run, or a piece stays in one CYCLIC(chunk) block of it.
       const auto nrefs = static_cast<std::int64_t>(std::max<std::size_t>(1, run.refs.size()));

@@ -7,6 +7,7 @@
 #include "driver/pipeline.hpp"
 #include "frontend/parser.hpp"
 #include "ilp/cost_model.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad {
 namespace {
@@ -123,8 +124,9 @@ TEST(Simulate, SequentialTimeCountsEveryAccessOnce) {
   double expected = 0.0;
   for (std::size_t k = 0; k < prog.phases().size(); ++k) {
     std::int64_t accesses = 0;
-    ir::forEachAccess(prog, prog.phase(k), params,
-                      [&](const ir::ConcreteAccess&, const ir::Bindings&) { ++accesses; });
+    reference::forEachRunAccess(
+        prog, prog.phase(k), params,
+        [&](const reference::ConcreteAccess&, const ir::Bindings&) { ++accesses; });
     expected += static_cast<double>(accesses) * prog.phase(k).workPerAccess() *
                 machine.localAccess;
     EXPECT_EQ(result.phases[k].peTime.size(), 4u);

@@ -6,16 +6,19 @@
 // without a degradation-ledger entry and without charging the budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "../bench/workload_gen.hpp"
 #include "codes/suite.hpp"
 #include "codes/tfft2.hpp"
 #include "driver/pipeline.hpp"
@@ -293,12 +296,16 @@ TEST(CostModel, MatchesEnumerationOnTheNSweepRequests) {
 
 // --- The counting core against the access-by-access tallies -----------------
 
-/// No reference of `got` may have fallen back to enumeration.
+/// No reference of `got` may have fallen back to enumeration, or with
+/// `fellBack` every one must have.
 void expectSameTallies(const std::vector<dsm::PhaseTally>& got,
-                       const std::vector<dsm::PhaseTally>& want, const std::string& what) {
+                       const std::vector<dsm::PhaseTally>& want, const std::string& what,
+                       bool fellBack = false) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t k = 0; k < want.size(); ++k) {
-    EXPECT_EQ(got[k].enumeratedRefs(), 0) << what << " phase " << k << " fell back";
+    std::int64_t refs = 0;
+    for (const dsm::ArrayTally& a : want[k].arrays) refs += a.refs;
+    EXPECT_EQ(got[k].enumeratedRefs(), fellBack ? refs : 0) << what << " phase " << k;
     ASSERT_EQ(got[k].arrays.size(), want[k].arrays.size()) << what << " phase " << k;
     for (std::size_t i = 0; i < want[k].arrays.size(); ++i) {
       const dsm::ArrayTally& g = got[k].arrays[i];
@@ -416,6 +423,48 @@ std::pair<ir::Program, dsm::ExecutionPlan> foldedSweep(std::int64_t trip, std::i
   plan.iteration = {dsm::IterationDistribution{1}};
   plan.data["A"] = {dsm::DataDistribution::foldedBlockCyclic(block, fold)};
   return {std::move(prog), std::move(plan)};
+}
+
+TEST(CountingCore, TripCountsThatOverflowThrowInsteadOfCountingZero) {
+  // With N = 2^62, `do j = 0 - N, N - 1` and `doall i = 0 - N, N - 1` run
+  // 2^63 iterations, one more than int64 holds: the trip count throws
+  // rather than wrapping negative and counting the loop as empty.
+  const auto c = [](std::int64_t v) { return sym::Expr::constant(v); };
+  const auto expectOverflow = [](const auto& run, const std::string& what) {
+    try {
+      run();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("integer overflow"), std::string::npos) << what;
+    }
+  };
+  for (const bool parallel : {false, true}) {
+    ir::Program prog;
+    const sym::Expr n = sym::Expr::symbol(prog.symbols().parameter("N"));
+    prog.declareArray("A", c(1));
+    ir::PhaseBuilder b(prog, parallel ? "doall" : "do");
+    if (parallel) {
+      b.doall("i", c(0) - n, n - c(1));
+    } else {
+      b.loop("j", c(0) - n, n - c(1));
+    }
+    b.read("A", c(0));
+    b.commit();
+    prog.validate();
+    const ir::Bindings params = {{*prog.symbols().lookup("N"), std::int64_t{1} << 62}};
+    dsm::ExecutionPlan plan;
+    plan.iteration = {dsm::IterationDistribution{1}};
+    plan.data["A"] = {dsm::DataDistribution::blockCyclic(1)};
+    dsm::CountOptions options;
+    options.processors = 4;
+    const std::string what = parallel ? "doall" : "do";
+    expectOverflow([&] { (void)dsm::countPlan(prog, params, plan, options); }, what);
+    if (parallel) {
+      expectOverflow([&] { (void)ir::parallelTripCount(prog.phase(0), params); }, what);
+    } else {
+      (void)dsm::ExecutionPlan::naiveBlock(prog, params, 4);  // no DOALL: one trip
+    }
+  }
 }
 
 TEST(CountingCore, MirrorSegmentsCountOneBlockCyclicPeriodPerPiece) {
@@ -553,6 +602,119 @@ TEST(CostModel, EmitsGlobalThenFrontierPerPhase) {
 }
 
 // --- The fallback path ------------------------------------------------------
+
+bool alwaysFallBack() { return true; }
+
+/// dsm::countPlan's tallies with every reference sent to the run walk.
+std::vector<dsm::PhaseTally> countByFallback(const ir::Program& prog, const ir::Bindings& params,
+                                             const dsm::ExecutionPlan& plan,
+                                             std::int64_t processors) {
+  dsm::CountOptions options;
+  options.processors = processors;
+  options.forceFallback = alwaysFallBack;
+  return dsm::countPlan(prog, params, plan, options).tallies;
+}
+
+/// The run walk == the access-by-access tallies, under the derived plan and
+/// under naiveBlock.
+void expectFallbackMatchesReference(const ir::Program& prog, const ir::Bindings& params,
+                                    std::int64_t processors, const std::string& what) {
+  for (const auto& plan : {derivedPlan(prog, params, processors),
+                           dsm::ExecutionPlan::naiveBlock(prog, params, processors)}) {
+    expectSameTallies(countByFallback(prog, params, plan, processors),
+                      reference::countAccesses(prog, params, plan, processors), what, true);
+  }
+}
+
+TEST(CostModelFallback, RunWalkMatchesTheAccessByAccessTallies) {
+  for (const auto& code : codes::benchmarkSuite()) {
+    const ir::Program prog = code.build();
+    expectFallbackMatchesReference(prog, codes::bindParams(prog, code.smallParams), 4, code.name);
+  }
+  for (std::size_t family = 0; family < bench::offsetFamilies().size(); ++family) {
+    for (std::size_t variant = 0; variant < 19; ++variant) {  // the 114 generated stencils
+      const ir::Program prog =
+          frontend::parseProgram(bench::generateStencilSource(family, variant));
+      expectFallbackMatchesReference(prog, codes::bindParams(prog, {{"N", 12}}), 4,
+                                     bench::generatedLabel(family, variant));
+    }
+  }
+  for (std::size_t variant = 0; variant < bench::kPow2Variants; ++variant) {
+    const ir::Program prog = frontend::parseProgram(bench::generatePow2Source(variant));
+    expectFallbackMatchesReference(prog, codes::bindParams(prog, {{"N", 8}}), 4,
+                                   bench::pow2Label(variant));
+  }
+  // A folded plan whose tails straddle reflection points, over CYCLIC(1).
+  const auto [folded, foldedPlan] = foldedSweep(40, 7, 2, 13);
+  expectSameTallies(countByFallback(folded, {}, foldedPlan, 4),
+                    reference::countAccesses(folded, {}, foldedPlan, 4), "folded", true);
+  // A triangular nest under a DOALL, and a DOALL inside a sequential loop.
+  const ir::Program tri = frontend::parseProgram(R"(
+    param N
+    array A(N*N)
+    phase upper {
+      doall i = 0, N - 1 {
+        do j = i, N - 1 {
+          read A(N*i + j)
+          write A(N*j + i)
+        }
+      }
+    }
+    phase inner {
+      do t = 0, N - 1 {
+        doall i = 0, N - 1 {
+          read A(N*t + i)
+        }
+      }
+    }
+  )");
+  expectFallbackMatchesReference(tri, codes::bindParams(tri, {{"N", 11}}), 3, "triangular");
+}
+
+/// `doall i = 0, trips - 1 { read A(i) }`, all of it on one processor (the
+/// chunk is the whole loop): one run, and one piece of it.
+std::pair<ir::Program, dsm::ExecutionPlan> oneRunSweep(std::int64_t trips) {
+  ir::Program prog;
+  prog.declareArray("A", sym::Expr::constant(trips));
+  ir::PhaseBuilder b(prog, "sweep");
+  b.doall("i", sym::Expr::constant(0), sym::Expr::constant(trips - 1));
+  b.read("A", b.idx("i"));
+  b.commit();
+  prog.validate();
+  dsm::ExecutionPlan plan;
+  plan.iteration = {dsm::IterationDistribution{trips}};
+  plan.data["A"] = {dsm::DataDistribution::blockCyclic(64)};
+  return {std::move(prog), std::move(plan)};
+}
+
+TEST(CostModelFallback, CancelAndDeadlineStopTheRunWalkInsideARun) {
+  // The run walk polls once per access, so a fired token or a passed
+  // deadline ends a 64k-access run long before its last access.
+  const auto [prog, plan] = oneRunSweep(1 << 16);
+  {
+    auto token = std::make_shared<std::atomic<bool>>(true);
+    support::Budget budget(support::BudgetLimits{}, token);
+    const support::BudgetScope scope(&budget);
+    EXPECT_THROW((void)countByFallback(prog, {}, plan, 4), CancelledError);
+  }
+  {
+    support::Budget budget(support::BudgetLimits{.deadlineMs = 1});
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const support::BudgetScope scope(&budget);
+    EXPECT_THROW((void)countByFallback(prog, {}, plan, 4), DeadlineError);
+  }
+  const auto tallies = countByFallback(prog, {}, plan, 4);
+  ASSERT_EQ(tallies.size(), 1u);
+  EXPECT_EQ(tallies[0].arrays[0].counts.local + tallies[0].arrays[0].counts.remote, 1 << 16);
+  EXPECT_EQ(tallies[0].arrays[0].peAccesses[0], 1 << 16);
+  // A run of 2^40 accesses would not end within the test's timeout: only a
+  // poll inside the run can stop it.
+  const auto [huge, hugePlan] = oneRunSweep(std::int64_t{1} << 40);
+  support::Budget budget(support::BudgetLimits{.deadlineMs = 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const support::BudgetScope scope(&budget);
+  EXPECT_THROW((void)countByFallback(huge, {}, hugePlan, 4), DeadlineError);
+}
 
 /// A DOALL whose subscript is quadratic in the parallel index: no uniform
 /// shift, and too many iterations to collapse one by one, so the counting

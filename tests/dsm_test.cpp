@@ -96,10 +96,10 @@ TEST_F(SimulateTfft2, PrivatizedArraysAreAlwaysLocal) {
   // F3 privatizes Y: its Y accesses must all be local. X in F3 under BLOCK
   // may or may not be local, so compare against a Y-only count.
   std::int64_t yAccesses = 0;
-  ir::forEachAccess(prog, prog.phase(2), params,
-                    [&](const ir::ConcreteAccess& a, const ir::Bindings&) {
-                      if (a.ref->array == "Y") ++yAccesses;
-                    });
+  reference::forEachRunAccess(prog, prog.phase(2), params,
+                              [&](const reference::ConcreteAccess& a, const ir::Bindings&) {
+                                if (a.ref->array == "Y") ++yAccesses;
+                              });
   EXPECT_GT(yAccesses, 0);
   // Build a plan where X accesses in F3 are certainly remote-free too:
   // CYCLIC(1) iterations, X distributed BLOCK-CYCLIC(2P).

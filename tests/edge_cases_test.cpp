@@ -121,8 +121,9 @@ TEST(WalkerEdge, EmptyLoopRangeYieldsNothing) {
   b.commit();
   prog.validate();
   int count = 0;
-  ir::forEachAccess(prog, prog.phase(0), {},
-                    [&](const ir::ConcreteAccess&, const ir::Bindings&) { ++count; });
+  reference::forEachRunAccess(
+      prog, prog.phase(0), {},
+      [&](const reference::ConcreteAccess&, const ir::Bindings&) { ++count; });
   EXPECT_EQ(count, 0);
   EXPECT_EQ(ir::parallelTripCount(prog.phase(0), {}), 0);
   EXPECT_TRUE(reference::touchedAddresses(prog, prog.phase(0), "A", {}).empty());
@@ -138,10 +139,10 @@ TEST(WalkerEdge, SequentialOnlyPhase) {
   prog.validate();
   EXPECT_FALSE(prog.phase(0).hasParallelLoop());
   EXPECT_EQ(ir::parallelTripCount(prog.phase(0), {}), 1);
-  ir::forEachAccess(prog, prog.phase(0), {},
-                    [&](const ir::ConcreteAccess& a, const ir::Bindings&) {
-                      EXPECT_EQ(a.parallelIter, 0);
-                    });
+  reference::forEachRunAccess(prog, prog.phase(0), {},
+                              [&](const reference::ConcreteAccess& a, const ir::Bindings&) {
+                                EXPECT_EQ(a.parallelIter, 0);
+                              });
 }
 
 // ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ TEST_F(WalkerTest, TriangularNestRespectsCoupledBounds) {
 }
 
 TEST_F(WalkerTest, AccessesCarryParallelIteration) {
-  forEachAccess(prog, prog.phase(2), params, [&](const ConcreteAccess& a, const Bindings& b) {
+  const auto check = [&](const reference::ConcreteAccess& a, const Bindings& b) {
     const auto I = *prog.symbols().lookup("I");
     EXPECT_EQ(a.parallelIter, b.at(I));
     // All F3 X accesses stay inside the iteration's 2P block.
@@ -173,7 +173,8 @@ TEST_F(WalkerTest, AccessesCarryParallelIteration) {
       EXPECT_GE(a.address, 8 * a.parallelIter);
       EXPECT_LT(a.address, 8 * a.parallelIter + 8);
     }
-  });
+  };
+  reference::forEachRunAccess(prog, prog.phase(2), params, check);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Whole-stack fuzz: random producer/consumer phase programs pushed through
 // the complete pipeline. Invariants checked for every generated program:
 //   - the pipeline runs (or fails with a typed AnalysisError, never UB),
-//   - the derived plan is value-correct (validateDataFlow),
+//   - the derived plan is value-correct (reference::validateDataFlow),
 //   - LCG L edges imply satisfiable balanced conditions by construction.
 //
 // Reproducing a failure: every assertion carries the active fuzz seed (via
@@ -16,8 +16,8 @@
 #include <random>
 
 #include "driver/pipeline.hpp"
-#include "dsm/validate.hpp"
 #include "ir/ir.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad {
 namespace {
@@ -95,7 +95,7 @@ TEST_P(PipelineFuzz, RandomProgramsSurviveTheFullStack) {
     // cost model only wins at scale, which the codes_test suite checks at
     // proper sizes. The fuzz checks *soundness*, below.
 
-    const auto flow = dsm::validateDataFlow(prog, config.params, result.plan, 4);
+    const auto flow = reference::validateDataFlow(prog, config.params, result.plan, 4);
     EXPECT_TRUE(flow.ok()) << prog.str() << "\n"
                            << (flow.diagnostics.empty() ? "" : flow.diagnostics[0]);
 

@@ -3,7 +3,7 @@
 #include "codes/suite.hpp"
 #include "codes/tfft2.hpp"
 #include "frontend/parser.hpp"
-#include "locality/privatization.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad::loc {
 namespace {
@@ -12,13 +12,13 @@ TEST(Privatization, TFFT2WorkspaceMarkingsAreJustified) {
   const auto prog = codes::makeTFFT2();
   const auto params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
   // Y is declared private in F3 and F6; the exact check agrees.
-  EXPECT_TRUE(inferPrivatizable(prog, 2, "Y", params));
-  EXPECT_TRUE(inferPrivatizable(prog, 5, "Y", params));
-  EXPECT_TRUE(unjustifiedPrivatizations(prog, 2, params).empty());
-  EXPECT_TRUE(unjustifiedPrivatizations(prog, 5, params).empty());
+  EXPECT_TRUE(reference::inferPrivatizable(prog, 2, "Y", params));
+  EXPECT_TRUE(reference::inferPrivatizable(prog, 5, "Y", params));
+  EXPECT_TRUE(reference::unjustifiedPrivatizations(prog, 2, params).empty());
+  EXPECT_TRUE(reference::unjustifiedPrivatizations(prog, 5, params).empty());
   // X is the flow-through array: never privatizable.
   for (std::size_t k = 0; k < prog.phases().size(); ++k) {
-    EXPECT_FALSE(inferPrivatizable(prog, k, "X", params)) << "F" << k + 1;
+    EXPECT_FALSE(reference::inferPrivatizable(prog, k, "X", params)) << "F" << k + 1;
   }
 }
 
@@ -43,7 +43,7 @@ TEST(Privatization, ExposedReadBlocksPrivatization) {
     }
   )");
   const auto n = *prog.symbols().lookup("N");
-  EXPECT_FALSE(inferPrivatizable(prog, 0, "W", {{n, 8}}));
+  EXPECT_FALSE(reference::inferPrivatizable(prog, 0, "W", {{n, 8}}));
 }
 
 TEST(Privatization, LivenessBlocksPrivatization) {
@@ -63,7 +63,7 @@ TEST(Privatization, LivenessBlocksPrivatization) {
     }
   )");
   const auto n = *prog.symbols().lookup("N");
-  EXPECT_FALSE(inferPrivatizable(prog, 0, "W", {{n, 8}}));
+  EXPECT_FALSE(reference::inferPrivatizable(prog, 0, "W", {{n, 8}}));
   // But the same phase IS privatizable when the consumer writes first.
   const auto prog2 = frontend::parseProgram(R"(
     param N
@@ -79,7 +79,7 @@ TEST(Privatization, LivenessBlocksPrivatization) {
     }
   )");
   const auto n2 = *prog2.symbols().lookup("N");
-  EXPECT_TRUE(inferPrivatizable(prog2, 0, "W", {{n2, 8}}));
+  EXPECT_TRUE(reference::inferPrivatizable(prog2, 0, "W", {{n2, 8}}));
 }
 
 TEST(Privatization, CyclicProgramsWrapTheLivenessWalk) {
@@ -100,7 +100,7 @@ TEST(Privatization, CyclicProgramsWrapTheLivenessWalk) {
   )");
   const auto n = *prog.symbols().lookup("N");
   // scratch's W wraps around to readerphase, which reads it: live.
-  EXPECT_FALSE(inferPrivatizable(prog, 1, "W", {{n, 8}}));
+  EXPECT_FALSE(reference::inferPrivatizable(prog, 1, "W", {{n, 8}}));
 }
 
 TEST(Privatization, ReadOnlyArraysAreNotPrivatizable) {
@@ -112,8 +112,8 @@ TEST(Privatization, ReadOnlyArraysAreNotPrivatizable) {
     }
   )");
   const auto n = *prog.symbols().lookup("N");
-  EXPECT_FALSE(inferPrivatizable(prog, 0, "W", {{n, 8}}));
-  EXPECT_FALSE(inferPrivatizable(prog, 0, "nope", {{n, 8}}));
+  EXPECT_FALSE(reference::inferPrivatizable(prog, 0, "W", {{n, 8}}));
+  EXPECT_FALSE(reference::inferPrivatizable(prog, 0, "nope", {{n, 8}}));
 }
 
 TEST(Privatization, UnjustifiedDeclarationIsReported) {
@@ -132,7 +132,7 @@ TEST(Privatization, UnjustifiedDeclarationIsReported) {
     }
   )");
   const auto n = *prog.symbols().lookup("N");
-  const auto bad = unjustifiedPrivatizations(prog, 0, {{n, 8}});
+  const auto bad = reference::unjustifiedPrivatizations(prog, 0, {{n, 8}});
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_EQ(bad[0], "W");
 }

@@ -8,8 +8,12 @@
 #include <utility>
 #include <vector>
 
+#include <sstream>
+
+#include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
+#include "support/fault.hpp"
 
 namespace ad::sym {
 
@@ -157,9 +161,9 @@ void walkLoops(const ir::Phase& phase, ir::Bindings& b, std::size_t depth,
 /// The sorted distinct addresses of `array` that pass `keep`.
 std::vector<std::int64_t> touched(const ir::Program& program, const ir::Phase& phase,
                                   const std::string& array, const ir::Bindings& params,
-                                  const std::function<bool(const ir::ConcreteAccess&)>& keep) {
+                                  const std::function<bool(const ConcreteAccess&)>& keep) {
   std::set<std::int64_t> s;
-  ir::forEachAccess(program, phase, params, [&](const ir::ConcreteAccess& a, const ir::Bindings&) {
+  forEachRunAccess(program, phase, params, [&](const ConcreteAccess& a, const ir::Bindings&) {
     if (a.ref->array == array && keep(a)) s.insert(a.address);
   });
   return {s.begin(), s.end()};
@@ -178,7 +182,7 @@ void forEachIteration(const ir::Program& program, const ir::Phase& phase,
 std::vector<std::int64_t> touchedAddresses(const ir::Program& program, const ir::Phase& phase,
                                            const std::string& array,
                                            const ir::Bindings& params) {
-  return touched(program, phase, array, params, [](const ir::ConcreteAccess&) { return true; });
+  return touched(program, phase, array, params, [](const ConcreteAccess&) { return true; });
 }
 
 std::vector<std::int64_t> touchedAddressesInIteration(const ir::Program& program,
@@ -188,17 +192,34 @@ std::vector<std::int64_t> touchedAddressesInIteration(const ir::Program& program
                                                       std::int64_t iter) {
   AD_REQUIRE(phase.hasParallelLoop(), "phase has no parallel loop");
   return touched(program, phase, array, params,
-                 [&](const ir::ConcreteAccess& a) { return a.parallelIter == iter; });
+                 [&](const ConcreteAccess& a) { return a.parallelIter == iter; });
+}
+
+void forEachRunAccess(const ir::Program& program, const ir::Phase& phase,
+                      const ir::Bindings& params, const AccessFn& fn) {
+  (void)program;
+  ConcreteAccess acc;
+  ir::forEachRun(ir::LoweredPhase(phase, params), [&](const ir::AccessRun& run, ir::Bindings& b) {
+    std::int64_t* index = phase.loops().empty() ? nullptr : &b.at(phase.loops().back().index);
+    for (std::int64_t t = 0; t < run.count; ++t) {
+      if (index != nullptr) *index = run.first + t;
+      acc.parallelIter = run.parallelIterAt(t);
+      for (const ir::RefRun& r : run.refs) {
+        acc.ref = r.ref;
+        acc.address = r.start + r.step * t;
+        fn(acc, b);
+      }
+    }
+  });
 }
 
 void forEachAccess(const ir::Program& program, const ir::Phase& phase,
-                   const ir::Bindings& params,
-                   const std::function<void(const ir::ConcreteAccess&, const ir::Bindings&)>& fn) {
+                   const ir::Bindings& params, const AccessFn& fn) {
   const bool hasPar = phase.hasParallelLoop();
   const sym::SymbolId parIdx = hasPar ? phase.parallelLoop().index : 0;
   forEachIteration(program, phase, params, [&](const ir::Bindings& b) {
     for (const auto& r : phase.refs()) {
-      ir::ConcreteAccess acc;
+      ConcreteAccess acc;
       acc.ref = &r;
       const Rational address = r.subscript.evaluate(b);
       if (!address.isInteger()) throw AnalysisError("subscript is not integral");
@@ -279,7 +300,7 @@ dsm::SimulationResult simulate(const ir::Program& program, const ir::Bindings& p
     ps.peTime.assign(static_cast<std::size_t>(H), 0.0);
     const dsm::IterationDistribution& sched = plan.iteration[k];
     reference::forEachAccess(program, phase, params,
-                  [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+                  [&](const ConcreteAccess& acc, const ir::Bindings&) {
                     const std::int64_t pe =
                         phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
                     bool local = true;
@@ -329,7 +350,7 @@ std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program, const ir:
     }
     const dsm::IterationDistribution& sched = plan.iteration[k];
     reference::forEachAccess(
-        program, phase, params, [&](const ir::ConcreteAccess& acc, const ir::Bindings&) {
+        program, phase, params, [&](const ConcreteAccess& acc, const ir::Bindings&) {
           const std::int64_t pe =
               phase.hasParallelLoop() ? sched.executor(acc.parallelIter, processors) : 0;
           bool local = true;
@@ -356,6 +377,210 @@ std::vector<dsm::PhaseTally> countAccesses(const ir::Program& program, const ir:
     tallies.push_back(std::move(tally));
   }
   return tallies;
+}
+
+namespace {
+
+/// Per-array version state: the sequential truth plus each processor's view
+/// of its local copies.
+struct ArrayState {
+  std::int64_t size = 0;
+  std::vector<std::int64_t> truth;                 // authoritative version
+  std::vector<std::vector<std::int64_t>> local;    // [pe][addr] copy version
+
+  explicit ArrayState(std::int64_t sz, std::int64_t processors)
+      : size(sz),
+        truth(static_cast<std::size_t>(sz), 0),
+        local(static_cast<std::size_t>(processors),
+              std::vector<std::int64_t>(static_cast<std::size_t>(sz), 0)) {}
+};
+
+/// (a) no exposed reads: within each parallel iteration, reads only touch
+/// addresses previously written by the same iteration.
+bool noExposedReads(const ir::Program& program, const ir::Phase& phase,
+                    const std::string& array, const ir::Bindings& params) {
+  bool exposed = false;
+  std::int64_t currentIter = -1;
+  std::set<std::int64_t> written;
+  forEachRunAccess(program, phase, params, [&](const ConcreteAccess& acc, const ir::Bindings&) {
+    if (exposed || acc.ref->array != array) return;
+    // The replay is O(accesses); out of budget, assume the worst (exposed).
+    if (!support::budgetStep()) {
+      exposed = true;
+      return;
+    }
+    if (acc.parallelIter != currentIter) {
+      currentIter = acc.parallelIter;
+      written.clear();
+    }
+    if (acc.ref->kind == ir::AccessKind::kWrite) {
+      written.insert(acc.address);
+    } else if (!written.count(acc.address)) {
+      exposed = true;
+    }
+  });
+  return !exposed;
+}
+
+/// (b) dead after the phase: the next real use of the array (walking
+/// forward, wrapping when cyclic but excluding the phase itself — its own
+/// next-cycle reads are covered by condition (a)) writes without reading.
+/// In a non-cyclic program an array nobody rewrites is a program output and
+/// therefore live.
+bool deadAfter(const ir::Program& program, std::size_t phase, const std::string& array) {
+  const std::size_t n = program.phases().size();
+  const std::size_t limit = program.cyclic() ? n - 1 : n - phase - 1;
+  for (std::size_t step = 1; step <= limit; ++step) {
+    const ir::Phase& ph = program.phase((phase + step) % n);
+    if (ph.isPrivatized(array)) continue;  // scratch use: not a real consumer
+    if (!ph.accesses(array)) continue;
+    return !ph.reads(array);
+  }
+  // Never used again: dead for cyclic programs (the wrap already covered
+  // every phase), a live program output otherwise.
+  return program.cyclic();
+}
+
+}  // namespace
+
+DataFlowReport validateDataFlow(const ir::Program& program, const ir::Bindings& params,
+                                const dsm::ExecutionPlan& plan, std::int64_t processors) {
+  AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
+  const std::int64_t H = processors;
+  DataFlowReport report;
+
+  std::map<std::string, ArrayState> state;
+  for (const auto& arr : program.arrays()) {
+    state.emplace(arr.name,
+                  ArrayState(arr.size.evaluate(params).asInteger(), H));
+  }
+
+  const auto refreshHalos = [&](const std::string& array, std::size_t k) {
+    const auto& dist = plan.data.at(array)[k];
+    auto& st = state.at(array);
+    const std::int64_t halo = plan.halo.at(array)[k];
+    for (std::int64_t a = 0; a < st.size; ++a) {
+      const std::int64_t owner = dist.owner(a, H);
+      for (std::int64_t pe = 0; pe < H; ++pe) {
+        if (pe == owner) continue;
+        if (dist.isLocal(a, pe, H, halo)) {
+          st.local[static_cast<std::size_t>(pe)][static_cast<std::size_t>(a)] =
+              st.local[static_cast<std::size_t>(owner)][static_cast<std::size_t>(a)];
+        }
+      }
+    }
+  };
+
+  for (std::size_t k = 0; k < program.phases().size(); ++k) {
+    const ir::Phase& phase = program.phase(k);
+
+    // The communication the plan runs entering phase k. A redistribution
+    // hands the new owner the old owner's copy; one skipped because its
+    // values are dead leaves stale copies that a read would expose.
+    for (const auto& arr : program.arrays()) {
+      if (dsm::redistributes(program, plan, arr.name, k)) {
+        const auto& prev = plan.data.at(arr.name)[k - 1];
+        const auto& next = plan.data.at(arr.name)[k];
+        auto& st = state.at(arr.name);
+        for (std::int64_t a = 0; a < st.size; ++a) {
+          const std::int64_t src = prev.owner(a, H);
+          const std::int64_t dst = next.owner(a, H);
+          if (src == dst) continue;
+          st.local[static_cast<std::size_t>(dst)][static_cast<std::size_t>(a)] =
+              st.local[static_cast<std::size_t>(src)][static_cast<std::size_t>(a)];
+        }
+      }
+      if (dsm::frontierRefresh(program, params, plan, arr.name, k)) refreshHalos(arr.name, k);
+    }
+
+    const dsm::IterationDistribution& sched = plan.iteration[k];
+    forEachRunAccess(program, phase, params, [&](const ConcreteAccess& acc, const ir::Bindings&) {
+      if (phase.isPrivatized(acc.ref->array)) return;  // scratch: no shared flow
+      auto& st = state.at(acc.ref->array);
+      const std::int64_t pe =
+          phase.hasParallelLoop() ? sched.executor(acc.parallelIter, H) : 0;
+      const auto& dist = plan.data.at(acc.ref->array)[k];
+      const std::int64_t a = acc.address;
+      AD_REQUIRE(a >= 0 && a < st.size, "address out of bounds");
+      const auto ai = static_cast<std::size_t>(a);
+
+      if (acc.ref->kind == ir::AccessKind::kWrite) {
+        ++st.truth[ai];
+        if (dist.hasOwner()) {
+          // The write lands in the owner's memory (locally or as a put), and
+          // the writer's own copy if it keeps one.
+          const std::int64_t owner = dist.owner(a, H);
+          st.local[static_cast<std::size_t>(owner)][ai] = st.truth[ai];
+          if (pe != owner) st.local[static_cast<std::size_t>(pe)][ai] = st.truth[ai];
+        } else {
+          // Replicated/private placement: only the writer's copy is updated
+          // (never-written arrays make this path moot for replicas).
+          st.local[static_cast<std::size_t>(pe)][ai] = st.truth[ai];
+        }
+        return;
+      }
+
+      // Read: served locally (owner copy, halo replica, replicated array) or
+      // remotely. Remote reads observe the owner's memory, which the write
+      // rule keeps authoritative — only local copies can be stale.
+      ++report.readsChecked;
+      std::int64_t halo = 0;
+      if (auto hit = plan.halo.find(acc.ref->array); hit != plan.halo.end()) {
+        halo = hit->second[k];
+      }
+      const bool local = dist.isLocal(a, pe, H, halo);
+      if (!local) return;  // remote get: always fresh
+      if (st.local[static_cast<std::size_t>(pe)][ai] != st.truth[ai]) {
+        ++report.staleReads;
+        if (report.diagnostics.size() < 8) {
+          std::ostringstream os;
+          os << "stale read: phase " << phase.name() << " PE " << pe << " "
+             << acc.ref->array << "[" << a << "] version "
+             << st.local[static_cast<std::size_t>(pe)][ai] << " != truth " << st.truth[ai];
+          report.diagnostics.push_back(os.str());
+        }
+      }
+    });
+  }
+  return report;
+}
+
+bool inferPrivatizable(const ir::Program& program, std::size_t phase, const std::string& array,
+                       const ir::Bindings& params) {
+  const ir::Phase& ph = program.phase(phase);
+  if (!ph.accesses(array)) return false;
+  if (!ph.writes(array)) return false;  // nothing produced locally
+  const auto subject = [&] {
+    return "array=" + array + " phase=F" + std::to_string(phase + 1);
+  };
+  // No privatization without a completed proof: an exhausted budget (or an
+  // injected analysis fault) downgrades to shared placement, which is always
+  // correct — it merely forfeits the D-edge decoupling.
+  if (AD_FAULT_POINT("privatize.infer")) {
+    support::recordDegradation("privatization", subject(), "not privatized", "fault");
+    return false;
+  }
+  if (support::budgetCompromised()) {
+    support::recordDegradation("privatization", subject(), "not privatized",
+                               support::currentDegradationCause());
+    return false;
+  }
+  const bool proved =
+      noExposedReads(program, ph, array, params) && deadAfter(program, phase, array);
+  if (!proved && support::budgetCompromised()) {
+    support::recordDegradation("privatization", subject(), "not privatized",
+                               support::currentDegradationCause());
+  }
+  return proved;
+}
+
+std::vector<std::string> unjustifiedPrivatizations(const ir::Program& program, std::size_t phase,
+                                                   const ir::Bindings& params) {
+  std::vector<std::string> bad;
+  for (const auto& name : program.phase(phase).privatized()) {
+    if (!inferPrivatizable(program, phase, name, params)) bad.push_back(name);
+  }
+  return bad;
 }
 
 namespace {

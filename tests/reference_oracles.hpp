@@ -3,10 +3,11 @@
 // dsm::simulate counts accesses from arithmetic progressions,
 // comm::generateGlobal / verifiesRedistribution walk owner runs, and
 // ir::forEachRun lowers subscripts to integers and steps them along the
-// innermost loop. The
-// functions here do the same work the obvious way — one access, one element
-// at a time, every subscript evaluated — and exist only so the tests can
-// compare the two field by field.
+// innermost loop. The functions here do the same work the obvious way — one
+// access, one element at a time, every subscript evaluated — and exist only
+// so the tests can compare the two field by field. The checks that need
+// every access on its own (a plan's data flow, privatizability) live here
+// too, walking forEachRun's runs access by access.
 //
 // Expr's +, - and substitute merge canonical term lists in one pass; the
 // kernels here build the same sums the obvious way — concatenate the term
@@ -36,6 +37,21 @@ namespace ad::reference {
 [[nodiscard]] sym::Expr substitute(const sym::Expr& e,
                                    const std::map<sym::SymbolId, sym::Expr>& bindings);
 
+/// One concrete array access produced by walking a nest.
+struct ConcreteAccess {
+  const ir::ArrayRef* ref = nullptr;
+  std::int64_t address = 0;       ///< evaluated linear subscript
+  std::int64_t parallelIter = 0;  ///< value of the parallel loop index (0 if none)
+};
+
+using AccessFn = std::function<void(const ConcreteAccess&, const ir::Bindings&)>;
+
+/// ir::forEachRun's runs expanded access by access: every array access of
+/// the phase in execution order, iteration by iteration, the phase's refs in
+/// textual order, with every loop index bound. Throws as forEachRun does.
+void forEachRunAccess(const ir::Program& program, const ir::Phase& phase,
+                      const ir::Bindings& params, const AccessFn& fn);
+
 /// Calls `fn` once per iteration of the phase's full loop nest, innermost
 /// last, passing the complete index bindings (parameters + loop indices).
 /// Loop bounds are evaluated on the fly, so triangular/coupled nests work.
@@ -44,12 +60,11 @@ void forEachIteration(const ir::Program& program, const ir::Phase& phase,
                       const ir::Bindings& params,
                       const std::function<void(const ir::Bindings&)>& fn);
 
-/// ir::forEachAccess without runs or lowering: walks the nest with
+/// forEachRunAccess without runs or lowering: walks the nest with
 /// forEachIteration and evaluates every subscript with Expr::evaluate at
 /// every access.
 void forEachAccess(const ir::Program& program, const ir::Phase& phase,
-                   const ir::Bindings& params,
-                   const std::function<void(const ir::ConcreteAccess&, const ir::Bindings&)>& fn);
+                   const ir::Bindings& params, const AccessFn& fn);
 
 /// All distinct addresses of `array` touched by the phase (any access kind).
 [[nodiscard]] std::vector<std::int64_t> touchedAddresses(const ir::Program& program,
@@ -79,6 +94,49 @@ void forEachAccess(const ir::Program& program, const ir::Phase& phase,
                                                          const ir::Bindings& params,
                                                          const dsm::ExecutionPlan& plan,
                                                          std::int64_t processors);
+
+struct DataFlowReport {
+  std::int64_t readsChecked = 0;
+  std::int64_t staleReads = 0;
+  std::vector<std::string> diagnostics;  ///< first few offending reads
+
+  [[nodiscard]] bool ok() const noexcept { return staleReads == 0; }
+};
+
+/// Checks that `plan` is value-correct, not only where accesses land: every
+/// read served from a processor's local memory (owned block, replicated
+/// halo, or replicated array) must observe the value a sequential execution
+/// would. Every array element carries a version, bumped on each write in
+/// program order. Owners are updated in place (a write by the executing
+/// processor reaches the owner's copy directly or as a put); halo and
+/// replica copies go stale on writes and are refreshed only by the plan's
+/// frontier exchanges and redistributions, so a phase reading a halo element
+/// the plan failed to refresh makes a stale read. Remotely served reads are
+/// always fresh (a DSM get observes the owner's memory).
+[[nodiscard]] DataFlowReport validateDataFlow(const ir::Program& program,
+                                              const ir::Bindings& params,
+                                              const dsm::ExecutionPlan& plan,
+                                              std::int64_t processors);
+
+/// Whether `array` is privatizable in phase `phase`, exactly under the given
+/// bindings. The paper takes privatizable-array marking from the Polaris
+/// analyses, restricted so that the array's value is dead after the phase:
+///   (a) within every parallel iteration of the phase, each read of the
+///       array happens at an address that iteration has already written (no
+///       exposed reads), and
+///   (b) the value is not live after the phase: walking forward (wrapping
+///       for cyclic programs), the next phase that really uses the array
+///       writes it without reading it (or privatizes it itself).
+/// Without a completed proof — an exhausted budget, or the privatize.infer
+/// fault — the answer is false, recorded as a "privatization" degradation.
+[[nodiscard]] bool inferPrivatizable(const ir::Program& program, std::size_t phase,
+                                     const std::string& array, const ir::Bindings& params);
+
+/// The arrays declared privatizable in `phase` that inferPrivatizable
+/// rejects (empty = every marking is justified).
+[[nodiscard]] std::vector<std::string> unjustifiedPrivatizations(const ir::Program& program,
+                                                                 std::size_t phase,
+                                                                 const ir::Bindings& params);
 
 /// One (src, dst, element) tuple per moving element, sorted and coalesced.
 [[nodiscard]] comm::CommSchedule generateGlobal(const std::string& array, std::int64_t size,

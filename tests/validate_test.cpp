@@ -4,7 +4,7 @@
 
 #include "codes/suite.hpp"
 #include "driver/pipeline.hpp"
-#include "dsm/validate.hpp"
+#include "reference_oracles.hpp"
 
 namespace ad::dsm {
 namespace {
@@ -17,7 +17,7 @@ TEST(ValidateDataFlow, DerivedPlansAreValueCorrectAcrossTheSuite) {
     config.processors = 4;
     config.simulateBaseline = false;
     const auto result = driver::analyzeAndSimulate(prog, config);
-    const auto report = validateDataFlow(prog, config.params, result.plan, 4);
+    const auto report = reference::validateDataFlow(prog, config.params, result.plan, 4);
     EXPECT_GT(report.readsChecked, 0) << code.name;
     EXPECT_TRUE(report.ok()) << code.name << ": " << report.staleReads << " stale reads; "
                              << (report.diagnostics.empty() ? "" : report.diagnostics[0]);
@@ -30,7 +30,7 @@ TEST(ValidateDataFlow, NaivePlansAreAlsoCorrectJustSlow) {
   const ir::Program prog = codes::makeSwim();
   const auto params = codes::bindParams(prog, {{"N", 32}});
   const auto plan = ExecutionPlan::naiveBlock(prog, params, 4);
-  const auto report = validateDataFlow(prog, params, plan, 4);
+  const auto report = reference::validateDataFlow(prog, params, plan, 4);
   EXPECT_TRUE(report.ok());
 }
 
@@ -66,7 +66,7 @@ TEST(ValidateDataFlow, LoopCarriedFlowDependenceUnderHalosIsCaught) {
   plan.data["A"].assign(2, DataDistribution::blockCyclic(8));
   for (auto& it : plan.iteration) it.chunk = 8;
   plan.halo["A"] = {0, 1};  // one-element halo for the i-1 reads
-  const auto report = validateDataFlow(prog, params, plan, 4);
+  const auto report = reference::validateDataFlow(prog, params, plan, 4);
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.staleReads, 0);
   ASSERT_FALSE(report.diagnostics.empty());
@@ -101,7 +101,7 @@ TEST(ValidateDataFlow, FrontierRefreshKeepsStencilHalosFresh) {
 
   ExecutionPlan plan = ExecutionPlan::naiveBlock(prog, params, 4);
   plan.halo["A"] = {0, 1};
-  const auto report = validateDataFlow(prog, params, plan, 4);
+  const auto report = reference::validateDataFlow(prog, params, plan, 4);
   EXPECT_TRUE(report.ok()) << (report.diagnostics.empty() ? "" : report.diagnostics[0]);
   EXPECT_GT(report.readsChecked, 0);
 }
@@ -144,7 +144,7 @@ TEST(ValidateDataFlow, SkippedRedistributionIntoAPartialWriterIsCaught) {
   plan.data["B"].assign(3, DataDistribution::blockCyclic(1));
   plan.iteration = {IterationDistribution{4}, IterationDistribution{1}, IterationDistribution{1}};
   ASSERT_FALSE(redistributes(prog, plan, "A", 1));
-  const auto report = validateDataFlow(prog, {}, plan, 2);
+  const auto report = reference::validateDataFlow(prog, {}, plan, 2);
   // A(5) and A(7) move from PE 1 to PE 1 (fresh); A(4) and A(6) from PE 1 to
   // PE 0, which never received them.
   EXPECT_EQ(report.staleReads, 2);

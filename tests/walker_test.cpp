@@ -1,9 +1,8 @@
-// The access walkers against the every-access reference walk
-// (reference::forEachAccess): ir::forEachAccess must report the same access
-// stream, element by element — ref, address, parallel iteration and the
-// index bindings — and fail at the same access; the runs of ir::forEachRun,
-// expanded access by access, must report the same ref, address and parallel
-// iteration, and fail at the same access.
+// The run walker against the every-access reference walk
+// (reference::forEachAccess): ir::forEachRun's runs, expanded access by
+// access (reference::forEachRunAccess), must report the same access stream,
+// element by element — ref, address, parallel iteration and the index
+// bindings — and fail at the same access.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,8 +34,8 @@ struct Stream {
   std::string error;                ///< what() of the AnalysisError that ended the walk
 };
 
-/// kStepped: ir::forEachAccess. kRuns: ir::forEachRun's runs expanded
-/// access by access, without bindings. kReference: reference::forEachAccess;
+/// kStepped: reference::forEachRunAccess. kRuns: ir::forEachRun's runs
+/// expanded here access by access, without bindings. kReference: reference::forEachAccess;
 /// kReferenceNoBindings: the same without bindings, to compare with kRuns.
 enum class Walk { kStepped, kReference, kRuns, kReferenceNoBindings };
 
@@ -48,7 +47,7 @@ Stream capture(Walk walk, const Program& prog, const Phase& phase, const Binding
     s.words.push_back(address);
     s.words.push_back(parallelIter);
   };
-  const auto record = [&](const ConcreteAccess& a, const Bindings& b) {
+  const auto record = [&](const reference::ConcreteAccess& a, const Bindings& b) {
     access(a.ref, a.address, a.parallelIter);
     if (walk == Walk::kReferenceNoBindings) return;
     for (const auto& [id, value] : b) {
@@ -58,9 +57,9 @@ Stream capture(Walk walk, const Program& prog, const Phase& phase, const Binding
   };
   try {
     if (walk == Walk::kStepped) {
-      forEachAccess(prog, phase, params, record);
+      reference::forEachRunAccess(prog, phase, params, record);
     } else if (walk == Walk::kRuns) {
-      forEachRun(prog, phase, params, [&](const AccessRun& run, Bindings&) {
+      forEachRun(LoweredPhase(phase, params), [&](const AccessRun& run, Bindings&) {
         for (std::int64_t t = 0; t < run.count; ++t) {
           for (const RefRun& r : run.refs) access(r.ref, r.start + r.step * t, run.parallelIterAt(t));
         }
@@ -226,7 +225,7 @@ std::vector<std::pair<std::int64_t, std::size_t>> runShapes(const Program& prog,
                                                             const Bindings& params) {
   std::vector<std::pair<std::int64_t, std::size_t>> shapes;
   for (const Phase& phase : prog.phases()) {
-    forEachRun(prog, phase, params, [&](const AccessRun& run, Bindings&) {
+    forEachRun(LoweredPhase(phase, params), [&](const AccessRun& run, Bindings&) {
       shapes.emplace_back(run.count, run.refs.size());
     });
   }
