@@ -84,11 +84,12 @@ int main() {
     const auto sched = comm::generateGlobal("X", size, from, to, H);
     const auto runs = static_cast<std::int64_t>(sched.ranges().size());
     dsm::MachineParams machine;
-    const double aggregated = sched.time(machine);
-    // Without aggregation each contiguous run pays its own startup.
-    const double unaggregated =
-        static_cast<double>(runs) * machine.putLatency +
-        static_cast<double>(sched.totalWords()) * machine.perWord;
+    machine.processors = H;
+    // The same words, as one put per message or (without aggregation) one
+    // put per contiguous run.
+    const double aggregated = machine.transferTime(
+        static_cast<std::int64_t>(sched.messageCount()), sched.totalWords());
+    const double unaggregated = machine.transferTime(runs, sched.totalWords());
     std::ostringstream os;
     os << "C. message aggregation (16K-element redistribution, H = 8):\n"
        << "   messages " << sched.messageCount() << " (from " << runs

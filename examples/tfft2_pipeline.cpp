@@ -80,9 +80,7 @@ support::BudgetLimits budgetFrom(const driver::CliOptions& opts) {
 }
 
 driver::ValidateMode validateModeFrom(const driver::CliOptions& opts) {
-  if (opts.validate == "trace") return driver::ValidateMode::kTrace;
-  if (opts.validate == "symbolic") return driver::ValidateMode::kSymbolic;
-  if (opts.validate == "both") return driver::ValidateMode::kBoth;
+  if (const auto mode = driver::parseValidateMode(opts.validate)) return *mode;
   return opts.simulate ? driver::ValidateMode::kTrace : driver::ValidateMode::kNone;
 }
 

@@ -193,6 +193,13 @@ symval() {
     echo "src/ names forEachAccess or src/dsm/ calls linearDecompose (above): one lowering, enumerators only in tests/"
     exit 1
   fi
+  # One price: MachineParams::transferTime (src/dsm/machine.*) is the only
+  # reader of the put costs, so the ILP, the plan and the cost model cannot
+  # price a transfer two ways.
+  if grep -rnwE 'putLatency|perWord' src/ | grep -v '^src/dsm/machine\.'; then
+    echo "src/ reads putLatency or perWord outside src/dsm/machine.* (above): price transfers with MachineParams::transferTime"
+    exit 1
+  fi
   cmake -B build -S .
   cmake --build build -j "$jobs" --target symval_test symbolic_validation tfft2_pipeline
   ./build/tests/symval_test

@@ -1,7 +1,6 @@
 #include "comm/schedule.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <tuple>
 
@@ -30,19 +29,6 @@ std::int64_t CommSchedule::totalWords() const {
   std::int64_t n = 0;
   for (const auto& r : ranges_) n += r.words();
   return n;
-}
-
-double CommSchedule::time(const dsm::MachineParams& machine) const {
-  // Each source processor issues its puts back-to-back; sources proceed in
-  // parallel, so the schedule takes as long as the busiest source.
-  std::map<std::int64_t, double> perSource;
-  for (const auto& m : messages_) {
-    perSource[m.src] +=
-        machine.putLatency + static_cast<double>(words(m)) * machine.perWord;
-  }
-  double worst = 0.0;
-  for (const auto& [src, t] : perSource) worst = std::max(worst, t);
-  return worst;
 }
 
 std::string CommSchedule::str() const {

@@ -74,9 +74,6 @@ class CommSchedule {
   [[nodiscard]] std::int64_t words(const MessageHeader& m) const;
   [[nodiscard]] std::int64_t totalWords() const;
 
-  /// Estimated execution time (aggregated puts in parallel across sources).
-  [[nodiscard]] double time(const dsm::MachineParams& machine) const;
-
   /// SHMEM-style pseudo-code of the schedule ("PE s: put(X[b..e) -> PE d)").
   [[nodiscard]] std::string str() const;
 

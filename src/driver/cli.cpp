@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "driver/pipeline.hpp"
+
 namespace ad::driver {
 
 namespace {
@@ -42,9 +44,9 @@ std::string cliUsage(std::string_view argv0) {
       "                  incompatible with --suite, which fixes its own sizes\n"
       "  --simulate      replay every access of the plan (serial trace replay)\n"
       "                  and cross-check the Theorem-1/2 edge labels\n"
-      "  --validate=MODE trace (enumerate), symbolic (closed form), or both\n"
+      "  --validate=MODE none, trace (enumerate), symbolic (closed form), or both\n"
       "                  (differential: the two must agree exactly); see\n"
-      "                  docs/VALIDATION.md\n"
+      "                  docs/VALIDATION.md. none overrides --simulate's trace\n"
       "  --suite         run the whole benchmark suite (six 1999 codes +\n                  the AI/HPC kernel family) as one batch\n"
       "  --jobs N        worker threads, N >= 1\n"
       "  --fault SPEC    deterministic fault injection: tag@N, tag@N+ or\n"
@@ -116,9 +118,9 @@ Expected<CliOptions> parseCli(int argc, const char* const* argv) {
       }
     } else if (arg.rfind("--validate=", 0) == 0) {
       opts.validate = arg.substr(sizeof("--validate=") - 1);
-      if (opts.validate != "trace" && opts.validate != "symbolic" && opts.validate != "both") {
+      if (!parseValidateMode(opts.validate)) {
         return invalid("bad --validate value '" + opts.validate +
-                       "': want trace, symbolic, or both");
+                       "': want none, trace, symbolic, or both");
       }
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       opts.traceOut = arg.substr(sizeof("--trace-out=") - 1);

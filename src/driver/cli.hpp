@@ -25,8 +25,9 @@ struct CliOptions {
   bool simulate = false;  ///< --simulate: trace-replay + Theorem-1/2 check
   bool suite = false;     ///< --suite: run the whole benchmark suite (six 1999 codes + kernels)
 
-  /// --validate=trace|symbolic|both: which validation oracle(s) to run (see
-  /// docs/VALIDATION.md). Empty = none requested (--simulate implies trace).
+  /// --validate=none|trace|symbolic|both (driver::parseValidateMode): which
+  /// validation oracle(s) to run (see docs/VALIDATION.md). Empty = none
+  /// requested (--simulate implies trace).
   std::string validate;
 
   std::size_t jobs = 1;   ///< --jobs N (N >= 1)
@@ -62,7 +63,7 @@ struct CliOptions {
 ///  - non-integer / out-of-range positionals, or more than three;
 ///  - positional sizes < 1;
 ///  - --budget-steps / --budget-ms negative or garbage;
-///  - --validate= values other than trace, symbolic, or both;
+///  - --validate= values other than none, trace, symbolic, or both;
 ///  - --suite combined with positional P/Q/H (the suite fixes its own sizes);
 ///  - --serve combined with --client, --suite, --simulate, --validate,
 ///    positionals, or any client-only flag (per-request analysis options

@@ -55,6 +55,18 @@ dsm::DataDistribution nodeDistribution(const lcg::Node& node, std::int64_t chunk
 
 }  // namespace
 
+std::optional<ValidateMode> parseValidateMode(std::string_view name) {
+  static constexpr std::pair<std::string_view, ValidateMode> kModes[] = {
+      {"none", ValidateMode::kNone},
+      {"trace", ValidateMode::kTrace},
+      {"symbolic", ValidateMode::kSymbolic},
+      {"both", ValidateMode::kBoth}};
+  for (const auto& [modeName, mode] : kModes) {
+    if (name == modeName) return mode;
+  }
+  return std::nullopt;
+}
+
 dsm::ExecutionPlan derivePlan(const ir::Program& program, const lcg::LCG& lcg,
                               const ilp::Model& model, const ilp::Solution& solution,
                               const ir::Bindings& params, std::int64_t processors,
@@ -289,41 +301,21 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     }
   }
 
-  const ValidateMode mode = config.validate;
-  const bool symbolic = mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth;
-  loc::SymvalOptions symvalOptions;
-  symvalOptions.processors = config.processors;
-  // A simulated, symbolically validated run counts the plan once, with the
-  // validator's options: the counts are exact whichever way a region is
-  // counted, so the cost model reads the same numbers from them.
-  std::optional<dsm::PlanCounts> shared;
-  dsm::SimulationResult planned;
-  if (config.simulatePlan) {
-    obs::Span s("pipeline.dsm_model");
-    ErrorContext stage("stage", "dsm_model");
-    support::throwIfCancelled();
-    if (symbolic) {
-      shared = dsm::countPlan(program, config.params, plan, loc::countOptions(symvalOptions));
-    }
-    planned = shared ? dsm::simulate(program, machine, *shared)
-                     : dsm::simulate(program, config.params, machine, plan);
-  }
   PipelineResult result{std::move(*lcgGraph),
                         std::move(*model),
                         std::move(solution),
                         std::move(plan),
                         std::move(schedules),
-                        std::move(planned),
                         {},
-                        config.processors};
-  if (config.simulateBaseline) {
-    obs::Span s("pipeline.dsm_baseline");
-    ErrorContext stage("stage", "dsm_baseline");
-    support::throwIfCancelled();
-    result.naive = dsm::simulate(program, config.params, machine,
-                                 dsm::ExecutionPlan::naiveBlock(program, config.params,
-                                                                config.processors));
-  }
+                        {},
+                        config.processors,
+                        {},
+                        {},
+                        {},
+                        {},
+                        {}};
+  const ValidateMode mode = config.validate;
+  const bool symbolic = mode == ValidateMode::kSymbolic || mode == ValidateMode::kBoth;
   if (mode == ValidateMode::kTrace || mode == ValidateMode::kBoth) {
     obs::Span s("pipeline.trace_sim");
     ErrorContext stage("stage", "trace_sim");
@@ -332,13 +324,29 @@ PipelineResult analyzeAndSimulate(const ir::Program& program, const PipelineConf
     so.processors = config.processors;
     result.trace = sim::simulateTrace(program, config.params, result.plan, so);
   }
+  // The one count of the derived plan: the cost model and the symbolic
+  // validator read the same exact counts, however each region was counted.
+  std::optional<dsm::PlanCounts> counts;
+  if (config.simulatePlan || symbolic) {
+    obs::Span s("pipeline.dsm_model");
+    ErrorContext stage("stage", "dsm_model");
+    support::throwIfCancelled();
+    counts = dsm::countPlan(program, config.params, result.plan, config.processors);
+    if (config.simulatePlan) result.planned = dsm::simulate(program, machine, *counts);
+  }
   if (symbolic) {
     obs::Span s("pipeline.symval");
     ErrorContext stage("stage", "symval");
     support::throwIfCancelled();
-    result.symbolic =
-        shared ? loc::symbolicTrace(program, *shared, config.processors)
-               : loc::symbolicTrace(program, config.params, result.plan, symvalOptions);
+    result.symbolic = loc::symbolicTrace(program, *counts, config.processors);
+  }
+  if (config.simulateBaseline) {
+    obs::Span s("pipeline.dsm_baseline");
+    ErrorContext stage("stage", "dsm_baseline");
+    support::throwIfCancelled();
+    result.naive = dsm::simulate(program, config.params, machine,
+                                 dsm::ExecutionPlan::naiveBlock(program, config.params,
+                                                                config.processors));
   }
   if (mode == ValidateMode::kBoth) {
     // Differential oracle check: the two observed traces must be identical

@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/schedule.hpp"
@@ -37,6 +38,10 @@ namespace ad::driver {
 ///  - kBoth:     run both and compare them field for field (differential
 ///               mode; any difference is reported as a validation failure).
 enum class ValidateMode { kNone, kTrace, kSymbolic, kBoth };
+
+/// The mode named `name`: none, trace, symbolic or both (the CLI's
+/// --validate= and the service's "validate" field); nullopt for any other.
+[[nodiscard]] std::optional<ValidateMode> parseValidateMode(std::string_view name);
 
 struct PipelineConfig {
   ir::Bindings params;            ///< numeric values for the program parameters

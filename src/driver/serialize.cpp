@@ -6,30 +6,11 @@
 #include <tuple>
 
 #include "support/fault.hpp"
+#include "support/string_utils.hpp"
 
 namespace ad::driver {
 
 namespace {
-
-void appendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  out += '"';
-}
 
 const char* distKindName(dsm::DataDistribution::Kind k) {
   switch (k) {
@@ -39,8 +20,6 @@ const char* distKindName(dsm::DataDistribution::Kind k) {
       return "folded_block_cyclic";
     case dsm::DataDistribution::Kind::kReplicated:
       return "replicated";
-    case dsm::DataDistribution::Kind::kPrivate:
-      return "private";
   }
   return "?";
 }
@@ -66,12 +45,12 @@ std::string serializeGolden(const PipelineResult& result, const ir::Program& pro
   for (std::size_t g = 0; g < result.lcg.graphs().size(); ++g) {
     const lcg::ArrayGraph& graph = result.lcg.graphs()[g];
     out += "    {\n      \"array\": ";
-    appendEscaped(out, graph.array);
+    out += jsonQuote(graph.array);
     out += ",\n      \"nodes\": [\n";
     for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
       const lcg::Node& node = graph.nodes[n];
       out += "        {\"phase\": ";
-      appendEscaped(out, program.phases()[node.phase].name());
+      out += jsonQuote(program.phases()[node.phase].name());
       out += ", \"attr\": \"";
       out += loc::attrName(node.attr);
       out += "\", \"overlap\": \"";
@@ -79,9 +58,9 @@ std::string serializeGolden(const PipelineResult& result, const ir::Program& pro
       out += "\"";
       if (node.info->side) {
         out += ", \"slope\": ";
-        appendEscaped(out, node.info->side->slope.str(table));
+        out += jsonQuote(node.info->side->slope.str(table));
         out += ", \"offset\": ";
-        appendEscaped(out, node.info->side->offset.str(table));
+        out += jsonQuote(node.info->side->offset.str(table));
       }
       out += "}";
       out += n + 1 < graph.nodes.size() ? ",\n" : "\n";
@@ -98,7 +77,7 @@ std::string serializeGolden(const PipelineResult& result, const ir::Program& pro
       if (edge.degraded) out += ", \"degraded\": true";
       if (edge.condition) {
         out += ", \"condition\": ";
-        appendEscaped(out, edge.condition->render(table, "p_k", "p_g"));
+        out += jsonQuote(edge.condition->render(table, "p_k", "p_g"));
       }
       out += "}";
       out += e + 1 < graph.edges.size() ? ",\n" : "\n";
@@ -112,7 +91,7 @@ std::string serializeGolden(const PipelineResult& result, const ir::Program& pro
   out += "  \"plan\": {\n    \"iteration\": [\n";
   for (std::size_t p = 0; p < result.plan.iteration.size(); ++p) {
     out += "      {\"phase\": ";
-    appendEscaped(out, program.phases()[p].name());
+    out += jsonQuote(program.phases()[p].name());
     out += ", \"chunk\": " + std::to_string(result.plan.iteration[p].chunk) + "}";
     out += p + 1 < result.plan.iteration.size() ? ",\n" : "\n";
   }
@@ -122,7 +101,7 @@ std::string serializeGolden(const PipelineResult& result, const ir::Program& pro
   std::size_t arrayIdx = 0;
   for (const auto& [array, dists] : result.plan.data) {
     out += "      {\"array\": ";
-    appendEscaped(out, array);
+    out += jsonQuote(array);
     out += ", \"phases\": [";
     for (std::size_t p = 0; p < dists.size(); ++p) {
       const dsm::DataDistribution& d = dists[p];
@@ -158,13 +137,13 @@ std::string serializeGolden(const PipelineResult& result, const ir::Program& pro
     out += "  \"degradation\": [\n";
     for (std::size_t i = 0; i < events.size(); ++i) {
       out += "    {\"stage\": ";
-      appendEscaped(out, events[i].stage);
+      out += jsonQuote(events[i].stage);
       out += ", \"subject\": ";
-      appendEscaped(out, events[i].subject);
+      out += jsonQuote(events[i].subject);
       out += ", \"action\": ";
-      appendEscaped(out, events[i].action);
+      out += jsonQuote(events[i].action);
       out += ", \"cause\": ";
-      appendEscaped(out, events[i].cause);
+      out += jsonQuote(events[i].cause);
       out += "}";
       out += i + 1 < events.size() ? ",\n" : "\n";
     }

@@ -12,6 +12,7 @@
 #include "support/budget.hpp"
 #include "support/checked_int.hpp"
 #include "support/diagnostics.hpp"
+#include "support/fault.hpp"
 #include "symbolic/interval_set.hpp"
 
 namespace ad::dsm {
@@ -195,18 +196,6 @@ std::int64_t countRunIn(const ApList& aps, const View& view, std::int64_t shift,
   return local;
 }
 
-/// Iterations of [lo, lo + trip) that CYCLIC(chunk) assigns to `pe` (lo >= 0).
-std::int64_t iterationsOn(const IterationDistribution& sched, std::int64_t processors,
-                          std::int64_t pe, std::int64_t lo, std::int64_t trip) {
-  const std::int64_t cycle = checkedMul(sched.chunk, processors);
-  const auto below = [&](std::int64_t x) {
-    const std::int64_t inCycle = std::clamp<std::int64_t>(x % cycle - pe * sched.chunk, 0,
-                                                          sched.chunk);
-    return checkedAdd(checkedMul(x / cycle, sched.chunk), inCycle);
-  };
-  return below(checkedAdd(lo, trip)) - below(lo);
-}
-
 /// The locality sets of one (distribution, halo). Under BLOCK-CYCLIC(block)
 /// processor pe's set is pe 0's shifted by pe * block, so one set serves
 /// every processor. A folded distribution reads that set through sigma on
@@ -254,12 +243,10 @@ class LocalSets {
   std::vector<char> built_;
 };
 
-/// Classification recipe of one reference.
-struct RefInfo {
-  std::size_t slot = 0;
-  const DataDistribution* dist = nullptr;  ///< null: privatized
-  std::int64_t halo = 0;                   ///< reads only (Theorem 1c)
-  LocalSets* sets = nullptr;               ///< null: always local
+/// Classification recipe of one reference: its placement and the locality
+/// sets of its (distribution, halo).
+struct RefInfo : RefPlacement {
+  LocalSets* sets = nullptr;  ///< null: always local
 
   [[nodiscard]] bool alwaysLocal() const { return sets == nullptr; }
 };
@@ -269,7 +256,7 @@ struct RefInfo {
 class AccessCounter {
  public:
   AccessCounter(const ir::Program& program, const ir::Bindings& params,
-                const ExecutionPlan& plan, const CountOptions& options);
+                const ExecutionPlan& plan, std::int64_t processors);
 
   /// Every access of phase `k`, per array.
   [[nodiscard]] PhaseTally countPhase(std::size_t k);
@@ -293,7 +280,7 @@ class AccessCounter {
   const ir::Program& program_;
   const ir::Bindings& params_;
   const ExecutionPlan& plan_;
-  CountOptions options_;
+  std::int64_t processors_;
   support::ExpiryPoll poll_;
   std::map<std::tuple<int, std::int64_t, std::int64_t, std::int64_t>, LocalSets> sets_;
   std::int64_t runs_ = 0;
@@ -314,10 +301,10 @@ std::int64_t PhaseTally::enumeratedRefs() const {
 }
 
 AccessCounter::AccessCounter(const ir::Program& program, const ir::Bindings& params,
-                             const ExecutionPlan& plan, const CountOptions& options)
-    : program_(program), params_(params), plan_(plan), options_(options) {
+                             const ExecutionPlan& plan, std::int64_t processors)
+    : program_(program), params_(params), plan_(plan), processors_(processors) {
   AD_REQUIRE(plan.iteration.size() == program.phases().size(), "plan must cover every phase");
-  AD_REQUIRE(options.processors >= 1, "need at least one processor");
+  AD_REQUIRE(processors >= 1, "need at least one processor");
 }
 
 /// The locality sets under (`dist`, `halo`), made on the first reference
@@ -325,7 +312,7 @@ AccessCounter::AccessCounter(const ir::Program& program, const ir::Bindings& par
 LocalSets& AccessCounter::localSets(const DataDistribution& dist, std::int64_t halo) {
   return sets_
       .try_emplace({static_cast<int>(dist.kind), dist.block, dist.fold, halo}, dist,
-                   options_.processors, halo)
+                   processors_, halo)
       .first->second;
 }
 
@@ -360,7 +347,7 @@ bool AccessCounter::countParallel(const ir::LoweredPhase& phase, std::size_t k,
                                   const RefInfo& info, const IterationDistribution& sched,
                                   ArrayTally& out) {
   const std::size_t parPos = phase.phase().parallelLoopPos();
-  const std::int64_t H = options_.processors;
+  const std::int64_t H = processors_;
   ir::NestPoint at = phase.origin();
   const std::function<bool(std::size_t)> run = [&](std::size_t depth) -> bool {
     const auto [lo, trip] = phase.range(depth, at);
@@ -411,12 +398,12 @@ bool AccessCounter::countParallel(const ir::LoweredPhase& phase, std::size_t k,
 bool AccessCounter::countUniform(const ApList& aps0, std::int64_t shift, std::int64_t lo,
                                  std::int64_t trip, const RefInfo& info,
                                  const IterationDistribution& sched, ArrayTally& out) {
-  const std::int64_t H = options_.processors;
+  const std::int64_t H = processors_;
   const std::int64_t perIter = aps0.total();
   (void)checkedMul(perIter, trip);  // the whole loop's total must fit
   if (info.alwaysLocal()) {
     for (std::int64_t pe = 0; pe < H; ++pe) {
-      const std::int64_t n = checkedMul(perIter, iterationsOn(sched, H, pe, lo, trip));
+      const std::int64_t n = checkedMul(perIter, sched.iterationsOn(H, pe, lo, trip));
       add(out, pe, n, n);
     }
     return true;
@@ -532,9 +519,9 @@ bool AccessCounter::countUniform(const ApList& aps0, std::int64_t shift, std::in
 }
 
 /// The fallback: counts the arrays marked with a fallback cause from the
-/// phase's runs, each piece of a run executed by one processor charged to it
-/// and its addresses classified one by one. Polls cancellation and the
-/// deadline once per access.
+/// phase's runs, each piece of a run executed by one processor
+/// (forEachProcessorPiece) charged to it and its addresses classified one by
+/// one. Polls cancellation and the deadline once per access.
 void AccessCounter::enumerate(const ir::LoweredPhase& phase, const IterationDistribution& sched,
                               const std::vector<RefInfo>& refs, PhaseTally& tally) {
   for (auto& a : tally.arrays) {
@@ -543,17 +530,11 @@ void AccessCounter::enumerate(const ir::LoweredPhase& phase, const IterationDist
     std::fill(a.peAccesses.begin(), a.peAccesses.end(), 0);
     std::fill(a.peRemote.begin(), a.peRemote.end(), 0);
   }
-  const std::int64_t H = options_.processors;
-  const bool hasPar = phase.phase().hasParallelLoop();
+  const std::int64_t H = processors_;
   support::ExpiryPoll poll;
   ir::forEachRun(phase, [&](const ir::AccessRun& run, ir::Bindings&) {
-    // Iterations [t, t + n) run on one processor: the DOALL encloses the
-    // run, or the piece stays in one CYCLIC(chunk) block of it.
-    for (std::int64_t t = 0, n = 0; t < run.count; t += n) {
-      const std::int64_t iter = run.parallelIterAt(t);
-      const std::int64_t pe = hasPar ? sched.executor(iter, H) : 0;
-      n = run.parallelIsInner ? std::min(run.count - t, sched.chunk - iter % sched.chunk)
-                              : run.count;
+    forEachProcessorPiece(run, sched, H, INT64_MAX, [&](std::int64_t t, std::int64_t n,
+                                                        std::int64_t pe) {
       for (const ir::RefRun& r : run.refs) {
         const RefInfo& info = refs[static_cast<std::size_t>(r.ref - phase.phase().refs().data())];
         ArrayTally& a = tally.arrays[info.slot];
@@ -567,7 +548,7 @@ void AccessCounter::enumerate(const ir::LoweredPhase& phase, const IterationDist
         }
         add(a, pe, n, local);
       }
-    }
+    });
   });
 }
 
@@ -575,33 +556,13 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
   const ir::Phase& phase = program_.phase(k);
   const ir::LoweredPhase lowered(phase, params_);
   const IterationDistribution& sched = plan_.iteration[k];
-  const auto h = static_cast<std::size_t>(options_.processors);
 
   PhaseTally tally;
-  std::map<std::string, std::size_t> slotOf;
   std::vector<RefInfo> refs;
-  for (const auto& r : phase.refs()) {
-    RefInfo info;
-    const auto [it, fresh] = slotOf.emplace(r.array, tally.arrays.size());
-    info.slot = it->second;
-    if (fresh) {
-      ArrayTally a;
-      a.array = r.array;
-      a.peAccesses.assign(h, 0);
-      a.peRemote.assign(h, 0);
-      tally.arrays.push_back(std::move(a));
-    }
-    ++tally.arrays[info.slot].refs;
-    if (!phase.isPrivatized(r.array)) {
-      const auto dit = plan_.data.find(r.array);
-      AD_REQUIRE(dit != plan_.data.end(), "plan missing array " + r.array);
-      info.dist = &dit->second[k];
-      if (r.kind == ir::AccessKind::kRead) {
-        if (auto hit = plan_.halo.find(r.array); hit != plan_.halo.end()) {
-          info.halo = hit->second[k];
-        }
-      }
-      if (info.dist->hasOwner()) info.sets = &localSets(*info.dist, info.halo);
+  for (const RefPlacement& place : placeRefs(program_, plan_, k, processors_, tally)) {
+    RefInfo info{place};
+    if (info.dist != nullptr && info.dist->hasOwner()) {
+      info.sets = &localSets(*info.dist, info.halo);
     }
     refs.push_back(info);
   }
@@ -611,7 +572,7 @@ PhaseTally AccessCounter::countPhase(std::size_t k) {
     const RefInfo& info = refs[i];
     ArrayTally& a = tally.arrays[info.slot];
     if (!a.fallbackCause.empty()) continue;
-    if (options_.forceFallback != nullptr && options_.forceFallback()) {
+    if (AD_FAULT_POINT("symval.region")) {
       a.fallbackCause = "fault";
       fallback = true;
       continue;
@@ -652,7 +613,7 @@ PhaseCommunication AccessCounter::communication(std::size_t k) const {
       rs.array = arr.name;
       rs.beforePhase = k;
       countRedistribution(dists[k - 1], dists[k], evalInt(arr.size, params_, "array size"),
-                          options_.processors, rs.wordsMoved, rs.messages);
+                          processors_, rs.wordsMoved, rs.messages);
       if (rs.wordsMoved > 0) out.global.push_back(std::move(rs));
     }
     if (auto rs = frontierRefresh(program_, params_, plan_, arr.name, k)) {
@@ -662,11 +623,43 @@ PhaseCommunication AccessCounter::communication(std::size_t k) const {
   return out;
 }
 
+std::vector<RefPlacement> placeRefs(const ir::Program& program, const ExecutionPlan& plan,
+                                    std::size_t k, std::int64_t processors, PhaseTally& tally) {
+  const ir::Phase& phase = program.phase(k);
+  std::vector<RefPlacement> refs;
+  refs.reserve(phase.refs().size());
+  for (const auto& r : phase.refs()) {
+    RefPlacement place;
+    const auto it = std::find_if(tally.arrays.begin(), tally.arrays.end(),
+                                 [&](const ArrayTally& a) { return a.array == r.array; });
+    place.slot = static_cast<std::size_t>(it - tally.arrays.begin());
+    if (it == tally.arrays.end()) {
+      ArrayTally& a = tally.arrays.emplace_back();
+      a.array = r.array;
+      a.peAccesses.assign(static_cast<std::size_t>(processors), 0);
+      a.peRemote.assign(static_cast<std::size_t>(processors), 0);
+    }
+    ++tally.arrays[place.slot].refs;
+    if (!phase.isPrivatized(r.array)) {
+      const auto dit = plan.data.find(r.array);
+      AD_REQUIRE(dit != plan.data.end(), "plan missing array " + r.array);
+      place.dist = &dit->second[k];
+      if (r.kind == ir::AccessKind::kRead) {
+        if (auto hit = plan.halo.find(r.array); hit != plan.halo.end()) {
+          place.halo = hit->second[k];
+        }
+      }
+    }
+    refs.push_back(place);
+  }
+  return refs;
+}
+
 PlanCounts countPlan(const ir::Program& program, const ir::Bindings& params,
-                     const ExecutionPlan& plan, const CountOptions& options) {
+                     const ExecutionPlan& plan, std::int64_t processors) {
   const auto start = std::chrono::steady_clock::now();
   obs::metrics().counter("ad.dsm.count_passes").add(1);
-  AccessCounter counter(program, params, plan, options);
+  AccessCounter counter(program, params, plan, processors);
   PlanCounts counts;
   for (std::size_t k = 0; k < program.phases().size(); ++k) {
     counts.communication.push_back(counter.communication(k));

@@ -32,7 +32,8 @@
 // numeric-expansion caps, or an overflow) is counted by walking the phase's
 // runs (ir::forEachRun) for that array instead, each address classified with
 // DataDistribution::isLocal, so the counts are always exact. The caller
-// decides whether that fallback is a degradation worth recording.
+// decides whether that fallback is a degradation worth recording; the
+// validator (loc::symbolicTrace) records it.
 // Counting never charges the request's prover budget: its loops poll only
 // cancellation and the deadline.
 #pragma once
@@ -71,13 +72,22 @@ struct PhaseCommunication {
   std::vector<RedistributionStats> frontier;  ///< halo refreshes (words > 0 only)
 };
 
-struct CountOptions {
-  std::int64_t processors = 1;
-  /// Checked once per reference before counting it; true sends the
-  /// reference's array to the fallback with cause "fault" (the validator's
-  /// fault-injection point).
-  bool (*forceFallback)() = nullptr;
+/// Where one reference of a phase is classified under a plan: the one
+/// placement rule of the counting core and the trace replay.
+struct RefPlacement {
+  std::size_t slot = 0;                    ///< its array's slot in PhaseTally::arrays
+  const DataDistribution* dist = nullptr;  ///< null: privatized (always local)
+  std::int64_t halo = 0;                   ///< replicated halo width, reads only (Theorem 1c)
 };
+
+/// Places every reference of phase `k` under `plan`, in reference order, and
+/// opens `tally`'s arrays in first-reference order: each with its reference
+/// count and zeroed per-processor tallies for `processors`. A privatized
+/// array has no distribution; a plan without the array is a contract
+/// violation.
+[[nodiscard]] std::vector<RefPlacement> placeRefs(const ir::Program& program,
+                                                  const ExecutionPlan& plan, std::size_t k,
+                                                  std::int64_t processors, PhaseTally& tally);
 
 /// Every phase's counts under one plan, in phase order: the one counting
 /// pass the cost model and the validator share, and the shape the trace
@@ -103,12 +113,14 @@ struct PlanCounts {
     const DataDistribution& dist, std::int64_t processors, std::int64_t pe, std::int64_t halo,
     std::size_t maxIntervals = 1 << 20);
 
-/// Counts a program's accesses and communication under one plan: per phase,
-/// the global redistributions (k > 0) and frontier refreshes entering it,
-/// then its accesses. Bumps ad.dsm.count_passes once, and ad.dsm.count_runs
-/// by the runs of DOALL iterations it counted.
+/// Counts a program's accesses and communication under one plan on
+/// `processors` processors: per phase, the global redistributions (k > 0) and
+/// frontier refreshes entering it, then its accesses. The "symval.region"
+/// fault point is checked once per reference; a firing sends the reference's
+/// array to the fallback with cause "fault". Bumps ad.dsm.count_passes once,
+/// and ad.dsm.count_runs by the runs of DOALL iterations it counted.
 [[nodiscard]] PlanCounts countPlan(const ir::Program& program, const ir::Bindings& params,
-                                   const ExecutionPlan& plan, const CountOptions& options);
+                                   const ExecutionPlan& plan, std::int64_t processors);
 
 /// Words and aggregated messages (distinct (src, dst) pairs) of redistributing
 /// `size` elements from `from` to `to`: one owner-run walk over a single

@@ -32,13 +32,9 @@ DataDistribution DataDistribution::replicated() {
   return DataDistribution{Kind::kReplicated, 1, 0};
 }
 
-DataDistribution DataDistribution::privatePerPE() {
-  return DataDistribution{Kind::kPrivate, 1, 0};
-}
-
 bool DataDistribution::isLocal(std::int64_t addr, std::int64_t pe, std::int64_t processors,
                                std::int64_t halo) const {
-  if (!hasOwner()) return true;  // replicated / private copies
+  if (!hasOwner()) return true;  // replicated copies
   if (owner(addr, processors) == pe) return true;
   if (halo <= 0) return false;
   // Replicated halos: pe also holds copies of the `halo` elements adjacent
@@ -61,10 +57,15 @@ std::int64_t DataDistribution::ownerPeriod(std::int64_t processors) const {
   return kind == Kind::kFoldedBlockCyclic ? fold : checkedMul(block, processors);
 }
 
-std::int64_t IterationDistribution::executor(std::int64_t iter, std::int64_t processors) const {
+std::int64_t IterationDistribution::iterationsOn(std::int64_t processors, std::int64_t pe,
+                                                 std::int64_t lo, std::int64_t trip) const {
   AD_REQUIRE(chunk >= 1, "chunk must be positive");
-  AD_REQUIRE(iter >= 0, "negative iteration");
-  return (iter / chunk) % processors;
+  const std::int64_t cycle = checkedMul(chunk, processors);
+  const auto below = [&](std::int64_t x) {
+    const std::int64_t inCycle = std::clamp<std::int64_t>(x % cycle - pe * chunk, 0, chunk);
+    return checkedAdd(checkedMul(x / cycle, chunk), inCycle);
+  };
+  return below(checkedAdd(lo, trip)) - below(lo);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,9 +185,7 @@ std::optional<RedistributionStats> frontierRefresh(const ir::Program& program,
 SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                           const MachineParams& machine, const ExecutionPlan& plan) {
   obs::Span span("dsm.simulate");
-  CountOptions options;
-  options.processors = machine.processors;
-  return simulate(program, machine, countPlan(program, params, plan, options));
+  return simulate(program, machine, countPlan(program, params, plan, machine.processors));
 }
 
 SimulationResult simulate(const ir::Program& program, const MachineParams& machine,

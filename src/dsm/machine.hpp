@@ -42,7 +42,8 @@ inline constexpr std::int64_t kWordBytes = 8;
 
 /// The machine's cost ratios: the one set the ILP objective (as
 /// ilp::CostParams), the plan's halo decision and the cost model all price
-/// with.
+/// with. transferTime() is the one price of a transfer: nothing else reads
+/// putLatency or perWord.
 struct MachineParams {
   std::int64_t processors = 8;
   double localAccess = 1.0;     ///< cycles per local array access
@@ -64,7 +65,7 @@ struct MachineParams {
 /// pairs (a, fold - a) — and their fold-periodic images — are co-located,
 /// which makes conjugate-symmetry phases (TFFT2's DO_110) fully local.
 struct DataDistribution {
-  enum class Kind { kBlockCyclic, kFoldedBlockCyclic, kReplicated, kPrivate };
+  enum class Kind { kBlockCyclic, kFoldedBlockCyclic, kReplicated };
   Kind kind = Kind::kBlockCyclic;
   std::int64_t block = 1;  ///< BLOCK-CYCLIC block size, in elements
   std::int64_t fold = 0;   ///< mirror period/center (kFoldedBlockCyclic only)
@@ -74,7 +75,6 @@ struct DataDistribution {
   [[nodiscard]] static DataDistribution blocked(std::int64_t arraySize, std::int64_t processors);
   [[nodiscard]] static DataDistribution foldedBlockCyclic(std::int64_t block, std::int64_t fold);
   [[nodiscard]] static DataDistribution replicated();
-  [[nodiscard]] static DataDistribution privatePerPE();
 
   /// One monotone piece of a fold: the addresses [start, end] of one mirror
   /// period q on which a folded kind classifies address a by its reflection
@@ -101,7 +101,7 @@ struct DataDistribution {
   }
   /// Owning processor of an element (owner-bearing kinds only).
   [[nodiscard]] std::int64_t owner(std::int64_t addr, std::int64_t processors) const;
-  /// Is `addr` in `pe`'s local memory? Replicated/private arrays always are.
+  /// Is `addr` in `pe`'s local memory? Replicated arrays always are.
   /// `halo` widens each owned block by replicated overlap regions on both
   /// sides (Theorem 1c's replicated sub-regions, refreshed by frontier
   /// communications).
@@ -206,12 +206,39 @@ void forEachOwnerRun(const DataDistribution& from, const DataDistribution& to,
   }
 }
 
-/// CYCLIC(chunk) scheduling of a parallel loop.
+/// CYCLIC(chunk) scheduling of a parallel loop: the one statement of which
+/// processor runs an iteration, for the ILP's imbalance cost, the counting
+/// core and the trace replay.
 struct IterationDistribution {
   std::int64_t chunk = 1;
 
-  [[nodiscard]] std::int64_t executor(std::int64_t iter, std::int64_t processors) const;
+  /// The processor that executes iteration `iter` (>= 0).
+  [[nodiscard]] std::int64_t executor(std::int64_t iter, std::int64_t processors) const {
+    AD_REQUIRE(chunk >= 1, "chunk must be positive");
+    AD_REQUIRE(iter >= 0, "negative iteration");
+    return (iter / chunk) % processors;
+  }
+  /// Iterations of [lo, lo + trip) assigned to processor `pe` (lo >= 0).
+  /// Processor 0 is the busiest over a range starting at 0.
+  [[nodiscard]] std::int64_t iterationsOn(std::int64_t processors, std::int64_t pe,
+                                          std::int64_t lo, std::int64_t trip) const;
 };
+
+/// Cuts `run` into pieces of at most `maxPiece` iterations that one processor
+/// executes under `sched` (the DOALL encloses the run, or the piece stays in
+/// one CYCLIC(chunk) block of it), as fn(t, n, pe) for iterations [t, t + n)
+/// of the run. A phase without a DOALL runs on processor 0.
+template <typename Fn>
+void forEachProcessorPiece(const ir::AccessRun& run, const IterationDistribution& sched,
+                           std::int64_t processors, std::int64_t maxPiece, Fn&& fn) {
+  for (std::int64_t t = 0, n = 0; t < run.count; t += n) {
+    const std::int64_t iter = run.parallelIterAt(t);
+    const std::int64_t pe = sched.executor(iter, processors);
+    n = std::min(run.count - t, maxPiece);
+    if (run.parallelIsInner) n = std::min(n, sched.chunk - iter % sched.chunk);
+    fn(t, n, pe);
+  }
+}
 
 struct PhaseStats {
   std::string phase;
@@ -275,8 +302,8 @@ struct ExecutionPlan {
 // comm stage, the counting core, the trace oracle and the data-flow check.
 
 /// True if `plan` redistributes `array` entering phase `k`: its distribution
-/// changes there between two owner-bearing ones (entering or leaving private
-/// scratch or a replica moves no shared data), and the data must move.
+/// changes there between two owner-bearing ones (entering or leaving a
+/// replica moves no shared data), and the data must move.
 [[nodiscard]] bool redistributes(const ir::Program& program, const ExecutionPlan& plan,
                                  const std::string& array, std::size_t k);
 
@@ -300,7 +327,8 @@ struct ExecutionPlan {
 /// processor works on its own copy). Per phase, global redistributions come
 /// first, then frontier refreshes (H >= 2 only). Never charges the request's
 /// budget; a region the counting core cannot collapse is enumerated, which
-/// polls cancellation and the deadline.
+/// polls cancellation and the deadline. The same as simulate() on
+/// dsm::countPlan's counts at machine.processors.
 [[nodiscard]] SimulationResult simulate(const ir::Program& program, const ir::Bindings& params,
                                         const MachineParams& machine,
                                         const ExecutionPlan& plan);
@@ -308,7 +336,7 @@ struct ExecutionPlan {
 struct PlanCounts;
 
 /// simulate() from counts dsm::countPlan took at machine.processors, so one
-/// counting pass can serve the cost model and the validator alike.
+/// counting pass serves the cost model and the validator alike.
 [[nodiscard]] SimulationResult simulate(const ir::Program& program, const MachineParams& machine,
                                         const PlanCounts& counts);
 

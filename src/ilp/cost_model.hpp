@@ -3,11 +3,12 @@
 // The companion reports [7][8] with the measured cost functions are not
 // available; this is a reconstruction from the paper's description:
 //   - D^k(p): load-imbalance cost of phase k under CYCLIC(p) scheduling —
-//     the excess work of the busiest processor over the perfect share,
+//     the excess work of the busiest processor (processor 0, counted by
+//     dsm::IterationDistribution::iterationsOn) over the perfect share,
 //     weighted by the phase's per-iteration work.
-//   - C^kg(p): communication cost of a C edge leaving phase k — aggregated
-//     one-sided puts (H*(H-1) messages after message aggregation) plus a
-//     volume term proportional to the moved region.
+//   - C^kg(p): communication cost of a C edge leaving phase k (ilp::Model) —
+//     MachineParams::transferTime of H*(H-1) aggregated one-sided puts
+//     carrying the moved region.
 //   - the frontier term of an overlap node (ilp::Model) prices
 //     dsm::refreshTraffic with MachineParams::transferTime, as the cost model
 //     charges the refresh.
@@ -24,18 +25,9 @@ namespace ad::ilp {
 /// The machine's cost ratios; localAccess is the work of one local access.
 using CostParams = dsm::MachineParams;
 
-/// Iterations executed by the busiest processor under CYCLIC(chunk)
-/// scheduling of `trip` iterations over `processors`.
-[[nodiscard]] std::int64_t busiestIterations(std::int64_t trip, std::int64_t chunk,
-                                             std::int64_t processors);
-
 /// D^k: imbalance cost = (busiest - trip/H) * accessesPerIter * work.
 [[nodiscard]] double imbalanceCost(std::int64_t trip, std::int64_t chunk,
                                    std::int64_t processors, double accessesPerIter,
                                    const CostParams& cp);
-
-/// C^kg: aggregated redistribution of `volume` words among `processors`.
-[[nodiscard]] double redistributionCost(std::int64_t volume, std::int64_t processors,
-                                        const CostParams& cp);
 
 }  // namespace ad::ilp

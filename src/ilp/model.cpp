@@ -101,7 +101,8 @@ Model buildModel(const lcg::LCG& lcg, const std::map<sym::SymbolId, std::int64_t
           const std::int64_t slope = evalInt(ng.info->side->slope, params, "slope");
           if (slope > 0) vol = std::min(arraySize, checkedMul(trip, slope));
         }
-        m.fixedCommCost_ += redistributionCost(vol, processors, cp);
+        // Message aggregation: one put per (source, destination) pair.
+        m.fixedCommCost_ += m.cp_.transferTime(checkedMul(processors, processors - 1), vol);
         m.commLabels_.push_back("C(" + g.array + ": F" + std::to_string(nk.phase + 1) + "->F" +
                                 std::to_string(ng.phase + 1) + ", vol=" + std::to_string(vol) +
                                 ")");

@@ -108,16 +108,8 @@ LCG buildLCG(const ir::Program& program, const std::map<sym::SymbolId, std::int6
   return buildLCG(program, params, processors, nullptr);
 }
 
-namespace {
-
-/// Shared implementation. With `firstError == nullptr` (throwing mode) the
-/// first per-array exception is rethrown on the calling thread after every
-/// sibling task has finished. In checked mode each failing slot is converted
-/// to a Status *on the worker that hit it* — preserving that thread's unwound
-/// ErrorContext frames — and the first (declaration order) lands in
-/// `*firstError`; the returned LCG is then meaningless.
-LCG buildLCGImpl(const ir::Program& program, const std::map<sym::SymbolId, std::int64_t>& params,
-                 std::int64_t processors, support::ThreadPool* pool, Status* firstError) {
+LCG buildLCG(const ir::Program& program, const std::map<sym::SymbolId, std::int64_t>& params,
+             std::int64_t processors, support::ThreadPool* pool) {
   const auto& arrays = program.arrays();
   // One slot per declared array, filled independently (possibly in parallel);
   // pruning and tallying happen after the join, in declaration order, so the
@@ -131,9 +123,8 @@ LCG buildLCGImpl(const ir::Program& program, const std::map<sym::SymbolId, std::
     // has many more (phase, array) pairs than arrays. With a pool, fan each
     // pair out as its own subtask (profiler data showed array-level tasks
     // leave workers idle behind the widest array). Subtasks carry no
-    // ErrorContext of their own: the first exception is rethrown *here*, on
-    // the array task's thread, so it unwinds through this frame's
-    // "array" context and keeps the code -> stage -> array chain intact.
+    // ErrorContext of their own: the first exception is rethrown here, and
+    // from the array task to the calling thread below.
     std::vector<std::size_t> phaseIdx;
     for (std::size_t k = 0; k < program.phases().size(); ++k) {
       if (!program.phase(k).accesses(arr.name) && !program.phase(k).isPrivatized(arr.name)) {
@@ -209,14 +200,11 @@ LCG buildLCGImpl(const ir::Program& program, const std::map<sym::SymbolId, std::
   // Per-slot error capture: one failing array must not abandon its siblings,
   // and no exception may cross a pool task boundary un-caught.
   std::vector<std::exception_ptr> slotErrors(arrays.size());
-  std::vector<Status> slotStatus(arrays.size());
   const auto guarded = [&](std::size_t slot) {
     try {
-      ErrorContext arrayCtx("array", arrays[slot].name);
       buildArrayGraph(slot);
     } catch (...) {
       slotErrors[slot] = std::current_exception();
-      slotStatus[slot] = statusFromCurrentException();
     }
   };
   if (pool != nullptr && arrays.size() > 1) {
@@ -228,12 +216,12 @@ LCG buildLCGImpl(const ir::Program& program, const std::map<sym::SymbolId, std::
   } else {
     for (std::size_t a = 0; a < arrays.size(); ++a) guarded(a);
   }
+  // The first failing array (declaration order) is rethrown on the calling
+  // thread, inside its "array" frame, so the frame joins the caller's
+  // code -> stage chain whichever thread the array ran on.
   for (std::size_t a = 0; a < arrays.size(); ++a) {
     if (slotErrors[a] == nullptr) continue;
-    if (firstError != nullptr) {
-      *firstError = std::move(slotStatus[a]);
-      return LCG(&program, {});
-    }
+    ErrorContext arrayCtx("array", arrays[a].name);
     std::rethrow_exception(slotErrors[a]);
   }
   std::vector<ArrayGraph> graphs;
@@ -257,26 +245,6 @@ LCG buildLCGImpl(const ir::Program& program, const std::map<sym::SymbolId, std::
   obs::metrics().counter("ad.lcg.edges_comm").add(comm);
   obs::metrics().counter("ad.lcg.edges_uncoupled").add(uncoupled);
   return LCG(&program, std::move(graphs));
-}
-
-}  // namespace
-
-LCG buildLCG(const ir::Program& program, const std::map<sym::SymbolId, std::int64_t>& params,
-             std::int64_t processors, support::ThreadPool* pool) {
-  return buildLCGImpl(program, params, processors, pool, nullptr);
-}
-
-Expected<LCG> buildLCGChecked(const ir::Program& program,
-                              const std::map<sym::SymbolId, std::int64_t>& params,
-                              std::int64_t processors, support::ThreadPool* pool) {
-  try {
-    Status err;
-    LCG lcg = buildLCGImpl(program, params, processors, pool, &err);
-    if (!err.isOk()) return err;
-    return lcg;
-  } catch (...) {
-    return statusFromCurrentException();
-  }
 }
 
 }  // namespace ad::lcg

@@ -97,11 +97,4 @@ class LCG {
                            const std::map<sym::SymbolId, std::int64_t>& params,
                            std::int64_t processors, support::ThreadPool* pool);
 
-/// Non-throwing boundary variant: per-array failures are caught on the worker
-/// that hit them (so the context chain keeps the array frame) and surface as
-/// one structured Status; sibling arrays still run to completion first.
-[[nodiscard]] Expected<LCG> buildLCGChecked(
-    const ir::Program& program, const std::map<sym::SymbolId, std::int64_t>& params,
-    std::int64_t processors, support::ThreadPool* pool);
-
 }  // namespace ad::lcg

@@ -5,21 +5,13 @@
 
 #include "obs/obs.hpp"
 #include "support/budget.hpp"
-#include "support/fault.hpp"
 
 namespace ad::loc {
-
-dsm::CountOptions countOptions(const SymvalOptions& opts) {
-  dsm::CountOptions counting;
-  counting.processors = opts.processors;
-  counting.forceFallback = [] { return AD_FAULT_POINT("symval.region"); };
-  return counting;
-}
 
 SymbolicCounts symbolicTrace(const ir::Program& program, const ir::Bindings& params,
                              const dsm::ExecutionPlan& plan, const SymvalOptions& opts) {
   obs::Span span("symval.trace", "symval");
-  return symbolicTrace(program, dsm::countPlan(program, params, plan, countOptions(opts)),
+  return symbolicTrace(program, dsm::countPlan(program, params, plan, opts.processors),
                        opts.processors);
 }
 

@@ -9,10 +9,9 @@
 // processor-locality interval sets, so the per-(phase, array) local/remote
 // counts and the redistribution word/message counts cost O(descriptor
 // regions), independent of the iteration counts being validated. This
-// module adds the validator's policy: it arms the "symval.region" fault
-// point, and it reports a region that fell back to enumeration as a
-// degradation. Like the cost model, it never charges the request's prover
-// budget; cancellation and the deadline still stop it.
+// module adds the validator's policy: it reports a region that fell back to
+// enumeration as a degradation. Like the cost model, it never charges the
+// request's prover budget; cancellation and the deadline still stop it.
 //
 // Both oracles build their dsm::ObservedTrace with dsm::observedTrace, and
 // the two must be *identical* — field for field, ordering included — on the
@@ -21,9 +20,10 @@
 //
 // Degradation ladder: a region the algebra cannot collapse (non-affine
 // residue after numeric expansion or a cap: cause "unknown-region") or an
-// injected "symval.region" fault (cause "fault") falls back to the
-// enumerating oracle for that (phase, array) only — the counts stay exact,
-// the run is marked degraded via support::recordDegradation.
+// injected "symval.region" fault (cause "fault", checked by dsm::countPlan)
+// falls back to the enumerating oracle for that (phase, array) only — the
+// counts stay exact, the run is marked degraded via
+// support::recordDegradation.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,8 @@ struct SymbolicCounts {
   std::int64_t enumeratedRegions = 0;  ///< regions that fell back to enumeration
 };
 
-/// Computes the plan's observed trace in closed form. Throws
+/// Computes the plan's observed trace in closed form: symbolicTrace() on
+/// dsm::countPlan's counts at opts.processors. Throws
 /// AnalysisError/ProgramError on unanalyzable inputs (same contract as
 /// sim::simulateTrace).
 [[nodiscard]] SymbolicCounts symbolicTrace(const ir::Program& program,
@@ -59,13 +60,9 @@ struct SymbolicCounts {
                                            const dsm::ExecutionPlan& plan,
                                            const SymvalOptions& opts = {});
 
-/// The counting options the validator runs with: the "symval.region" fault
-/// point checked once per reference.
-[[nodiscard]] dsm::CountOptions countOptions(const SymvalOptions& opts);
-
-/// symbolicTrace() from counts already taken with countOptions() at
-/// `processors`, so the cost model can share the pass. Records the
-/// degradations of the regions that fell back here, not at counting time.
+/// symbolicTrace() from counts dsm::countPlan already took at `processors`,
+/// so the cost model shares the pass. Records the degradations of the
+/// regions that fell back here, not at counting time.
 [[nodiscard]] SymbolicCounts symbolicTrace(const ir::Program& program,
                                            const dsm::PlanCounts& counts,
                                            std::int64_t processors);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/string_utils.hpp"
+
 namespace ad::obs {
 
 namespace {
@@ -13,23 +15,6 @@ std::size_t threadShard() noexcept {
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
   return slot % Counter::kShards;
-}
-
-void appendEscaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -136,28 +121,23 @@ std::string MetricsRegistry::toJson() const {
   os << "  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << "    \"";
-    appendEscaped(os, name);
-    os << "\": " << c->value();
+    os << (first ? "\n" : ",\n") << "    " << jsonQuote(name) << ": " << c->value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n";
   os << "  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"";
-    appendEscaped(os, name);
-    os << "\": " << g->value();
+    os << (first ? "\n" : ",\n") << "    " << jsonQuote(name) << ": " << g->value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n";
   os << "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << "    \"";
-    appendEscaped(os, name);
-    os << "\": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-       << ", \"min\": " << h->minValue() << ", \"max\": " << h->maxValue() << ", \"buckets\": [";
+    os << (first ? "\n" : ",\n") << "    " << jsonQuote(name) << ": {\"count\": " << h->count()
+       << ", \"sum\": " << h->sum() << ", \"min\": " << h->minValue()
+       << ", \"max\": " << h->maxValue() << ", \"buckets\": [";
     // Only buckets up to the last non-empty one: keeps the document small
     // without losing information (trailing buckets are zero).
     std::size_t lastUsed = 0;
@@ -239,18 +219,13 @@ std::string Tracer::toJson() const {
   for (const auto& [tid, name] : names) {
     os << (first ? "" : ",\n")
        << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
-       << ", \"args\": {\"name\": \"";
-    appendEscaped(os, name);
-    os << "\"}}";
+       << ", \"args\": {\"name\": " << jsonQuote(name) << "}}";
     first = false;
   }
   for (const auto& e : events_) {
-    os << (first ? "" : ",\n") << "  {\"name\": \"";
-    appendEscaped(os, e.name);
-    os << "\", \"cat\": \"";
-    appendEscaped(os, e.cat);
-    os << "\", \"ph\": \"X\", \"ts\": " << e.ts << ", \"dur\": " << e.dur
-       << ", \"pid\": 1, \"tid\": " << e.tid << "}";
+    os << (first ? "" : ",\n") << "  {\"name\": " << jsonQuote(e.name)
+       << ", \"cat\": " << jsonQuote(e.cat) << ", \"ph\": \"X\", \"ts\": " << e.ts
+       << ", \"dur\": " << e.dur << ", \"pid\": 1, \"tid\": " << e.tid << "}";
     first = false;
   }
   os << "\n]}\n";

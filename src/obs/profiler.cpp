@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "support/string_utils.hpp"
+
 namespace ad::obs {
 
 namespace {
@@ -94,8 +96,8 @@ std::string Profiler::summary() const {
   bool first = true;
   for (std::size_t i = 0; i < trackCount_; ++i) {
     const ThreadStats& t = tracks_[i].stats;
-    os << (first ? "\n" : ",\n") << "    {\"name\": \"" << tracks_[i].name
-       << "\", \"tasks\": " << t.tasks.load(std::memory_order_relaxed)
+    os << (first ? "\n" : ",\n") << "    {\"name\": " << jsonQuote(tracks_[i].name)
+       << ", \"tasks\": " << t.tasks.load(std::memory_order_relaxed)
        << ", \"work_us\": " << t.workUs.load(std::memory_order_relaxed)
        << ", \"queue_wait_us\": " << t.queueWaitUs.load(std::memory_order_relaxed)
        << ", \"lock_wait_us\": " << t.lockWaitUs.load(std::memory_order_relaxed)

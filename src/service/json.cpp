@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/string_utils.hpp"
+
 namespace ad::service::json {
 
 Value Value::makeBool(bool b) {
@@ -64,33 +66,6 @@ std::int64_t Value::asInt(std::int64_t fallback) const noexcept {
   return kind == Kind::kInt ? integer : fallback;
 }
 
-std::string quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::string Value::dump() const {
   switch (kind) {
     case Kind::kNull: return "null";
@@ -104,7 +79,7 @@ std::string Value::dump() const {
       std::snprintf(buf, sizeof buf, "%.17g", number);
       return buf;
     }
-    case Kind::kString: return quote(str);
+    case Kind::kString: return jsonQuote(str);
     case Kind::kArray: {
       std::string out = "[";
       for (std::size_t i = 0; i < array.size(); ++i) {
@@ -118,7 +93,7 @@ std::string Value::dump() const {
       std::string out = "{";
       for (std::size_t i = 0; i < object.size(); ++i) {
         if (i > 0) out += ',';
-        out += quote(object[i].first);
+        out += jsonQuote(object[i].first);
         out += ':';
         out += object[i].second.dump();
       }

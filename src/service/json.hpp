@@ -79,7 +79,4 @@ class Value {
 /// cap-exceeding input yields kInvalidArgument with the byte offset.
 [[nodiscard]] Expected<Value> parse(std::string_view text, const Limits& limits = {});
 
-/// Escapes `s` as a JSON string literal including the surrounding quotes.
-[[nodiscard]] std::string quote(std::string_view s);
-
 }  // namespace ad::service::json

@@ -155,8 +155,7 @@ RequestHandlePtr Server::submit(Request request) {
                                  std::to_string(options_.maxProcessors) + "]"));
     return handle;
   }
-  if (request.validate != "none" && request.validate != "trace" &&
-      request.validate != "symbolic" && request.validate != "both") {
+  if (!driver::parseValidateMode(request.validate)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     obs::metrics().counter("ad.service.errors").add(1);
     fulfillNow(errorResponse(request, ErrorCode::kInvalidArgument,
@@ -286,9 +285,8 @@ Response Server::analyze(const Admitted& item) {
   config.processors = request.processors;
   config.simulatePlan = request.simulate;
   config.simulateBaseline = request.simulate;
-  if (request.validate == "trace") config.validate = driver::ValidateMode::kTrace;
-  else if (request.validate == "symbolic") config.validate = driver::ValidateMode::kSymbolic;
-  else if (request.validate == "both") config.validate = driver::ValidateMode::kBoth;
+  config.validate =
+      driver::parseValidateMode(request.validate).value_or(driver::ValidateMode::kNone);
   // Per-request isolation: this run gets its own Budget (created by the
   // pipeline from these limits) and this handle's cancellation token. jobs
   // stays 1 — concurrency comes from requests, not from within one.

@@ -17,7 +17,7 @@ namespace ad::sim {
 class OwnerMap {
  public:
   /// Materializes `dist` over addresses [0, size). Non-owner-bearing kinds
-  /// (replicated / private) build no table: every address is local everywhere.
+  /// (replicated) build no table: every address is local everywhere.
   OwnerMap(const dsm::DataDistribution& dist, std::int64_t size, std::int64_t processors);
 
   [[nodiscard]] const dsm::DataDistribution& distribution() const noexcept { return dist_; }
@@ -36,7 +36,7 @@ class OwnerMap {
   }
 
   /// Is `addr` in `pe`'s local memory (owned block or `halo`-wide replicated
-  /// frontier)? Replicated/private arrays are local everywhere.
+  /// frontier)? Replicated arrays are local everywhere.
   [[nodiscard]] bool isLocal(std::int64_t addr, std::int64_t pe, std::int64_t halo) const {
     if (!dist_.hasOwner()) return true;
     if (owner(addr) == pe) return true;

@@ -22,11 +22,10 @@ using ir::evalInt;
 constexpr std::int64_t kPollEvery = 4096;  ///< accesses per deadline/cancel poll
 
 /// How one reference's accesses are classified, resolved once per phase so
-/// the per-access hot path is a table lookup.
-struct RefSlot {
-  std::size_t slot = 0;              ///< index into the phase's array slots
+/// the per-access hot path is a table lookup: its placement and the owner
+/// table of its distribution.
+struct RefSlot : dsm::RefPlacement {
   const OwnerMap* owners = nullptr;  ///< null: privatized (always local)
-  std::int64_t halo = 0;             ///< replicated frontier width (reads only)
 };
 
 }  // namespace
@@ -104,46 +103,21 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
     // DOALL) and classified against the owner table.
     obs::Span phaseSpan("sim.phase:" + phase.name(), "sim");
     std::vector<RefSlot> refs;
-    std::vector<dsm::ArrayTally>& arrays = counts.tallies[k].arrays;
-    for (const auto& r : phase.refs()) {
-      RefSlot rs;
-      rs.slot = static_cast<std::size_t>(
-          std::find_if(arrays.begin(), arrays.end(),
-                       [&](const dsm::ArrayTally& a) { return a.array == r.array; }) -
-          arrays.begin());
-      if (rs.slot == arrays.size()) {
-        arrays.emplace_back();
-        arrays.back().array = r.array;
-      }
-      ++arrays[rs.slot].refs;
-      if (!phase.isPrivatized(r.array)) {
-        const auto dit = plan.data.find(r.array);
-        AD_REQUIRE(dit != plan.data.end(), "plan missing array " + r.array);
-        rs.owners = ownerMap(r.array, dit->second[k]);
-        // Halo replicas serve reads only (Theorem 1c: overlap must be
-        // read-only to stay consistent without updates).
-        if (r.kind == ir::AccessKind::kRead) {
-          if (auto hit = plan.halo.find(r.array); hit != plan.halo.end()) {
-            rs.halo = hit->second[k];
-          }
-        }
-      }
-      refs.push_back(rs);
+    for (const dsm::RefPlacement& place : dsm::placeRefs(program, plan, k, H, counts.tallies[k])) {
+      const std::string& array = phase.refs()[refs.size()].array;
+      refs.push_back({place, place.dist != nullptr ? ownerMap(array, *place.dist) : nullptr});
     }
+    std::vector<dsm::ArrayTally>& arrays = counts.tallies[k].arrays;
     // cells[pe * slots + slot]: what processor pe did to one array.
     const std::size_t slots = arrays.size();
     cells.assign(static_cast<std::size_t>(H) * slots, dsm::ArrayCounts{});
     const dsm::IterationDistribution& sched = plan.iteration[k];
-    const bool hasPar = phase.hasParallelLoop();
     ir::forEachRun(ir::LoweredPhase(phase, params), [&](const ir::AccessRun& run, ir::Bindings&) {
-      // Pieces of at most kPollEvery accesses run by one processor: the DOALL
-      // encloses the run, or a piece stays in one CYCLIC(chunk) block of it.
+      // Pieces of at most kPollEvery accesses, each run by one processor.
       const auto nrefs = static_cast<std::int64_t>(std::max<std::size_t>(1, run.refs.size()));
-      for (std::int64_t t = 0, n = 0; t < run.count; t += n) {
-        n = std::min(run.count - t, std::max<std::int64_t>(1, kPollEvery / nrefs));
-        const std::int64_t iter = run.parallelIterAt(t);
-        const std::int64_t pe = hasPar ? sched.executor(iter, H) : 0;
-        if (run.parallelIsInner) n = std::min(n, sched.chunk - iter % sched.chunk);
+      const std::int64_t maxPiece = std::max<std::int64_t>(1, kPollEvery / nrefs);
+      dsm::forEachProcessorPiece(run, sched, H, maxPiece, [&](std::int64_t t, std::int64_t n,
+                                                              std::int64_t pe) {
         poll.tick(static_cast<std::uint64_t>(n * nrefs));
         for (const ir::RefRun& r : run.refs) {
           const RefSlot& rs = refs[static_cast<std::size_t>(r.ref - phase.refs().data())];
@@ -158,15 +132,11 @@ TraceResult simulateTrace(const ir::Program& program, const ir::Bindings& params
           c.local += local;
           c.remote += n - local;
         }
-      }
+      });
     });
 
     // The phase's tallies in the counting core's shape, and the
     // per-processor distributions.
-    for (dsm::ArrayTally& a : arrays) {
-      a.peAccesses.assign(static_cast<std::size_t>(H), 0);
-      a.peRemote.assign(static_cast<std::size_t>(H), 0);
-    }
     for (std::int64_t t = 0; t < H; ++t) {
       std::int64_t local = 0;
       std::int64_t remote = 0;

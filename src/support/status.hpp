@@ -7,8 +7,7 @@
 // an error code, a message, and a context chain (code -> stage -> array ->
 // phase) assembled while the exception unwinds, so "analysis failed" always
 // says *where*. ad::Expected<T> is the Status-or-value return used by the
-// checked entry points (analyzeAndSimulateChecked, analyzeBatch,
-// buildLCGChecked).
+// checked entry points (analyzeAndSimulateChecked, analyzeBatch).
 //
 // Context capture works through ErrorContext, an RAII frame: its destructor
 // notices it is running because an exception is unwinding past it

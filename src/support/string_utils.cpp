@@ -2,21 +2,6 @@
 
 namespace ad {
 
-std::vector<std::string> splitLines(std::string_view text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string_view::npos) {
-      lines.emplace_back(text.substr(start));
-      break;
-    }
-    lines.emplace_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
-
 std::string padLeft(std::string_view s, std::size_t width) {
   std::string out(s);
   if (out.size() < width) out.insert(0, width - out.size(), ' ');

@@ -19,11 +19,6 @@ std::pair<std::int64_t, std::int64_t> DiophantineFamily::smallestX() const {
   return at(xStep >= 0 ? tLo : tHi);
 }
 
-std::pair<std::int64_t, std::int64_t> DiophantineFamily::largestX() const {
-  AD_REQUIRE(feasible(), "empty solution family");
-  return at(xStep >= 0 ? tHi : tLo);
-}
-
 std::vector<std::pair<std::int64_t, std::int64_t>> DiophantineFamily::enumerate(
     std::size_t maxCount) const {
   std::vector<std::pair<std::int64_t, std::int64_t>> out;

@@ -38,8 +38,6 @@ struct DiophantineFamily {
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> at(std::int64_t t) const;
   /// The solution with the smallest x value.
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> smallestX() const;
-  /// The solution with the largest x value.
-  [[nodiscard]] std::pair<std::int64_t, std::int64_t> largestX() const;
   /// Enumerate up to `maxCount` solutions (in increasing t).
   [[nodiscard]] std::vector<std::pair<std::int64_t, std::int64_t>> enumerate(
       std::size_t maxCount) const;

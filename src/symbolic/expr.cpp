@@ -395,11 +395,6 @@ bool Expr::contains(SymbolId id) const {
   return mentions([id](SymbolId s) { return s == id; });
 }
 
-bool Expr::hasIntegerCoefficients() const {
-  return std::all_of(terms_.begin(), terms_.end(),
-                     [](const Monomial& m) { return m.coeff().isInteger(); });
-}
-
 template <typename Bound>
 Expr Expr::substituteWith(const Bound& bound) const {
   const auto isBound = [&](SymbolId s) { return bound(s) != nullptr; };

@@ -148,8 +148,6 @@ class Expr {
   /// All symbols appearing anywhere (including inside pow2 exponents).
   [[nodiscard]] std::vector<SymbolId> freeSymbols() const;
   [[nodiscard]] bool contains(SymbolId id) const;
-  /// True if every monomial coefficient is an integer.
-  [[nodiscard]] bool hasIntegerCoefficients() const;
 
   // -- arithmetic -----------------------------------------------------------
   [[nodiscard]] Expr operator-() const;

@@ -57,8 +57,14 @@ TEST(CostModel, FrontierAndRedistributionMonotonicity) {
     return cp.transferTime(t.messages, t.wordsMoved);
   };
   EXPECT_LT(refresh(1), refresh(100));
-  // Larger machines split the redistribution volume further.
-  EXPECT_GT(ilp::redistributionCost(1 << 16, 4, cp), ilp::redistributionCost(1 << 16, 64, cp));
+  // Larger machines split the redistribution volume further: H * (H - 1)
+  // aggregated puts at H processors.
+  const auto redistribution = [&cp](std::int64_t processors) {
+    ilp::CostParams at = cp;
+    at.processors = processors;
+    return at.transferTime(processors * (processors - 1), 1 << 16);
+  };
+  EXPECT_GT(redistribution(4), redistribution(64));
   // Imbalance grows with trip remainder.
   EXPECT_EQ(ilp::imbalanceCost(64, 4, 4, 1.0, cp), 0.0);
   // A chunk spanning most of the trip concentrates work on one processor.

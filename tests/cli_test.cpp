@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "driver/pipeline.hpp"
 
 namespace ad::driver {
 namespace {
@@ -60,6 +63,21 @@ TEST(Cli, AcceptsPartialPositionals) {
   EXPECT_EQ(r->P, 128);
   EXPECT_EQ(r->Q, 64);  // defaults keep their place
   EXPECT_EQ(r->H, 8);
+}
+
+TEST(Cli, ValidateTakesTheModeNames) {
+  // One name table (parseValidateMode) serves the CLI and the service.
+  for (const auto& [flag, mode] :
+       {std::pair{"--validate=none", ValidateMode::kNone},
+        std::pair{"--validate=trace", ValidateMode::kTrace},
+        std::pair{"--validate=symbolic", ValidateMode::kSymbolic},
+        std::pair{"--validate=both", ValidateMode::kBoth}}) {
+    const auto r = parse({flag});
+    ASSERT_TRUE(r.has_value()) << flag << ": " << r.status().str();
+    EXPECT_EQ(parseValidateMode(r->validate), mode) << flag;
+  }
+  expectRejected({"--validate=all"}, "--validate");
+  EXPECT_FALSE(parseValidateMode("").has_value());
 }
 
 TEST(Cli, RejectsJobsZero) { expectRejected({"--jobs", "0"}, "--jobs"); }

@@ -325,10 +325,10 @@ void expectSameTallies(const std::vector<dsm::PhaseTally>& got,
 /// dsm::countPlan's tallies and the ad.dsm.count_runs it added.
 std::pair<std::vector<dsm::PhaseTally>, std::int64_t> countWithRuns(
     const ir::Program& prog, const ir::Bindings& params, const dsm::ExecutionPlan& plan,
-    const dsm::CountOptions& options) {
+    std::int64_t processors) {
   obs::Counter& runs = obs::metrics().counter("ad.dsm.count_runs");
   const std::int64_t before = runs.value();
-  auto tallies = dsm::countPlan(prog, params, plan, options).tallies;
+  auto tallies = dsm::countPlan(prog, params, plan, processors).tallies;
   return {std::move(tallies), runs.value() - before};
 }
 
@@ -399,9 +399,7 @@ TEST(CountingCore, FoldedAndBlockCyclicDoallsMatchTheAccessByAccessTallies) {
         std::to_string(lo) + " trip=" + std::to_string(trip) + " shift=" +
         std::to_string(shift) + " width=" + std::to_string(width) + " stride=" +
         std::to_string(stride) + " base=" + std::to_string(base);
-    dsm::CountOptions options;
-    options.processors = H;
-    expectSameTallies(dsm::countPlan(prog, {}, plan, options).tallies,
+    expectSameTallies(dsm::countPlan(prog, {}, plan, H).tallies,
                       reference::countAccesses(prog, {}, plan, H), what);
   }
 }
@@ -455,10 +453,8 @@ TEST(CountingCore, TripCountsThatOverflowThrowInsteadOfCountingZero) {
     dsm::ExecutionPlan plan;
     plan.iteration = {dsm::IterationDistribution{1}};
     plan.data["A"] = {dsm::DataDistribution::blockCyclic(1)};
-    dsm::CountOptions options;
-    options.processors = 4;
     const std::string what = parallel ? "doall" : "do";
-    expectOverflow([&] { (void)dsm::countPlan(prog, params, plan, options); }, what);
+    expectOverflow([&] { (void)dsm::countPlan(prog, params, plan, 4); }, what);
     if (parallel) {
       expectOverflow([&] { (void)ir::parallelTripCount(prog.phase(0), params); }, what);
     } else {
@@ -473,9 +469,7 @@ TEST(CountingCore, MirrorSegmentsCountOneBlockCyclicPeriodPerPiece) {
   // so 4 runs. Whole fold periods would take lcm(4, 4096) = 4096
   // iterations, capped at the trip: one run per iteration, 2048.
   const auto [prog, plan] = foldedSweep(2048, 1, 1, 4096);
-  dsm::CountOptions options;
-  options.processors = 4;
-  const auto [tallies, runs] = countWithRuns(prog, {}, plan, options);
+  const auto [tallies, runs] = countWithRuns(prog, {}, plan, 4);
   expectSameTallies(tallies, reference::countAccesses(prog, {}, plan, 4), "one piece");
   EXPECT_EQ(runs, 4);
 }
@@ -487,9 +481,7 @@ TEST(CountingCore, WideTailOverALargeFoldStaysBoundedUnderASmallBudget) {
   constexpr std::int64_t kFold = 1024;
   const auto [prog, plan] = foldedSweep(kFold, kFold / 2 + 2, 1, kFold);
   const auto want = reference::countAccesses(prog, {}, plan, 4);
-  dsm::CountOptions options;
-  options.processors = 4;
-  const auto [tallies, runs] = countWithRuns(prog, {}, plan, options);
+  const auto [tallies, runs] = countWithRuns(prog, {}, plan, 4);
   expectSameTallies(tallies, want, "wide tail");
   EXPECT_EQ(runs, kFold);
 
@@ -500,7 +492,7 @@ TEST(CountingCore, WideTailOverALargeFoldStaysBoundedUnderASmallBudget) {
     limits.proverSteps = 50;
     support::Budget budget(limits);
     support::BudgetScope scope(&budget);
-    const auto [starved, starvedRuns] = countWithRuns(prog, {}, plan, options);
+    const auto [starved, starvedRuns] = countWithRuns(prog, {}, plan, 4);
     expectSameTallies(starved, want, "wide tail, small budget");
     EXPECT_EQ(starvedRuns, kFold);
     EXPECT_EQ(budget.stepsUsed(), 0);
@@ -510,7 +502,7 @@ TEST(CountingCore, WideTailOverALargeFoldStaysBoundedUnderASmallBudget) {
   auto token = std::make_shared<std::atomic<bool>>(true);
   support::Budget budget(support::BudgetLimits{}, token);
   support::BudgetScope scope(&budget);
-  EXPECT_THROW((void)dsm::countPlan(large, {}, largePlan, options), CancelledError);
+  EXPECT_THROW((void)dsm::countPlan(large, {}, largePlan, 4), CancelledError);
 }
 
 TEST(CountingCore, MirrorSegmentsNeverCountMoreRunsOnTheNSweepRequests) {
@@ -526,9 +518,7 @@ TEST(CountingCore, MirrorSegmentsNeverCountMoreRunsOnTheNSweepRequests) {
       const dsm::ExecutionPlan plan = naive
                                           ? dsm::ExecutionPlan::naiveBlock(prog, params, processors)
                                           : derivedPlan(prog, params, processors);
-      dsm::CountOptions options;
-      options.processors = processors;
-      const std::int64_t runs = countWithRuns(prog, params, plan, options).second;
+      const std::int64_t runs = countWithRuns(prog, params, plan, processors).second;
       const std::int64_t foldRuns = naive ? naiveFoldRuns : derivedFoldRuns;
       const std::string at = what + (naive ? " (naive BLOCK)" : " (derived plan)");
       EXPECT_LE(runs, foldRuns) << at;
@@ -603,16 +593,18 @@ TEST(CostModel, EmitsGlobalThenFrontierPerPhase) {
 
 // --- The fallback path ------------------------------------------------------
 
-bool alwaysFallBack() { return true; }
-
-/// dsm::countPlan's tallies with every reference sent to the run walk.
+/// dsm::countPlan's tallies with every reference sent to the run walk: the
+/// "symval.region" fault point fires on every reference.
 std::vector<dsm::PhaseTally> countByFallback(const ir::Program& prog, const ir::Bindings& params,
                                              const dsm::ExecutionPlan& plan,
                                              std::int64_t processors) {
-  dsm::CountOptions options;
-  options.processors = processors;
-  options.forceFallback = alwaysFallBack;
-  return dsm::countPlan(prog, params, plan, options).tallies;
+  struct EveryReferenceFaulted {
+    EveryReferenceFaulted() {
+      EXPECT_TRUE(support::FaultInjector::global().configure("symval.region@1+").isOk());
+    }
+    ~EveryReferenceFaulted() { support::FaultInjector::global().clear(); }
+  } fault;
+  return dsm::countPlan(prog, params, plan, processors).tallies;
 }
 
 /// The run walk == the access-by-access tallies, under the derived plan and

@@ -13,6 +13,7 @@
 #include "codes/tfft2.hpp"
 #include "driver/pipeline.hpp"
 #include "driver/serialize.hpp"
+#include "frontend/parser.hpp"
 #include "ilp/model.hpp"
 #include "lcg/lcg.hpp"
 #include "locality/analysis.hpp"
@@ -361,21 +362,68 @@ TEST(Degradation, BatchSplitsAnAmbientBudgetSoOneHogCannotStarveSiblings) {
   }
 }
 
-TEST_F(FaultedPipeline, BuildLCGCheckedSurvivesPoolTaskFaults) {
+TEST_F(FaultedPipeline, CheckedPipelineSurvivesPoolTaskFaults) {
   const auto prog = codes::makeTFFT2();
-  const auto params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
+  driver::PipelineConfig config;
+  config.params = codes::bindParams(prog, {{"P", 8}, {"Q", 8}});
+  config.processors = 4;
   support::ThreadPool pool(2);
 
-  const auto clean = lcg::buildLCGChecked(prog, params, 4, &pool);
+  const auto clean = driver::analyzeAndSimulateChecked(prog, config, &pool);
   ASSERT_TRUE(clean.has_value()) << clean.status().str();
-  EXPECT_EQ(clean->communicationEdges(), lcg::buildLCG(prog, params, 4).communicationEdges());
+  EXPECT_EQ(clean->lcg.communicationEdges(),
+            lcg::buildLCG(prog, config.params, 4).communicationEdges());
 
   ASSERT_TRUE(support::FaultInjector::global().configure("pool.task@1").isOk());
-  const auto faulted = lcg::buildLCGChecked(prog, params, 4, &pool);
+  const auto faulted = driver::analyzeAndSimulateChecked(prog, config, &pool);
   ASSERT_FALSE(faulted.has_value());
   EXPECT_EQ(faulted.status().code(), ErrorCode::kAnalysis);
   EXPECT_NE(faulted.status().message().find("pool.task"), std::string::npos)
       << faulted.status().str();
+}
+
+TEST(ContextChain, LcgFailureEndsWithItsArrayOnEveryPath) {
+  // B(i*i) has no affine access descriptor: building B's graph fails, A's
+  // does not. Serial, pooled and batched runs all name the array last.
+  const ir::Program prog = frontend::parseProgram(R"(
+param N
+array A(N)
+array B(N*N)
+phase SQUARES {
+  doall i = 0, N - 1 {
+    read A(i)
+    write B(i*i)
+  }
+}
+)");
+  driver::PipelineConfig config;
+  config.params = codes::bindParams(prog, {{"N", 8}});
+  config.processors = 4;
+  const auto endsWithArrayB = [](const Status& st) {
+    const auto& chain = st.context();
+    return chain.size() >= 2 && chain[chain.size() - 2] == "stage=lcg" &&
+           chain.back() == "array=B";
+  };
+
+  const auto serial = driver::analyzeAndSimulateChecked(prog, config);
+  ASSERT_FALSE(serial.has_value());
+  EXPECT_TRUE(endsWithArrayB(serial.status())) << serial.status().str();
+
+  support::ThreadPool pool(2);
+  const auto pooled = driver::analyzeAndSimulateChecked(prog, config, &pool);
+  ASSERT_FALSE(pooled.has_value());
+  EXPECT_TRUE(endsWithArrayB(pooled.status())) << pooled.status().str();
+
+  driver::BatchItem item;
+  item.program = &prog;
+  item.config = config;
+  item.label = "demo";
+  const auto batched = driver::analyzeBatch({item, item}, /*jobs=*/2);
+  for (const auto& r : batched) {
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.status().context().front(), "code=demo") << r.status().str();
+    EXPECT_TRUE(endsWithArrayB(r.status())) << r.status().str();
+  }
 }
 
 }  // namespace

@@ -48,7 +48,6 @@ TEST(DataDistribution, FoldedCoLocatesMirrorPairs) {
 
 TEST(DataDistribution, ReplicatedAndPrivateAlwaysLocal) {
   EXPECT_TRUE(DataDistribution::replicated().isLocal(123, 7, 8));
-  EXPECT_TRUE(DataDistribution::privatePerPE().isLocal(123, 7, 8));
   EXPECT_FALSE(DataDistribution::replicated().hasOwner());
 }
 
@@ -185,7 +184,6 @@ TEST(CommSchedule, MessagesAreAggregatedPerPair) {
       EXPECT_GT(ranges[i].begin, ranges[i - 1].end);  // strictly separated
     }
   }
-  EXPECT_GT(sched.time(MachineParams{}), 0.0);
   EXPECT_NE(sched.str().find("put"), std::string::npos);
 }
 

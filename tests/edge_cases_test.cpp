@@ -254,16 +254,19 @@ TEST(IlpEdge, StorageBoundEmptiesRangeGracefully) {
 // Communication schedule corners
 // ---------------------------------------------------------------------------
 
-TEST(CommEdge, ScheduleTimeReflectsBusiestSource) {
+TEST(CommEdge, AggregationPricesOnePutPerMessage) {
+  // Aggregation packs a pair's runs into one put: at H the schedule's messages
+  // cost less than its runs sent one by one, for the same words.
   const auto from = dsm::DataDistribution::blockCyclic(4);
   const auto to = dsm::DataDistribution::blockCyclic(16);
   const auto sched = comm::generateGlobal("X", 256, from, to, 4);
+  const auto messages = static_cast<std::int64_t>(sched.messageCount());
+  const auto runs = static_cast<std::int64_t>(sched.ranges().size());
+  ASSERT_LT(messages, runs);
   dsm::MachineParams machine;
-  EXPECT_GT(sched.time(machine), 0.0);
-  // More expensive wording: doubling perWord increases the estimate.
-  dsm::MachineParams pricier = machine;
-  pricier.perWord *= 2;
-  EXPECT_GT(sched.time(pricier), sched.time(machine));
+  machine.processors = 4;
+  EXPECT_LT(machine.transferTime(messages, sched.totalWords()),
+            machine.transferTime(runs, sched.totalWords()));
 }
 
 }  // namespace

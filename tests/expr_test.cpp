@@ -220,11 +220,6 @@ TEST_F(ExprTest, MakeSymbolExprResolvesPow2Params) {
   EXPECT_FALSE(g.isZero());
 }
 
-TEST_F(ExprTest, HasIntegerCoefficients) {
-  EXPECT_TRUE((c(2) * sym(I) + c(3)).hasIntegerCoefficients());
-  EXPECT_FALSE((Expr::constant(Rational(1, 2)) * sym(I)).hasIntegerCoefficients());
-}
-
 // ---------------------------------------------------------------------------
 // Kernel differential: the merge-based +, - and substitute against the
 // sort-based reference kernels in tests/reference_oracles.*.

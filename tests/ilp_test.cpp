@@ -7,17 +7,21 @@ namespace ad::ilp {
 namespace {
 
 TEST(CostModel, BusiestIterationsCyclic) {
+  // The busiest processor under CYCLIC(chunk) is processor 0.
+  const auto busiest = [](std::int64_t trip, std::int64_t chunk, std::int64_t processors) {
+    return dsm::IterationDistribution{chunk}.iterationsOn(processors, 0, 0, trip);
+  };
   // 16 iterations, chunk 2, 4 processors: 8 blocks, 2 rounds each, PE0 gets
   // blocks {0,4} = 4 iterations.
-  EXPECT_EQ(busiestIterations(16, 2, 4), 4);
+  EXPECT_EQ(busiest(16, 2, 4), 4);
   // 17 iterations: 9 blocks, ceil(9/4)=3 rounds for PE0: blocks {0,4,8},
   // block 8 is the last (partial, 1 iteration): 2+2+1 = 5.
-  EXPECT_EQ(busiestIterations(17, 2, 4), 5);
+  EXPECT_EQ(busiest(17, 2, 4), 5);
   // chunk spanning everything: one block on PE0.
-  EXPECT_EQ(busiestIterations(10, 100, 4), 10);
+  EXPECT_EQ(busiest(10, 100, 4), 10);
   // perfect balance.
-  EXPECT_EQ(busiestIterations(64, 1, 64), 1);
-  EXPECT_EQ(busiestIterations(0, 3, 4), 0);
+  EXPECT_EQ(busiest(64, 1, 64), 1);
+  EXPECT_EQ(busiest(0, 3, 4), 0);
 }
 
 TEST(CostModel, ImbalanceCostZeroWhenDivisible) {
@@ -30,7 +34,9 @@ TEST(CostModel, ImbalanceCostZeroWhenDivisible) {
 
 TEST(CostModel, RedistributionScalesWithVolume) {
   CostParams cp;
-  EXPECT_LT(redistributionCost(100, 8, cp), redistributionCost(10000, 8, cp));
+  // A C edge's redistribution: H * (H - 1) aggregated puts carrying the volume.
+  cp.processors = 8;
+  EXPECT_LT(cp.transferTime(8 * 7, 100), cp.transferTime(8 * 7, 10000));
   const dsm::RedistributionStats refresh = dsm::refreshTraffic(100, 10, 4);
   EXPECT_EQ(refresh.messages, 2 * 9);  // both directions at 9 interior boundaries
   EXPECT_EQ(refresh.wordsMoved, 2 * 9 * 4);

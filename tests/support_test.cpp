@@ -90,12 +90,12 @@ TEST(StringUtils, Join) {
   EXPECT_EQ(join(std::vector<int>{}, ","), "");
 }
 
-TEST(StringUtils, SplitLines) {
-  auto lines = splitLines("a\nb\n\nc");
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0], "a");
-  EXPECT_EQ(lines[2], "");
-  EXPECT_EQ(lines[3], "c");
+TEST(StringUtils, JsonQuoteEscapesEveryControlCharacter) {
+  EXPECT_EQ(jsonQuote("F1"), "\"F1\"");
+  EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(jsonQuote("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
+  // The rest of U+0000..U+001F as \u00XX, NUL included.
+  EXPECT_EQ(jsonQuote(std::string("x\x01y\x1f\0", 5)), "\"x\\u0001y\\u001f\\u0000\"");
 }
 
 TEST(StringUtils, Padding) {

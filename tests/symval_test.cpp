@@ -213,7 +213,7 @@ TEST_P(SymvalSuite, TraceCountsMatchTheCountingCorePerProcessor) {
     ASSERT_TRUE(result.trace.has_value());
     const dsm::PlanCounts& got = result.trace->counts;
     const dsm::PlanCounts want =
-        dsm::countPlan(prog, config.params, result.plan, countOptions({processors}));
+        dsm::countPlan(prog, config.params, result.plan, processors);
     ASSERT_EQ(got.tallies.size(), want.tallies.size());
     ASSERT_EQ(got.communication.size(), want.communication.size());
     for (std::size_t k = 0; k < want.tallies.size(); ++k) {
